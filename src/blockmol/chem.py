@@ -12,6 +12,7 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 # --- errors -----------------------------------------------------------------
 
@@ -103,6 +104,7 @@ TWO_LETTER = ("Cl", "Br")
 ONE_LETTER = frozenset("BCNOPSFI")
 AROMATIC_LETTER = frozenset("bcnops")
 BOND_CHARS = frozenset("-=#:/\\")
+DIGITS = frozenset("0123456789")  # str.isdigit also accepts "²", which int() rejects
 
 ATOMIC_WEIGHTS = {
     "H": 1.008, "B": 10.81, "C": 12.011, "N": 14.007, "O": 15.999,
@@ -139,7 +141,7 @@ _BRACKET_RE = re.compile(
         (?P<charge>[+-]\d+|\++|-+)?
         (?::\d+)?
         \]$""",
-    re.X,
+    re.X | re.A,
 )
 
 
@@ -211,11 +213,11 @@ def tokenize(text: str) -> list[Token]:
         elif ch in BOND_CHARS:
             out.append(Token(TokenKind.BOND, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in DIGITS:
             out.append(Token(TokenKind.RING, ch, i))
             i += 1
         elif ch == "%":
-            if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
+            if i + 2 >= n or not DIGITS.issuperset(text[i + 1 : i + 3]):
                 raise UnknownCharacter("'%' needs two digits", i)
             out.append(Token(TokenKind.RING, text[i : i + 3], i))
             i += 3
@@ -267,52 +269,102 @@ class ParsedMol:
     bonds: list[Bond]
     rings: list[list[int]] = field(default_factory=list)
     smiles: str = ""
+    # Per-atom (neighbor, bond) lists in bond order, built once from bonds.
+    adjacency: list[list[tuple[int, Bond]]] = field(
+        init=False, repr=False, compare=False)
 
-    def neighbors(self, i: int):
+    def __post_init__(self):
+        self.adjacency = [[] for _ in self.atoms]
         for b in self.bonds:
-            if b.a == i:
-                yield b.b, b
-            elif b.b == i:
-                yield b.a, b
+            self.adjacency[b.a].append((b.b, b))
+            self.adjacency[b.b].append((b.a, b))
+
+    def neighbors(self, i: int) -> list[tuple[int, Bond]]:
+        return self.adjacency[i]
 
     def bond_order_sum(self, i: int) -> float:
-        return sum(b.order for _, b in self.neighbors(i))
+        return sum(b.order for _, b in self.adjacency[i])
 
     def sigma_order_sum(self, i: int) -> float:
         """Bond-order sum with aromatic bonds counted at their sigma order."""
-        return sum(1.0 if b.order == 1.5 else b.order for _, b in self.neighbors(i))
+        return sum(1.0 if b.order == 1.5 else b.order for _, b in self.adjacency[i])
 
 
 _BOND_ORDER = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5, "/": 1.0, "\\": 1.0}
 
 
-def _shortest_cycle(mol: ParsedMol, bond_index: int) -> list[int] | None:
-    """Shortest cycle through bond ``bond_index``, or None for a bridge.
+def _bridges(adjacency) -> tuple[set[int], int]:
+    """(ids of the bridge bonds, number of connected components).
+
+    One iterative Tarjan pass: a tree bond u-v is a bridge when nothing in
+    v's DFS subtree reaches back to u or above.  Assumes a simple graph, which
+    parse_validate guarantees (no self-closures, no duplicate bonds).
+    """
+    n = len(adjacency)
+    order = [0] * n  # DFS discovery number, 0 while unvisited
+    low = [0] * n
+    bridges: set[int] = set()
+    counter = components = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        components += 1
+        counter += 1
+        order[root] = low[root] = counter
+        stack = [(root, None, iter(adjacency[root]))]
+        while stack:
+            u, via, edges = stack[-1]
+            for v, b in edges:
+                if b is via:
+                    continue
+                if order[v]:
+                    if order[v] < low[u]:
+                        low[u] = order[v]
+                else:
+                    counter += 1
+                    order[v] = low[v] = counter
+                    stack.append((v, b, iter(adjacency[v])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] > order[parent]:
+                        bridges.add(id(via))
+    return bridges, components
+
+
+def _shortest_cycle(adjacency, atoms: list[Atom], closure: Bond) -> list[int] | None:
+    """Shortest cycle through bond ``closure``, or None when it is on none.
 
     Dijkstra over (edge count, non-aromatic atom count): among equally short
     alternative paths, the one staying on aromatic atoms wins, so a fused
-    aromatic ring is not shadowed by its saturated neighbor.
+    aromatic ring is not shadowed by its saturated neighbor.  The pair is
+    packed into one integer, edges * (atoms + 1) + non-aromatic, which orders
+    exactly like the tuple because the second part never exceeds the atoms.
     """
-    closure = mol.bonds[bond_index]
     start, goal = closure.a, closure.b
-    unreached = (1 << 30, 0)
-    best: dict[int, tuple[int, int]] = {start: (0, 0)}
+    scale = len(atoms) + 1
+    unreached = 1 << 62
+    best = {start: 0}
     prev = {start: -1}
-    heap = [(0, 0, start)]
+    heap = [(0, start)]
     while heap:
-        d, na, u = heapq.heappop(heap)
-        if (d, na) > best.get(u, unreached):
+        cost, u = heapq.heappop(heap)
+        if cost > best.get(u, unreached):
             continue
         if u == goal:
             break
-        for v, b in mol.neighbors(u):
+        for v, b in adjacency[u]:
             if b is closure:
                 continue
-            cost = (d + 1, na + (0 if mol.atoms[v].aromatic else 1))
-            if cost < best.get(v, unreached):
-                best[v] = cost
+            step = cost + scale + (0 if atoms[v].aromatic else 1)
+            if step < best.get(v, unreached):
+                best[v] = step
                 prev[v] = u
-                heapq.heappush(heap, (cost[0], cost[1], v))
+                heapq.heappush(heap, (step, v))
     if goal not in prev:
         return None
     path = [goal]
@@ -321,49 +373,46 @@ def _shortest_cycle(mol: ParsedMol, bond_index: int) -> list[int] | None:
     return path
 
 
+def _edge(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
 def _perceive_rings(mol: ParsedMol) -> list[list[int]]:
-    """Minimum-basis ring set: shortest cycle through every bond, greedily
-    selected under GF(2) edge-space independence up to the cyclomatic number.
+    """Minimum-basis ring set: shortest cycle through every ring bond,
+    greedily selected under GF(2) edge-space independence up to the
+    cyclomatic number.
 
     Per-closure-digit cycles alone misassign fused systems written in the
     interleaved style (both digits of an indole would claim the pyrrole
     ring); a small cycle basis recovers one ring per independent cycle.
+
+    Bridges lie on no cycle, and no path between the ends of a ring bond
+    crosses one, so the cycle search runs only over the ring bonds (the
+    non-bridges) and gives the same cycles as a search of the whole graph.
     """
-    n_atoms = len(mol.atoms)
-    if not n_atoms:
+    if not mol.atoms:
         return []
-    seen = set()
-    components = 0
-    for i in range(n_atoms):
-        if i in seen:
-            continue
-        components += 1
-        stack = [i]
-        seen.add(i)
-        while stack:
-            u = stack.pop()
-            for v, _ in mol.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    rank = len(mol.bonds) - n_atoms + components
+    bridges, components = _bridges(mol.adjacency)
+    rank = len(mol.bonds) - len(mol.atoms) + components
     if rank <= 0:
         return []
 
-    edge_index = {frozenset((b.a, b.b)): i for i, b in enumerate(mol.bonds)}
+    ring_adjacency = [[(v, b) for v, b in nbrs if id(b) not in bridges]
+                      for nbrs in mol.adjacency]
+    edge_index = {_edge(b.a, b.b): i for i, b in enumerate(mol.bonds)}
     candidates = []
     dedupe = set()
-    for i in range(len(mol.bonds)):
-        cycle = _shortest_cycle(mol, i)
-        if cycle is None:
+    for bond in mol.bonds:
+        if id(bond) in bridges:
             continue
+        cycle = _shortest_cycle(ring_adjacency, mol.atoms, bond)
         key = frozenset(cycle)
         if key in dedupe:
             continue
         dedupe.add(key)
         mask = 0
         for k in range(len(cycle)):
-            mask |= 1 << edge_index[frozenset((cycle[k], cycle[(k + 1) % len(cycle)]))]
+            mask |= 1 << edge_index[_edge(cycle[k], cycle[k - 1])]
         non_aromatic = sum(1 for a in cycle if not mol.atoms[a].aromatic)
         candidates.append((len(cycle), non_aromatic, tuple(sorted(cycle)), mask, cycle))
     candidates.sort(key=lambda c: c[:3])
@@ -396,13 +445,15 @@ def parse_validate(tokens: TokenSeq) -> ParsedMol:
     branch_stack: list[tuple[int | None, int, int]] = []  # (prev, pos, atoms_seen)
     prev: int | None = None
     pending: tuple[float, str, int] | None = None  # (order, stereo, pos)
+    bonded: set[tuple[int, int]] = set()
 
     def add_bond(a: int, b: int, order: float | None, stereo: str, closure: bool, pos: int):
         if a == b:
             raise RingBondError("ring closure to the same atom", pos)
-        for existing in bonds:
-            if {existing.a, existing.b} == {a, b}:
-                raise RingBondError("duplicate bond between atoms", pos)
+        edge = _edge(a, b)
+        if edge in bonded:
+            raise RingBondError("duplicate bond between atoms", pos)
+        bonded.add(edge)
         if order is None:
             order = 1.5 if atoms[a].aromatic and atoms[b].aromatic else 1.0
         bonds.append(Bond(a, b, order, stereo, closure))
@@ -486,12 +537,10 @@ def parse_validate(tokens: TokenSeq) -> ParsedMol:
     mol = ParsedMol(atoms, bonds, smiles=detokenize(tokens))
 
     mol.rings = _perceive_rings(mol)
-    ring_edges = set()
-    for cycle in mol.rings:
-        for k in range(len(cycle)):
-            ring_edges.add(frozenset((cycle[k], cycle[(k + 1) % len(cycle)])))
+    ring_edges = {_edge(cycle[k], cycle[k - 1])
+                  for cycle in mol.rings for k in range(len(cycle))}
     for bond in mol.bonds:
-        bond.in_ring = frozenset((bond.a, bond.b)) in ring_edges
+        bond.in_ring = _edge(bond.a, bond.b) in ring_edges
 
     # An aromatic-aromatic bond outside any ring is a plain single bond
     # (biphenyl linkage); demote before valence accounting.
@@ -664,8 +713,16 @@ def _atom_label(atom: Atom) -> str:
     return label
 
 
-def _bond_label(bond: Bond) -> str:
-    return {1.0: "-", 1.5: ":", 2.0: "=", 3.0: "#"}[bond.order]
+_BOND_LABEL = {1.0: "-", 1.5: ":", 2.0: "=", 3.0: "#"}
+
+# Distinct path strings seen by the fingerprint are few (320 over the whole
+# toy grid), so each is hashed once; the bound only caps memory on odd input.
+_PATH_MEMO_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_PATH_MEMO_SIZE)
+def _path_hash(path: tuple[str, ...]) -> int:
+    return fnv1a64("|".join(path).encode())
 
 
 def fingerprint(mol: ParsedMol, width: int = DEFAULT_FP_WIDTH) -> Fingerprint:
@@ -676,30 +733,26 @@ def fingerprint(mol: ParsedMol, width: int = DEFAULT_FP_WIDTH) -> Fingerprint:
     """
     if width < MIN_FP_WIDTH or width & (width - 1):
         raise ValueError(f"width must be a power of two >= {MIN_FP_WIDTH}")
-    adjacency: list[list[tuple[int, Bond]]] = [[] for _ in mol.atoms]
-    for b in mol.bonds:
-        adjacency[b.a].append((b.b, b))
-        adjacency[b.b].append((b.a, b))
+    labels = [_atom_label(a) for a in mol.atoms]
+    steps = [[(j, _BOND_LABEL[b.order]) for j, b in nbrs] for nbrs in mol.adjacency]
 
     paths: set[tuple[str, ...]] = set()
-
-    def walk(atom_idx: int, labels: list[str], visited: set):
-        forward = tuple(labels)
-        paths.add(min(forward, forward[::-1]))
-        if len(visited) > _MAX_PATH_BONDS:
-            return
-        for nxt, bond in adjacency[atom_idx]:
-            if nxt in visited:
+    # (labels so far, last atom, atoms visited), extended one bond per round.
+    frontier = [((labels[i],), i, (i,)) for i in range(len(labels))]
+    for depth in range(_MAX_PATH_BONDS + 1):
+        grown = []
+        for path, end, visited in frontier:
+            paths.add(min(path, path[::-1]))
+            if depth == _MAX_PATH_BONDS:
                 continue
-            walk(nxt, labels + [_bond_label(bond), _atom_label(mol.atoms[nxt])],
-                 visited | {nxt})
-
-    for i in range(len(mol.atoms)):
-        walk(i, [_atom_label(mol.atoms[i])], {i})
+            for nxt, bond_label in steps[end]:
+                if nxt not in visited:
+                    grown.append((path + (bond_label, labels[nxt]), nxt, visited + (nxt,)))
+        frontier = grown
 
     bits = 0
     for path in paths:
-        bits |= 1 << (fnv1a64("|".join(path).encode()) % width)
+        bits |= 1 << (_path_hash(path) % width)
     return Fingerprint(bits, width)
 
 

@@ -216,6 +216,10 @@ def cmd_sample(args) -> int:
     decoder = Decoder(params, _decode_config(cfg), vocab)
     prefix = tokenize(args.prefix) if args.prefix else None
     records = decoder.generate(args.n, prefix)
+    if args.n > 0 and not records:
+        log.error("sample: decoding was aborted, so no molecule was written; "
+                  "raise --steps (sample.T)")
+        return 2
     write_jsonl(records, sys.stdout, cfg["seed"])
     _manifest(args.manifest, "sample", cfg, {"checkpoint": args.checkpoint,
                                              "n": args.n})
@@ -414,7 +418,6 @@ def build_parser() -> Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("train", help="train the reference predictor")

@@ -173,5 +173,6 @@ def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
         report.accepted_count += 1
 
     report.bucket_sizes = {k: len(v) for k, v in buckets.items()}
-    assert report.reconciles(), "curation ledger failed to reconcile"
+    if not report.reconciles():
+        raise RuntimeError(f"curation ledger failed to reconcile: {report.to_json()}")
     return accepted, report

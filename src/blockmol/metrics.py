@@ -30,7 +30,8 @@ class GateConfig:
 
 
 @dataclass(frozen=True)
-class Hit:
+class Scored:
+    """One unique valid sample with its scores and fingerprint."""
     smiles: str
     scores: OracleScores
     fp: Fingerprint
@@ -69,18 +70,25 @@ class EvalReport:
         }
 
 
-def _unique_valid(samples):
-    """(valid count, unique parsed molecules in first-seen order)."""
+def _score_unique(samples, oracle: SurrogateOracle) -> tuple[int, list[Scored]]:
+    """(valid count, one Scored per unique valid sample in first-seen order).
+
+    Each distinct string is parsed, fingerprinted and scored once; only the
+    scores and the fingerprint outlive the loop, not the parsed molecule.
+    """
     valid = 0
-    seen: dict[str, object] = {}
+    seen: dict[str, Scored | None] = {}
     for smiles in samples:
-        mol, err = try_parse(smiles)
-        if err is not None:
-            continue
-        valid += 1
         if smiles not in seen:
-            seen[smiles] = mol
-    return valid, seen
+            mol, err = try_parse(smiles)
+            if err is None:
+                fp = fingerprint(mol, oracle.profile.fp_width)
+                seen[smiles] = Scored(smiles, oracle.score_mol(mol, descriptors(mol), fp), fp)
+            else:
+                seen[smiles] = None
+        if seen[smiles] is not None:
+            valid += 1
+    return valid, [s for s in seen.values() if s is not None]
 
 
 def mean_pairwise_tanimoto(fps: list[Fingerprint]) -> float:
@@ -106,17 +114,17 @@ def hit_metrics(samples, profile, gate: GateConfig = GateConfig(),
     """
     if not samples:
         raise EmptySet("no samples")
-    oracle = oracle or SurrogateOracle(profile)
-    _, unique = _unique_valid(samples)
-    hits: list[Hit] = []
-    for smiles, mol in unique.items():
-        d = descriptors(mol)
-        s = oracle.score_mol(mol, d)
-        if (s.ds < profile.threshold_ds and s.qed > gate.qed_hit
-                and s.sa < gate.sa_hit):
-            hits.append(Hit(smiles, s, fingerprint(mol, profile.fp_width)))
+    _, scored = _score_unique(samples, oracle or SurrogateOracle(profile))
+    return _select_hits(scored, profile, gate)
+
+
+def _select_hits(scored: list[Scored], profile, gate: GateConfig):
+    """hit_metrics over already scored unique valid samples."""
+    hits = [h for h in scored
+            if h.scores.ds < profile.threshold_ds and h.scores.qed > gate.qed_hit
+            and h.scores.sa < gate.sa_hit]
     hits.sort(key=lambda h: (h.scores.ds, h.smiles))
-    ratio = len(hits) / len(unique) if unique else 0.0
+    ratio = len(hits) / len(scored) if scored else 0.0
     if not hits:
         return ratio, None, hits
     top_n = math.ceil(gate.top_fraction * len(hits))
@@ -145,34 +153,24 @@ def standard_metrics(samples, oracle: SurrogateOracle,
     samples = list(samples)
     if not samples:
         raise EmptySet("no samples")
-    valid, unique = _unique_valid(samples)
-    n_unique = len(unique)
-
-    quality = dock = 0
-    fps: list[Fingerprint] = []
-    for mol in unique.values():
-        d = descriptors(mol)
-        s = oracle.score_mol(mol, d)
-        if s.qed >= gate.qed_quality and s.sa <= gate.sa_quality:
-            quality += 1
-        if s.qed > gate.qed_hit and s.sa < gate.sa_hit:
-            dock += 1
-        fps.append(fingerprint(mol, oracle.profile.fp_width))
-
-    hit_ratio, novel_top, hits = (0.0, None, [])
-    if n_unique:
-        hit_ratio, novel_top, hits = hit_metrics(samples, oracle.profile,
-                                                 gate, oracle)
+    valid, scored = _score_unique(samples, oracle)
+    n_unique = len(scored)
+    quality = sum(1 for h in scored
+                  if h.scores.qed >= gate.qed_quality and h.scores.sa <= gate.sa_quality)
+    dock = sum(1 for h in scored
+               if h.scores.qed > gate.qed_hit and h.scores.sa < gate.sa_hit)
+    hit_ratio, novel_top, hits = _select_hits(scored, oracle.profile, gate)
     report = EvalReport(
         total=len(samples),
         validity=valid / len(samples),
         uniqueness=n_unique / valid if valid else 0.0,
         quality=quality / n_unique if n_unique else 0.0,
         docking_filter=dock / n_unique if n_unique else 0.0,
-        diversity=diversity_score(fps),
+        diversity=diversity_score([h.fp for h in scored]),
         hit_ratio=hit_ratio,
         circles=circles([h.fp for h in hits], gate.circle_threshold),
         novel_top_hit=novel_top,
     )
-    assert report.circles <= len(hits)
+    if report.circles > len(hits):
+        raise RuntimeError(f"{report.circles} circles from only {len(hits)} hits")
     return report

@@ -118,9 +118,12 @@ class SurrogateOracle:
         self.profile = profile
         self._target = profile.target_fp()
 
-    def score_mol(self, mol: ParsedMol, d: DescriptorSet | None = None) -> OracleScores:
+    def score_mol(self, mol: ParsedMol, d: DescriptorSet | None = None,
+                  fp: Fingerprint | None = None) -> OracleScores:
+        """Scores of ``mol``; ``d`` and ``fp`` (at the profile's width) are
+        computed here unless the caller has them already."""
         d = d or descriptors(mol)
-        fp = fingerprint(mol, self.profile.fp_width)
+        fp = fp or fingerprint(mol, self.profile.fp_width)
         sim = tanimoto(fp, self._target)
         size = math.exp(-(((d.heavy_atoms - self.profile.size_optimum) / DS_SIZE_SCALE) ** 2))
         return OracleScores(

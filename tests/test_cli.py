@@ -214,3 +214,25 @@ def test_search_rerun_is_byte_identical(blockmol_cli, checkpoint, tmp_path):
     assert recorded["iterations"] == 15 and recorded["aborted"] is False
     for line in rollouts.read_text().splitlines():
         assert "smiles" in json.loads(line)
+
+
+def test_curate_has_no_config_flag(tmp_path, capsys):
+    # Curation has no config keys; a --config that was read by nothing let a
+    # missing file and an unknown key both exit 0.
+    infile = tmp_path / "in.smi"
+    infile.write_text("CC(=O)Nc1ccc(O)cc1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"search.nope": 1}))
+    for path in (cfg, tmp_path / "missing.json"):
+        code, out, err = run_cli(["curate", "--in", str(infile), "--config",
+                                  str(path)], capsys)
+        assert code == 1 and out == ""
+        assert "--config" in err
+
+
+def test_sample_with_exhausted_budget_fails(checkpoint, capsys):
+    # Block 0 of a length-48, K=8 layout needs 7 predictor calls; 4 aborts.
+    code, out, _ = run_cli(["sample", "--checkpoint", checkpoint, "--n", "5",
+                            "--length", "48", "--steps", "4"], capsys)
+    assert code == 2
+    assert out == ""

@@ -1,5 +1,10 @@
 """Four-stage curation pipeline against hand-classified corpora."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from blockmol.chem import descriptors, fingerprint, tanimoto, validate_smiles
@@ -11,6 +16,8 @@ from blockmol.curate import (
     curate_stream,
 )
 from blockmol.oracle import surrogate_qed, surrogate_sa
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 # Crafted corpus: one line per reachable rule at default thresholds, two
 # passers, and two diversity duplicates of the first passer.
@@ -130,3 +137,22 @@ def test_survivor_buckets_stay_dissimilar(toy500):
 
 def test_stage_names_frozen():
     assert STAGES == ("physchem", "structural", "lipinski", "diversity")
+
+
+def test_unreconciled_ledger_fails_under_python_O(tmp_path):
+    # The ledger check must survive -O, which strips assert statements, and
+    # the command line must report it as a runtime error (exit 2).
+    infile = tmp_path / "in.smi"
+    infile.write_text("CC(=O)Nc1ccc(O)cc1\nC1CC\n")
+    script = (
+        "import sys\n"
+        "assert False, 'assert statements must be stripped'\n"
+        "from blockmol import cli, curate\n"
+        "curate.CurationReport.reconciles = lambda self: False\n"
+        f"sys.exit(cli.main(['curate', '--in', {str(infile)!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "ledger failed to reconcile" in proc.stderr

@@ -169,3 +169,12 @@ def test_mean_pairwise_matches_manual():
     manual = (tanimoto(fps[0], fps[1]) + tanimoto(fps[0], fps[2])
               + tanimoto(fps[1], fps[2])) / 3
     assert mean_pairwise_tanimoto(fps) == pytest.approx(manual)
+
+
+def test_circles_above_hit_count_is_a_runtime_error(oracle, monkeypatch):
+    # The bound is checked by a raise, not an assert that python -O strips.
+    from blockmol import metrics
+
+    monkeypatch.setattr(metrics, "circles", lambda fps, threshold: len(fps) + 1)
+    with pytest.raises(RuntimeError, match="circles"):
+        standard_metrics(FOUR, oracle)
