@@ -634,12 +634,29 @@ def _bridgeheads(mol: ParsedMol) -> int:
 
 
 def descriptors(mol: ParsedMol) -> DescriptorSet:
-    heavy = [i for i, a in enumerate(mol.atoms) if a.element != "H"]
-    hydrogens = sum(a.explicit_h for a in mol.atoms)
-    hydrogens += sum(1 for a in mol.atoms if a.element == "H")
-    hydrogens += sum(implicit_h(mol, i) for i in range(len(mol.atoms)))
-    mw = sum(ATOMIC_WEIGHTS[mol.atoms[i].element] for i in heavy)
-    mw += 1.008 * hydrogens
+    # One walk over the atoms, so implicit_h runs once per atom.
+    weights = []  # heavy-atom weights, summed in atom order
+    hydrogens = hbd = n_count = o_count = c_count = halogen_count = charge = 0
+    elements = set()
+    for i, a in enumerate(mol.atoms):
+        element = a.element
+        elements.add(element)
+        charge += a.charge
+        h_count = a.explicit_h + implicit_h(mol, i)
+        hydrogens += h_count
+        if element == "H":
+            hydrogens += 1
+            continue
+        weights.append(ATOMIC_WEIGHTS[element])
+        if element == "C":
+            c_count += 1
+        elif element in ("N", "O"):
+            n_count += element == "N"
+            o_count += element == "O"
+            hbd += h_count > 0
+        elif element in HALOGENS:
+            halogen_count += 1
+    mw = sum(weights) + 1.008 * hydrogens
 
     heavy_degree = [0] * len(mol.atoms)
     for b in mol.bonds:
@@ -652,16 +669,8 @@ def descriptors(mol: ParsedMol) -> DescriptorSet:
         and mol.atoms[b.a].element != "H" and mol.atoms[b.b].element != "H"
         and heavy_degree[b.a] >= 2 and heavy_degree[b.b] >= 2)
 
-    n_count = sum(1 for a in mol.atoms if a.element == "N")
-    o_count = sum(1 for a in mol.atoms if a.element == "O")
-    hbd = sum(
-        1 for i, a in enumerate(mol.atoms)
-        if a.element in ("N", "O") and (a.explicit_h + implicit_h(mol, i)) > 0)
-    c_count = sum(1 for a in mol.atoms if a.element == "C")
-    halogen_count = sum(1 for a in mol.atoms if a.element in HALOGENS)
-
     return DescriptorSet(
-        heavy_atoms=len(heavy),
+        heavy_atoms=len(weights),
         ring_count=len(mol.rings),
         max_ring_size=max((len(c) for c in mol.rings), default=0),
         bridgehead_count=_bridgeheads(mol),
@@ -671,8 +680,8 @@ def descriptors(mol: ParsedMol) -> DescriptorSet:
         hba_proxy=n_count + o_count,
         tpsa_proxy=20.2 * n_count + 17.1 * o_count,
         logp_proxy=0.5 * c_count - 1.0 * (n_count + o_count) + 0.8 * halogen_count,
-        element_set=frozenset(a.element for a in mol.atoms),
-        charge_total=sum(a.charge for a in mol.atoms),
+        element_set=frozenset(elements),
+        charge_total=charge,
         radical_flag=False,  # the grammar cannot express radical centers
     )
 

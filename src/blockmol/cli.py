@@ -31,7 +31,6 @@ log = logging.getLogger("blockmol")
 
 DEFAULTS = {
     "seed": 42,
-    "workers": 1,
     "search.N_max": 10000,
     "search.C": 2.1,
     "search.lambda": 0.5,
@@ -406,8 +405,6 @@ def cmd_selftest(args) -> int:
 def build_parser() -> Parser:
     parser = Parser(prog="blockmol", description=__doc__)
     parser.add_argument("-v", "--verbose", action="count", default=0)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="concurrency budget (sequential baseline uses 1)")
     sub = parser.add_subparsers(dest="command", parser_class=Parser)
 
     p = sub.add_parser("validate", help="per-line SMILES validity report")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffusion
-from .chem import Vocab, fnv1a64, try_parse
+from .chem import _FNV_PRIME, Vocab, fnv1a64, try_parse
 from .fragment import BlockTensor, FragmentConfig, MaskState, TooLong, reassemble
 
 log = logging.getLogger(__name__)
@@ -53,35 +53,69 @@ def key_uniform(*parts: int) -> float:
     return max(_avalanche(fnv1a64(data)) >> 11, 1) * 2.0**-53
 
 
-def first_hitting_step(t: float, m: int, u: float) -> float:
+def lane_keys(seed: int, lanes: np.ndarray) -> np.ndarray:
+    """FNV-1a state of each lane's key prefix ``seed,lane``, as uint64."""
+    return np.array([fnv1a64(f"{int(seed)},{int(lane)}".encode()) for lane in lanes],
+                    dtype=np.uint64)
+
+
+def lane_uniforms(keys: np.ndarray, *parts: int) -> np.ndarray:
+    """``key_uniform(seed, lane, *parts)`` for every lane of ``lane_keys``.
+
+    FNV-1a is streaming, so each lane's state only continues over the
+    ``,part,...`` suffix the lanes share; the finalizer then runs in numpy's
+    wrapping uint64 arithmetic.
+    """
+    h = keys.copy()
+    for byte in b"".join(b"," + str(int(p)).encode() for p in parts):
+        h ^= np.uint64(byte)
+        h *= np.uint64(_FNV_PRIME)
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    return np.maximum(h >> np.uint64(11), np.uint64(1)).astype(np.float64) * 2.0**-53
+
+
+def _holds(ok) -> bool:
+    # ``ok`` is a bool for scalar arguments and a bool array for rows; the
+    # scalar path stays free of numpy calls, which cost microseconds each.
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def first_hitting_step(t: float | np.ndarray, m: int | np.ndarray,
+                       u: float | np.ndarray) -> float | np.ndarray:
     """Next unmasking time given m masked positions: t * u^(1/m).
 
     u^(1/m) is distributed as the maximum of m uniforms, so one draw skips
-    straight to the first of the m scheduled reveal events.
+    straight to the first of the m scheduled reveal events.  Works on
+    scalars and, elementwise, on arrays of rows.
     """
-    if m < 1:
+    if not _holds(m >= 1):
         raise ZeroMasked(f"m={m}: no masked positions remain")
-    if not 0.0 < t <= 1.0:
+    if not _holds((0.0 < t) & (t <= 1.0)):
         raise diffusion.OutOfRange(f"t={t} outside (0, 1]")
-    if not 0.0 < u < 1.0:
+    if not _holds((0.0 < u) & (u < 1.0)):
         raise diffusion.OutOfRange(f"u={u} outside (0, 1)")
     return t * u ** (1.0 / m)
 
 
-def gcd_select(probs: np.ndarray, masked: np.ndarray) -> tuple[int, int, float]:
-    """Greedy confidence choice over one block.
+def gcd_select(probs: np.ndarray,
+               masked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy confidence choice over blocks of shape (..., K, V), masks (..., K).
 
-    Returns (position, token, confidence) maximizing the row-max probability
-    over masked rows; ties break toward the lowest position, then the lowest
-    token id (argmax picks the first maximum).
+    Returns (positions, tokens, confidences), each of shape (...), maximizing
+    the row-max probability over masked rows; ties break toward the lowest
+    position, then the lowest token id (argmax picks the first maximum).
     """
-    if not masked.any():
+    if not masked.any(axis=-1).all():
         raise ZeroMasked("no masked positions in block")
-    conf = probs.max(axis=1)
-    conf[~masked] = -1.0
-    j = int(np.argmax(conf))
-    v = int(np.argmax(probs[j]))
-    return j, v, float(probs[j, v])
+    conf = np.where(masked, probs.max(axis=-1), -1.0)
+    j = conf.argmax(axis=-1)
+    top = np.take_along_axis(probs, j[..., None, None], axis=-2)[..., 0, :]
+    v = top.argmax(axis=-1)
+    return j, v, np.take_along_axis(top, v[..., None], axis=-1)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -190,41 +224,42 @@ class Decoder:
             return
         if int(m_init.max()) > cfg.budget:
             raise BudgetExhausted(int(m_init.max()), cfg.budget, b)
-        for n in np.nonzero(m_init > 0)[0]:
-            state.ids[n, starts[n] : hi] = Vocab.MASK_ID
+        block = state.ids[:, b * K : hi]  # a view: commits land in state.ids
+        block[(np.arange(b * K, hi) >= starts[:, None]) & (m_init > 0)[:, None]] = Vocab.MASK_ID
         state.t[live] = 1.0
+        pending = np.nonzero((block == Vocab.MASK_ID).any(axis=1))[0]
+        keys = np.zeros(block.shape[0], dtype=np.uint64)
+        keys[pending] = lane_keys(cfg.seed, row_offset + pending)
 
         window = L if cfg.window is None else cfg.window
         w0 = max(0, b * K - window)
         positions = np.arange(w0, hi)
         active = np.arange(b * K - w0, hi - w0)
         for step in range(int(m_init.max())):
-            rows = np.nonzero((state.ids[:, b * K : hi] == Vocab.MASK_ID).any(axis=1))[0]
+            masked = block == Vocab.MASK_ID
+            rows = np.nonzero(masked.any(axis=1))[0]
             if rows.shape[0] == 0:
                 break
+            masked = masked[rows]
             probs = diffusion.predict(
                 self.params, state.ids[rows, w0:hi], positions, active,
                 t=state.t[rows], temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
             # Absorbing-state convention: the decoder never commits MASK itself,
             # otherwise a masked slot could survive its own reveal step.
             probs[:, :, Vocab.MASK_ID] = 0.0
-            for r, n in enumerate(rows):
-                block_ids = state.ids[n, b * K : hi]
-                masked = block_ids == Vocab.MASK_ID
-                m = int(masked.sum())
-                u = key_uniform(cfg.seed, row_offset + n, b, step)
-                state.t[n] = first_hitting_step(float(state.t[n]), m, u)
-                j, v, _ = gcd_select(probs[r], masked)
-                if cfg.mode == "sample":
-                    v = self._draw_token(probs[r, j], row_offset + n, b, step)
-                state.ids[n, b * K + j] = v
-                if v == Vocab.EOS_ID:
-                    self._finish(state, n, b)
-
-    def _draw_token(self, row: np.ndarray, lane: int, b: int, step: int) -> int:
-        u = key_uniform(self.cfg.seed, lane, b, step, 0xD0)
-        csum = np.cumsum(row / row.sum())
-        return min(int(np.searchsorted(csum, u, side="right")), row.shape[0] - 1)
+            state.t[rows] = first_hitting_step(
+                state.t[rows], masked.sum(axis=1), lane_uniforms(keys[rows], b, step))
+            j, v, _ = gcd_select(probs, masked)
+            if cfg.mode == "sample":
+                # Inverse CDF of each chosen row; on a nondecreasing row the
+                # count of entries <= u is searchsorted(side="right").
+                top = probs[np.arange(rows.shape[0]), j]
+                csum = np.cumsum(top / top.sum(axis=1, keepdims=True), axis=1)
+                u = lane_uniforms(keys[rows], b, step, 0xD0)
+                v = np.minimum((csum <= u[:, None]).sum(axis=1), top.shape[1] - 1)
+            block[rows, j] = v
+            for n in rows[v == Vocab.EOS_ID]:
+                self._finish(state, n, b)
 
     @staticmethod
     def _finish(state: DecodeState, n: int, b: int):

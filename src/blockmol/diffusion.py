@@ -200,7 +200,13 @@ def _pooled(params: PredictorParams, windows: np.ndarray,
     emb = params.embeddings[windows] * vis[:, :, None]  # (N, S, d)
     rel = np.clip(positions[targets][:, None] - positions[None, :], -W, W) + W  # (J, S)
     gain = params.gains[rel]  # (J, S, d)
-    return np.einsum("nsd,jsd->njd", emb, gain, optimize=True)
+    # The batched matmul that einsum("nsd,jsd->njd", optimize=True) plans,
+    # without the planning: same sums, same (d, J, N) memory layout, so the
+    # projection below rounds the same way too.
+    h = np.matmul(gain.transpose(2, 0, 1), emb.transpose(2, 1, 0)).transpose(2, 1, 0)
+    # With one window column there is nothing to sum and einsum multiplies
+    # into a C-ordered array instead.
+    return np.ascontiguousarray(h) if windows.shape[1] == 1 else h
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import select
 import subprocess
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,33 +154,53 @@ class ExternalOracle:
         self.command = list(command)
         self.timeout = timeout
         self._child: subprocess.Popen | None = None
+        self._pending = b""  # bytes read from the child past the last reply line
 
     def _ensure_child(self) -> subprocess.Popen:
         if self._child is None or self._child.poll() is not None:
             self._child = subprocess.Popen(
-                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, bufsize=1)
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            self._pending = b""
         return self._child
+
+    def _read_line(self, child: subprocess.Popen) -> bytes:
+        """The next reply line, b"" at end of output.
+
+        Reads the raw pipe into our own buffer, so select() never waits on
+        bytes that a buffered reader has already taken, and a line that stops
+        halfway cannot block past the deadline.
+        """
+        deadline = time.monotonic() + self.timeout
+        fd = child.stdout.fileno()
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                child.kill()
+                child.wait()
+                raise Timeout(f"no oracle reply within {self.timeout}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                line, self._pending = self._pending, b""
+                return line
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line + b"\n"
 
     def score_smiles(self, smiles: str) -> OracleScores:
         child = self._ensure_child()
         try:
-            child.stdin.write(json.dumps({"smiles": smiles}) + "\n")
+            child.stdin.write(json.dumps({"smiles": smiles}).encode() + b"\n")
             child.stdin.flush()
         except (BrokenPipeError, OSError) as err:
             raise ChildExited(f"oracle process is gone: {err}") from err
-        ready, _, _ = select.select([child.stdout], [], [], self.timeout)
-        if not ready:
-            child.kill()
-            raise Timeout(f"no oracle reply within {self.timeout}s")
-        line = child.stdout.readline()
+        line = self._read_line(child)
         if not line:
             raise ChildExited(f"oracle exited with code {child.poll()}")
         try:
             reply = json.loads(line)
             return OracleScores(float(reply["qed"]), float(reply["sa"]), float(reply["ds"]))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-            raise ProtocolError(f"bad oracle reply {line!r}") from err
+            raise ProtocolError(f"bad oracle reply {line.decode(errors='replace')!r}") from err
 
     def close(self):
         if self._child is not None and self._child.poll() is None:

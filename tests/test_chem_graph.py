@@ -205,3 +205,9 @@ def test_duplicate_bond_keeps_error_type_and_position():
     assert mol is None
     assert type(err) is RingBondError
     assert err.position == 6
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(smiles_like(), smiles_soup))
+def test_tokenize_detokenize_round_trips(text):
+    assert chem.detokenize(chem.tokenize(text)) == text

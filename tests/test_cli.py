@@ -236,3 +236,22 @@ def test_sample_with_exhausted_budget_fails(checkpoint, capsys):
                             "--length", "48", "--steps", "4"], capsys)
     assert code == 2
     assert out == ""
+
+
+def test_workers_flag_and_key_are_gone(tmp_path, capsys):
+    # Nothing ever read --workers or the "workers" key, so a run asking for
+    # two workers silently got one.
+    infile = tmp_path / "in.smi"
+    infile.write_text("CCO\n")
+    for argv in (["--workers=2", "validate", "--in", str(infile)],
+                 ["validate", "--in", str(infile), "--workers", "2"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --workers" in err
+    assert "workers" not in DEFAULTS
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    code, _, err = run_cli(["train", "--toy", "10", "--out", str(tmp_path / "x.npz"),
+                            "--config", str(cfg)], capsys)
+    assert code == 1
+    assert "unknown config keys: workers" in err

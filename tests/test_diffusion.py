@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmol import diffusion
 from blockmol.chem import Vocab, tokenize
@@ -178,6 +180,32 @@ def test_nucleus_truncate_matches_rowwise_reference_exactly():
             got = nucleus_truncate(probs, p)
             assert got.shape == probs.shape
             assert np.array_equal(got, _nucleus_truncate_rowwise(probs, p)), p
+
+
+@st.composite
+def probability_rows(draw):
+    rows, width = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    # A few shared levels make ties common; ties must go to lower token ids.
+    levels = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+    raw = draw(st.lists(st.one_of(st.sampled_from(levels), st.floats(1e-6, 10.0)),
+                        min_size=rows * width, max_size=rows * width))
+    raw = np.array(raw).reshape(rows, width)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(probability_rows(), st.floats(0.0, 1.0, exclude_min=True))
+def test_nucleus_truncate_keeps_the_shortest_stable_prefix(probs, p):
+    out = nucleus_truncate(probs, p)
+    assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-12)
+    for row, cut in zip(probs, out):
+        order = np.argsort(-row, kind="stable")
+        kept = cut[order] > 0.0
+        k = int(kept.sum())
+        assert kept[:k].all()  # a prefix of the stable descending order
+        mass = np.cumsum(row[order])
+        assert mass[k - 1] >= p or k == row.shape[0]
+        assert k == 1 or mass[k - 2] < p  # and no longer than it must be
 
 
 def test_train_zero_epochs_leaves_params(corpus, vocab):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmol.chem import Vocab, tokenize
 from blockmol.fragment import (
@@ -14,6 +16,7 @@ from blockmol.fragment import (
     pad_and_partition,
     reassemble,
 )
+from test_chem_graph import smiles_like
 
 
 def small_vocab():
@@ -83,3 +86,13 @@ def test_block_tensor_shape_check():
     cfg = FragmentConfig(8, 4)
     with pytest.raises(ConfigError):
         BlockTensor(np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int8), cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(smiles_like(), st.integers(1, 16), st.integers(0, 3))
+def test_pad_and_partition_then_reassemble_is_identity(text, block, spare_blocks):
+    tokens = tokenize(text)
+    vocab = Vocab.build([tokens])
+    length = block * (-(-(len(tokens) + 2) // block) + spare_blocks)
+    bt = pad_and_partition(tokens, FragmentConfig(length, block), vocab)
+    assert reassemble(bt, vocab) == [t.text for t in tokens]

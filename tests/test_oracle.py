@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 
 import pytest
 
@@ -139,6 +140,38 @@ def test_external_oracle_timeout():
     try:
         with pytest.raises(Timeout):
             oracle.score_smiles("CCO")
+    finally:
+        oracle.close()
+
+
+def test_external_oracle_reads_a_reply_it_already_received():
+    # Both replies come in one write.  A buffered reader took the second one
+    # along with the first, and select() on the empty pipe then waited out
+    # the whole timeout.
+    child = ("import sys, time\nsys.stdin.readline()\n"
+             "sys.stdout.write('{\"qed\": 0.1, \"sa\": 2.0, \"ds\": -1.0}\\n"
+             "{\"qed\": 0.2, \"sa\": 3.0, \"ds\": -2.0}\\n')\n"
+             "sys.stdout.flush()\nsys.stdin.readline()\ntime.sleep(30)\n")
+    oracle = ExternalOracle([sys.executable, "-c", child], timeout=10.0)
+    try:
+        assert oracle.score_smiles("CCO").ds == -1.0
+        oracle.timeout = 0.5
+        assert oracle.score_smiles("CCN").ds == -2.0
+    finally:
+        oracle.close()
+
+
+def test_external_oracle_half_line_times_out():
+    # A reply that stops halfway made readline() block until the child
+    # exited, far past the timeout.
+    child = ("import sys, time\nsys.stdin.readline()\n"
+             "sys.stdout.write('{\"qed\": 0.7')\nsys.stdout.flush()\ntime.sleep(30)\n")
+    oracle = ExternalOracle([sys.executable, "-c", child], timeout=0.5)
+    try:
+        start = time.monotonic()
+        with pytest.raises(Timeout):
+            oracle.score_smiles("CCO")
+        assert time.monotonic() - start < 5.0
     finally:
         oracle.close()
 
