@@ -273,6 +273,12 @@ def cmd_eval(args) -> int:
 # -- selftest
 
 
+def _require(ok: bool, *detail):
+    """A selftest check; unlike ``assert`` it still runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(*detail)
+
+
 def _selftests():
     from . import decode as dec
     from . import search as srch
@@ -281,18 +287,18 @@ def _selftests():
 
     def roundtrip():
         for s in ("CC(=O)Oc1ccccc1C(=O)O", "C[C@@H](N)C(=O)O", "c1ccc2ccccc2c1"):
-            assert chem.detokenize(tokenize(s)) == s
+            _require(chem.detokenize(tokenize(s)) == s)
 
     def aspirin_mw():
         mol, err = try_parse("CC(=O)Oc1ccccc1C(=O)O")
-        assert err is None
+        _require(err is None)
         mw = chem.descriptors(mol).approx_mw
-        assert abs(mw - 180.16) < 0.01, mw
+        _require(abs(mw - 180.16) < 0.01, mw)
 
     def tanimoto_self():
         mol, _ = try_parse("c1ccncc1")
         fp = chem.fingerprint(mol)
-        assert chem.tanimoto(fp, fp) == 1.0
+        _require(chem.tanimoto(fp, fp) == 1.0)
 
     def uniform_nelbo():
         # one masked token, uniform 4-token model, t=0.5: weight 2, CE ln 4
@@ -303,12 +309,12 @@ def _selftests():
         noised = bt.ids.copy()
         noised[1] = Vocab.MASK_ID
         report = diffusion.nelbo_loss(params, bt, np.array([0.5, 0.5]), noised)
-        assert abs(report.nelbo - 2 * math.log(len(vocab))) < 1e-12
+        _require(abs(report.nelbo - 2 * math.log(len(vocab))) < 1e-12)
 
     def train_mask():
         for K in (2, 4):
             frag = FragmentConfig(8, K)
-            mask = diffusion.build_train_mask(frag).matrix
+            mask = diffusion.build_train_mask(frag)
             L = frag.length
             for q in range(2 * L):
                 for k in range(2 * L):
@@ -320,19 +326,19 @@ def _selftests():
                         want = False
                     else:
                         want = (k - L) // K <= (q - L) // K
-                    assert mask[q, k] == want
+                    _require(mask[q, k] == want)
 
     def first_hitting_mean():
         mean = np.mean([dec.first_hitting_step(1.0, 4, dec.key_uniform(9, i))
                         for i in range(10_000)])
-        assert abs(mean - 4 / 5) < 0.02, mean
+        _require(abs(mean - 4 / 5) < 0.02, mean)
 
     def mcts_arithmetic():
         node = srch.SearchNode(partial=np.zeros(1, dtype=np.int64), depth=0,
                                cap=8)
         node.n, node.r_bar, node.r_max = 1, 1.0, 2.0
         score = srch.uct_score(node, parent_n=1, lam=0.5, c=2.1)
-        assert score == 1.5  # ln 1 = 0 kills the exploration term
+        _require(score == 1.5)  # ln 1 = 0 kills the exploration term
         parent = srch.SearchNode(partial=np.zeros(1, dtype=np.int64), depth=0,
                                  cap=8)
         parent.r_bar = 0.0
@@ -340,12 +346,12 @@ def _selftests():
                                 cap=8)
         child.n, child.r_bar = 1, 4.7
         parent.children.append(child)
-        assert srch.adaptive_cap(parent, 2.0, 8, 10) == 9
+        _require(srch.adaptive_cap(parent, 2.0, 8, 10) == 9)
         fresh = srch.SearchNode(partial=np.zeros(1, dtype=np.int64), depth=0,
                                 cap=8)
         srch.backpropagate([fresh], 1.0)
         srch.backpropagate([fresh], 3.0)
-        assert fresh.n == 2 and fresh.r_bar == 2.0 and fresh.r_max == 3.0
+        _require(fresh.n == 2 and fresh.r_bar == 2.0 and fresh.r_max == 3.0)
 
     def qed_points():
         perfect = chem.DescriptorSet(
@@ -353,22 +359,22 @@ def _selftests():
             approx_mw=300.0, rotatable_proxy=3, hbd_proxy=1, hba_proxy=3,
             tpsa_proxy=50.0, logp_proxy=2.0, element_set=frozenset({"C"}),
             charge_total=0, radical_flag=False)
-        assert surrogate_qed(perfect) == 1.0
+        _require(surrogate_qed(perfect) == 1.0)
         heavy = replace(perfect, approx_mw=600.0)
-        assert abs(surrogate_qed(heavy) - math.exp(-1)) < 1e-12
+        _require(abs(surrogate_qed(heavy) - math.exp(-1)) < 1e-12)
 
     def curation_counts():
         lines = ["CCCCCCCCCCCCCCCC", "CC(=O)Nc1ccc(O)cc1", "CC(=O)Nc1ccc(O)cc1"]
         accepted, report = curate_stream(lines, CurationConfig())
-        assert len(accepted) == 1
-        assert report.rejections["physchem"] == 1
-        assert report.rejections["diversity"] == 1
-        assert report.reconciles()
+        _require(len(accepted) == 1)
+        _require(report.rejections["physchem"] == 1)
+        _require(report.rejections["diversity"] == 1)
+        _require(report.reconciles())
 
     def circle_counts():
         mol, _ = try_parse("c1ccccc1")
         fp = chem.fingerprint(mol)
-        assert metrics.circles([fp] * 5) == 1
+        _require(metrics.circles([fp] * 5) == 1)
 
     return [
         ("tokenize-roundtrip", roundtrip),

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diffusion
 from .chem import _FNV_PRIME, Vocab, fnv1a64, try_parse
-from .fragment import BlockTensor, FragmentConfig, MaskState, TooLong, reassemble
+from .fragment import BlockTensor, FragmentConfig, TooLong, reassemble
 
 log = logging.getLogger(__name__)
 
@@ -243,7 +243,7 @@ class Decoder:
             masked = masked[rows]
             probs = diffusion.predict(
                 self.params, state.ids[rows, w0:hi], positions, active,
-                t=state.t[rows], temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
+                temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
             # Absorbing-state convention: the decoder never commits MASK itself,
             # otherwise a masked slot could survive its own reveal step.
             probs[:, :, Vocab.MASK_ID] = 0.0
@@ -299,9 +299,8 @@ class Decoder:
     def records(self, state: DecodeState, indices: list | None = None) -> list[GenRecord]:
         out = []
         frag = self.cfg.fragment
-        clean = np.full(self.cfg.length, MaskState.CLEAN, dtype=np.int8)
         for n in range(state.ids.shape[0]):
-            tokens = reassemble(BlockTensor(state.ids[n], clean, frag), self.vocab)
+            tokens = reassemble(BlockTensor(state.ids[n], frag), self.vocab)
             blocks = int(state.finish_block[n]) + 1 if state.done[n] else frag.num_blocks
             out.append(GenRecord(
                 tokens=tuple(tokens),

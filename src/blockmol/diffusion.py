@@ -1,4 +1,4 @@
-"""Masked discrete diffusion over token blocks: schedule, masks, predictor, loss.
+"""Masked discrete diffusion over token blocks: schedule, training mask, predictor, loss.
 
 The denoiser here is a small reference model, not a Transformer: each
 position pools the embeddings of visible tokens, modulated by a learned
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chem import Vocab, fnv1a64
+from .chem import Vocab
 from .fragment import BlockTensor, FragmentConfig
 
 T_CLIP = 1e-4
@@ -36,38 +36,27 @@ class VocabMismatch(ValueError):
 # --- noise schedule ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearSchedule:
-    """alpha(t) = 1 - t on t in (0, 1]; the NELBO weight -alpha'/(1-alpha)
-    reduces to 1/t, clipped at t >= T_CLIP to keep weights finite."""
-
-    def alpha(self, t: float) -> float:
-        self._check(t)
-        return 1.0 - t
-
-    def alpha_prime(self, t: float) -> float:
-        self._check(t)
-        return -1.0
-
-    def weight(self, t: float) -> float:
-        self._check(t)
-        return 1.0 / max(t, T_CLIP)
-
-    def evaluate(self, t: float) -> tuple[float, float, float]:
-        return self.alpha(t), self.alpha_prime(t), self.weight(t)
-
-    @staticmethod
-    def _check(t: float):
-        if not 0.0 < t <= 1.0:
-            raise OutOfRange(f"t={t} outside (0, 1]")
+def _check_times(t):
+    a = np.asarray(t)
+    if not np.all((0.0 < a) & (a <= 1.0)):
+        raise OutOfRange(f"t={t} outside (0, 1]")
 
 
-def forward_mask(ids: np.ndarray, t: float, rng: np.random.Generator,
-                 mask_id: int = Vocab.MASK_ID) -> np.ndarray:
-    """Replace each position with MASK independently with probability 1 - alpha(t)."""
-    LinearSchedule._check(t)
+def nelbo_weight(t) -> np.ndarray:
+    """NELBO weight of each diffusion time t in (0, 1].
+
+    The schedule is alpha(t) = 1 - t, so the weight -alpha'/(1-alpha) is 1/t;
+    it is clipped at t >= T_CLIP to keep weights finite.
+    """
+    _check_times(t)
+    return 1.0 / np.maximum(t, T_CLIP)
+
+
+def forward_mask(ids: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
+    """Replace each position with MASK independently with probability 1 - alpha(t) = t."""
+    _check_times(t)
     noised = ids.copy()
-    noised[rng.random(ids.shape[0]) < t] = mask_id
+    noised[rng.random(ids.shape[0]) < t] = Vocab.MASK_ID
     return noised
 
 
@@ -93,18 +82,9 @@ def draw_noise(bt: BlockTensor, ts: np.ndarray, rng: np.random.Generator) -> np.
     return noised
 
 
-# --- attention masks ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    matrix: np.ndarray  # uint8, 1 = may attend
-    block: int
-    kind: str
-
-
-def build_train_mask(cfg: FragmentConfig) -> AttentionMask:
-    """Training mask over the concatenation [noised x_t (L) ; clean x (L)].
+def build_train_mask(cfg: FragmentConfig) -> np.ndarray:
+    """Training mask (uint8, 1 = may attend) over the concatenation
+    [noised x_t (L) ; clean x (L)].
 
     Row i may attend column j when:
       * both in x_t and in the same block (block-diagonal quadrant),
@@ -121,18 +101,7 @@ def build_train_mask(cfg: FragmentConfig) -> AttentionMask:
     m[:L, :L] = same
     m[:L, L:] = before
     m[L:, L:] = at_or_before
-    return AttentionMask(m, K, "train")
-
-
-def build_infer_mask(block: int, cached: int) -> AttentionMask:
-    """Inference mask for one active block over a cached context window.
-
-    Only the K active rows exist; each attends every cached position and the
-    whole active block bidirectionally, so the mask is K x (cached + K).
-    """
-    if block < 1 or cached < 0:
-        raise OutOfRange("need block >= 1 and cached >= 0")
-    return AttentionMask(np.ones((block, cached + block), dtype=np.uint8), block, "infer")
+    return m
 
 
 # --- reference predictor -------------------------------------------------------
@@ -239,15 +208,13 @@ def nucleus_truncate(probs: np.ndarray, p: float) -> np.ndarray:
 
 
 def predict(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
-            active: np.ndarray, t: np.ndarray | float | None = None,
-            temperature: float = 1.0, nucleus_p: float = 1.0) -> np.ndarray:
+            active: np.ndarray, temperature: float = 1.0,
+            nucleus_p: float = 1.0) -> np.ndarray:
     """Token distributions for the ``active`` window columns of each row.
 
-    ``t`` is carried for interface symmetry with time-conditioned denoisers;
-    this reference model is time-independent.  Returns (N, len(active), V)
-    with rows summing to one.
+    This reference model is time-independent, so it takes no diffusion time.
+    Returns (N, len(active), V) with rows summing to one.
     """
-    del t
     if temperature <= 0.0:
         raise OutOfRange(f"temperature {temperature} must be positive")
     if windows.ndim == 1:
@@ -267,68 +234,6 @@ class LossReport:
     masked_counts: np.ndarray
 
 
-def _block_ce(params: PredictorParams, bt: BlockTensor, noised: np.ndarray,
-              b: int) -> tuple[float, int]:
-    """Cross-entropy of the true tokens at masked positions of block b,
-    with the clean prefix x^{<b} as context.  The per-block reference path."""
-    cfg = bt.config
-    sl = cfg.block_slice(b)
-    window = np.concatenate([bt.ids[: sl.start], noised[sl]])
-    positions = np.arange(sl.stop)
-    active = np.arange(sl.start, sl.stop)
-    masked = noised[sl] == Vocab.MASK_ID
-    if not masked.any():
-        return 0.0, 0
-    probs = predict(params, window[None, :], positions, active)[0]
-    true_ids = bt.ids[sl][masked]
-    picked = probs[masked, :][np.arange(true_ids.shape[0]), true_ids]
-    return float(-np.log(picked).sum()), int(masked.sum())
-
-
-def nelbo_loss(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
-               noised: np.ndarray, vectorized: bool = True,
-               schedule: LinearSchedule = LinearSchedule()) -> LossReport:
-    """Blockwise NELBO: sum_b weight(t_b) * CE(true tokens at masked slots of b).
-
-    The vectorized path evaluates every block in one shot under the training
-    attention mask; the loop path re-derives it block by block.  Both must
-    agree to within 1e-9 absolute.
-    """
-    cfg = bt.config
-    weights = np.array([schedule.weight(float(t)) for t in ts])
-    counts = np.zeros(cfg.num_blocks, dtype=np.int64)
-    per_block = np.zeros(cfg.num_blocks)
-    if not vectorized:
-        for b in range(cfg.num_blocks):
-            ce, m = _block_ce(params, bt, noised, b)
-            per_block[b] = weights[b] * ce
-            counts[b] = m
-        return LossReport(float(per_block.sum()), per_block, counts)
-
-    L = cfg.length
-    mask = build_train_mask(cfg).matrix.astype(np.float64)
-    concat = np.concatenate([noised, bt.ids])
-    vis = np.ones(2 * L)
-    vis[:L] = (noised != Vocab.MASK_ID).astype(np.float64)
-    emb = params.embeddings[concat] * vis[:, None]
-    positions = np.concatenate([np.arange(L), np.arange(L)])
-    W = params.window
-    rel = np.clip(positions[:L, None] - positions[None, :], -W, W) + W  # (L, 2L)
-    gain = params.gains[rel]
-    h = np.einsum("js,sd,jsd->jd", mask[:L, :], emb, gain, optimize=True)
-    logits = h @ params.out + params.bias
-    logp = np.log(_softmax(logits))
-    masked = noised == Vocab.MASK_ID
-    for b in range(cfg.num_blocks):
-        sl = cfg.block_slice(b)
-        m = masked[sl]
-        counts[b] = int(m.sum())
-        if counts[b]:
-            rows = np.arange(sl.start, sl.stop)[m]
-            per_block[b] = -weights[b] * logp[rows, bt.ids[sl][m]].sum()
-    return LossReport(float(per_block.sum()), per_block, counts)
-
-
 @dataclass
 class PredictorGrads:
     embeddings: np.ndarray
@@ -336,24 +241,19 @@ class PredictorGrads:
     out: np.ndarray
     bias: np.ndarray
 
-    def scaled(self, f: float) -> "PredictorGrads":
-        return PredictorGrads(self.embeddings * f, self.gains * f,
-                              self.out * f, self.bias * f)
 
+def _forward(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
+             noised: np.ndarray):
+    """The forward pass of the blockwise NELBO, for every block at once.
 
-def loss_gradient(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
-                  noised: np.ndarray,
-                  schedule: LinearSchedule = LinearSchedule()) -> tuple[LossReport, PredictorGrads]:
-    """Closed-form gradient of nelbo_loss with respect to every table.
-
-    For masked position j with weight w and true token y:
-      dL/dlogits_j = w * (softmax(logits_j) - onehot(y))
-    and the chain rule pushes that through out, bias, gains, embeddings.
+    Every noised row attends, under the training mask, the visible tokens of
+    its own block and the clean tokens of the blocks before it.  Returns the
+    LossReport and the intermediates that the backward pass reuses.
     """
     cfg = bt.config
     L = cfg.length
     W = params.window
-    mask = build_train_mask(cfg).matrix.astype(np.float64)[:L, :]
+    mask = build_train_mask(cfg).astype(np.float64)[:L, :]
     concat = np.concatenate([noised, bt.ids])
     vis = np.ones(2 * L)
     vis[:L] = (noised != Vocab.MASK_ID).astype(np.float64)
@@ -363,28 +263,47 @@ def loss_gradient(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
     weighted_vis = mask * vis[None, :]  # (L, 2L): column k visible to row j
     h = np.einsum("js,sd,jsd->jd", weighted_vis, params.embeddings[concat], gain,
                   optimize=True)
-    logits = h @ params.out + params.bias
-    probs = _softmax(logits)
+    probs = _softmax(h @ params.out + params.bias)
 
-    weights = np.array([schedule.weight(float(t)) for t in ts])
+    weights = nelbo_weight(ts)
     masked = noised == Vocab.MASK_ID
     counts = np.zeros(cfg.num_blocks, dtype=np.int64)
     per_block = np.zeros(cfg.num_blocks)
-    dlogits = np.zeros_like(logits)
     logp = np.log(probs)
     for b in range(cfg.num_blocks):
         sl = cfg.block_slice(b)
         m = masked[sl]
         counts[b] = int(m.sum())
-        if not counts[b]:
-            continue
-        rows = np.arange(sl.start, sl.stop)[m]
-        true = bt.ids[sl][m]
-        per_block[b] = -weights[b] * logp[rows, true].sum()
-        dl = probs[rows] * weights[b]
-        dl[np.arange(rows.shape[0]), true] -= weights[b]
-        dlogits[rows] = dl
+        if counts[b]:
+            rows = np.arange(sl.start, sl.stop)[m]
+            per_block[b] = -weights[b] * logp[rows, bt.ids[sl][m]].sum()
     report = LossReport(float(per_block.sum()), per_block, counts)
+    rows = np.nonzero(masked)[0]
+    return report, (concat, rel, gain, weighted_vis, h, probs, rows,
+                    weights[rows // cfg.block])
+
+
+def nelbo_loss(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
+               noised: np.ndarray) -> LossReport:
+    """Blockwise NELBO: sum_b weight(t_b) * CE(true tokens at masked slots of b),
+    with the clean prefix x^{<b} as each block's context."""
+    return _forward(params, bt, ts, noised)[0]
+
+
+def loss_gradient(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
+                  noised: np.ndarray) -> tuple[LossReport, PredictorGrads]:
+    """nelbo_loss and its closed-form gradient with respect to every table.
+
+    For masked position j with weight w and true token y:
+      dL/dlogits_j = w * (softmax(logits_j) - onehot(y))
+    and the chain rule pushes that through out, bias, gains, embeddings.
+    """
+    report, (concat, rel, gain, weighted_vis, h, probs, rows, w) = _forward(
+        params, bt, ts, noised)
+    L = bt.config.length
+    dlogits = np.zeros_like(probs)
+    dlogits[rows] = probs[rows] * w[:, None]
+    dlogits[rows, bt.ids[rows]] -= w
 
     g_out = h.T @ dlogits
     g_bias = dlogits.sum(axis=0)

@@ -9,7 +9,6 @@ same padded layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -26,12 +25,6 @@ class TooLong(ValueError):
 
 class IncompleteSequence(ValueError):
     pass
-
-
-class MaskState(IntEnum):
-    CLEAN = 0
-    MASKED = 1
-    FROZEN = 2
 
 
 @dataclass(frozen=True)
@@ -56,24 +49,17 @@ class FragmentConfig:
             raise ConfigError(f"block {b} out of range")
         return slice(b * self.block, (b + 1) * self.block)
 
-    def block_of(self, position: int) -> int:
-        return position // self.block
-
 
 @dataclass
 class BlockTensor:
-    """One padded sequence: token ids plus a per-position mask state."""
+    """One padded sequence of token ids under its block partition."""
 
     ids: np.ndarray
-    state: np.ndarray
     config: FragmentConfig
 
     def __post_init__(self):
-        if self.ids.shape != (self.config.length,) or self.state.shape != self.ids.shape:
-            raise ConfigError("ids/state must both have shape (length,)")
-
-    def copy(self) -> "BlockTensor":
-        return BlockTensor(self.ids.copy(), self.state.copy(), self.config)
+        if self.ids.shape != (self.config.length,):
+            raise ConfigError("ids must have shape (length,)")
 
 
 def pad_and_partition(tokens, cfg: FragmentConfig, vocab: Vocab) -> BlockTensor:
@@ -86,8 +72,7 @@ def pad_and_partition(tokens, cfg: FragmentConfig, vocab: Vocab) -> BlockTensor:
     for i, text in enumerate(body):
         ids[1 + i] = vocab.id(text)
     ids[1 + len(body)] = Vocab.EOS_ID
-    state = np.full(cfg.length, MaskState.CLEAN, dtype=np.int8)
-    return BlockTensor(ids, state, cfg)
+    return BlockTensor(ids, cfg)
 
 
 def reassemble(bt: BlockTensor, vocab: Vocab) -> list[str]:
@@ -95,7 +80,7 @@ def reassemble(bt: BlockTensor, vocab: Vocab) -> list[str]:
 
     Raises IncompleteSequence while any masked position remains.
     """
-    if (bt.state == MaskState.MASKED).any() or (bt.ids == Vocab.MASK_ID).any():
+    if (bt.ids == Vocab.MASK_ID).any():
         raise IncompleteSequence("sequence still contains masked positions")
     ids = bt.ids.tolist()
     if Vocab.EOS_ID in ids:

@@ -8,7 +8,7 @@ molecule count as distinct, so reported uniqueness is a lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .chem import Fingerprint, descriptors, fingerprint, tanimoto, try_parse
 from .oracle import OracleScores, SurrogateOracle
@@ -18,15 +18,13 @@ class EmptySet(ValueError):
     """Metrics over zero samples are undefined."""
 
 
-@dataclass(frozen=True)
-class GateConfig:
-    """Thresholds for quality, docking-filter, and hit criteria."""
-    qed_quality: float = 0.6  # quality: qed >= this
-    sa_quality: float = 4.0  # quality: sa <= this
-    qed_hit: float = 0.5  # filter and hits: qed > this (strict)
-    sa_hit: float = 5.0  # filter and hits: sa < this (strict)
-    top_fraction: float = 0.05
-    circle_threshold: float = 0.75
+# Thresholds for the quality, docking-filter and hit criteria.
+QED_QUALITY = 0.6  # quality: qed >= this
+SA_QUALITY = 4.0  # quality: sa <= this
+QED_HIT = 0.5  # filter and hits: qed > this (strict)
+SA_HIT = 5.0  # filter and hits: sa < this (strict)
+TOP_FRACTION = 0.05  # novel_top_hit: mean ds of this best fraction of hits
+CIRCLE_THRESHOLD = 0.75
 
 
 @dataclass(frozen=True)
@@ -57,17 +55,7 @@ class EvalReport:
                 raise ValueError(f"{name} out of [0,1]: {value}")
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "validity": self.validity,
-            "uniqueness": self.uniqueness,
-            "quality": self.quality,
-            "docking_filter": self.docking_filter,
-            "diversity": self.diversity,
-            "hit_ratio": self.hit_ratio,
-            "circles": self.circles,
-            "novel_top_hit": self.novel_top_hit,
-        }
+        return asdict(self)
 
 
 def _score_unique(samples, oracle: SurrogateOracle) -> tuple[int, list[Scored]]:
@@ -104,8 +92,7 @@ def diversity_score(fps: list[Fingerprint]) -> float:
     return 1.0 - mean_pairwise_tanimoto(fps)
 
 
-def hit_metrics(samples, profile, gate: GateConfig = GateConfig(),
-                oracle: SurrogateOracle | None = None):
+def hit_metrics(samples, profile, oracle: SurrogateOracle | None = None):
     """(hit_ratio, novel_top_hit, hits) under the three-part hit gate.
 
     A hit is a unique valid molecule with ds below the profile threshold,
@@ -115,24 +102,24 @@ def hit_metrics(samples, profile, gate: GateConfig = GateConfig(),
     if not samples:
         raise EmptySet("no samples")
     _, scored = _score_unique(samples, oracle or SurrogateOracle(profile))
-    return _select_hits(scored, profile, gate)
+    return _select_hits(scored, profile)
 
 
-def _select_hits(scored: list[Scored], profile, gate: GateConfig):
+def _select_hits(scored: list[Scored], profile):
     """hit_metrics over already scored unique valid samples."""
     hits = [h for h in scored
-            if h.scores.ds < profile.threshold_ds and h.scores.qed > gate.qed_hit
-            and h.scores.sa < gate.sa_hit]
+            if h.scores.ds < profile.threshold_ds and h.scores.qed > QED_HIT
+            and h.scores.sa < SA_HIT]
     hits.sort(key=lambda h: (h.scores.ds, h.smiles))
     ratio = len(hits) / len(scored) if scored else 0.0
     if not hits:
         return ratio, None, hits
-    top_n = math.ceil(gate.top_fraction * len(hits))
+    top_n = math.ceil(TOP_FRACTION * len(hits))
     top = sum(h.scores.ds for h in hits[:top_n]) / top_n
     return ratio, top, hits
 
 
-def circles(fps: list[Fingerprint], threshold: float = 0.75) -> int:
+def circles(fps: list[Fingerprint], threshold: float = CIRCLE_THRESHOLD) -> int:
     """Greedy sphere-exclusion count in the given (ds-ascending) order."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0,1): {threshold}")
@@ -143,8 +130,7 @@ def circles(fps: list[Fingerprint], threshold: float = 0.75) -> int:
     return len(centers)
 
 
-def standard_metrics(samples, oracle: SurrogateOracle,
-                     gate: GateConfig = GateConfig()) -> EvalReport:
+def standard_metrics(samples, oracle: SurrogateOracle) -> EvalReport:
     """Full evaluation report over a sample set.
 
     Ratios over empty denominators (e.g. quality when nothing is valid)
@@ -156,10 +142,9 @@ def standard_metrics(samples, oracle: SurrogateOracle,
     valid, scored = _score_unique(samples, oracle)
     n_unique = len(scored)
     quality = sum(1 for h in scored
-                  if h.scores.qed >= gate.qed_quality and h.scores.sa <= gate.sa_quality)
-    dock = sum(1 for h in scored
-               if h.scores.qed > gate.qed_hit and h.scores.sa < gate.sa_hit)
-    hit_ratio, novel_top, hits = _select_hits(scored, oracle.profile, gate)
+                  if h.scores.qed >= QED_QUALITY and h.scores.sa <= SA_QUALITY)
+    dock = sum(1 for h in scored if h.scores.qed > QED_HIT and h.scores.sa < SA_HIT)
+    hit_ratio, novel_top, hits = _select_hits(scored, oracle.profile)
     report = EvalReport(
         total=len(samples),
         validity=valid / len(samples),
@@ -168,7 +153,7 @@ def standard_metrics(samples, oracle: SurrogateOracle,
         docking_filter=dock / n_unique if n_unique else 0.0,
         diversity=diversity_score([h.fp for h in scored]),
         hit_ratio=hit_ratio,
-        circles=circles([h.fp for h in hits], gate.circle_threshold),
+        circles=circles([h.fp for h in hits], CIRCLE_THRESHOLD),
         novel_top_hit=novel_top,
     )
     if report.circles > len(hits):

@@ -87,14 +87,6 @@ class OracleProfile:
         return fingerprint(validate_smiles(self.seed_smiles), self.fp_width)
 
 
-def surrogate_ds(fp: Fingerprint, d: DescriptorSet, profile: OracleProfile) -> float:
-    """Docking surrogate in (-18, 0]: rewards fingerprint overlap with the
-    target and heavy-atom counts near the target's size optimum."""
-    sim = tanimoto(fp, profile.target_fp())
-    size = math.exp(-(((d.heavy_atoms - profile.size_optimum) / DS_SIZE_SCALE) ** 2))
-    return -(DS_SIMILARITY_WEIGHT * sim + DS_SIZE_WEIGHT * size)
-
-
 def load_profile(name: str) -> OracleProfile:
     path = Path(name) if name.endswith(".json") else PROFILE_DIR / f"{name}.json"
     if not path.exists():
@@ -123,7 +115,12 @@ class SurrogateOracle:
     def score_mol(self, mol: ParsedMol, d: DescriptorSet | None = None,
                   fp: Fingerprint | None = None) -> OracleScores:
         """Scores of ``mol``; ``d`` and ``fp`` (at the profile's width) are
-        computed here unless the caller has them already."""
+        computed here unless the caller has them already.
+
+        The docking surrogate ds lies in (-18, 0]: it rewards fingerprint
+        overlap with the target and heavy-atom counts near the target's size
+        optimum.
+        """
         d = d or descriptors(mol)
         fp = fp or fingerprint(mol, self.profile.fp_width)
         sim = tanimoto(fp, self._target)

@@ -1,10 +1,16 @@
 """CLI exit codes, stream formats, config precedence, rerun identity."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from blockmol.cli import DEFAULTS, main
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -66,6 +72,24 @@ def test_selftest_all_green(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "OK: 10/10"
     assert all(line.startswith("PASS ") for line in lines[:-1])
+
+
+def test_selftest_failure_survives_python_O():
+    # -O strips assert statements; a broken check must still fail (exit 2).
+    script = (
+        "import sys\n"
+        "assert False, 'assert statements must be stripped'\n"
+        "from blockmol import chem, cli\n"
+        "chem.detokenize = lambda tokens: 'garbage'\n"
+        "sys.exit(cli.main(['selftest']))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "FAIL tokenize-roundtrip: AssertionError()" in lines
+    assert lines[-1] == "FAILED: 9/10"
 
 
 def test_validate_reports_per_line(tmp_path, capsys):

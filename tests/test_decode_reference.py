@@ -71,7 +71,7 @@ def ref_decode_block(dec, state, b, row_offset=0):
             break
         probs = diffusion.predict(
             dec.params, state.ids[rows, w0:hi], positions, active,
-            t=state.t[rows], temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
+            temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
         probs[:, :, Vocab.MASK_ID] = 0.0
         for r, n in enumerate(rows):
             masked = state.ids[n, b * K : hi] == Vocab.MASK_ID

@@ -1,5 +1,6 @@
-"""Schedule, attention masks, NELBO, gradients, and the training loop."""
+"""NELBO weight, training mask, predictor, NELBO and gradients, and the training loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,12 +12,10 @@ from blockmol import diffusion
 from blockmol.chem import Vocab, tokenize
 from blockmol.diffusion import (
     EmptyCorpus,
-    LinearSchedule,
     OutOfRange,
     PredictorParams,
     T_CLIP,
     VocabMismatch,
-    build_infer_mask,
     build_train_mask,
     draw_block_times,
     draw_noise,
@@ -24,7 +23,9 @@ from blockmol.diffusion import (
     load_checkpoint,
     loss_gradient,
     nelbo_loss,
+    nelbo_weight,
     nucleus_truncate,
+    predict,
     save_checkpoint,
     train,
 )
@@ -32,14 +33,18 @@ from blockmol.fragment import FragmentConfig, pad_and_partition
 
 
 def test_schedule_values():
-    s = LinearSchedule()
-    assert s.alpha(0.25) == 0.75
-    assert s.alpha_prime(0.5) == -1.0
-    assert s.weight(0.5) == 2.0
-    assert s.weight(T_CLIP / 10) == 1.0 / T_CLIP  # clip floor
-    for bad in (0.0, -0.1, 1.5):
+    assert nelbo_weight(0.5) == 2.0
+    assert nelbo_weight(0.25) == 4.0
+    assert nelbo_weight(T_CLIP / 10) == 1.0 / T_CLIP  # clip floor
+    assert nelbo_weight(np.array([1.0, 0.5, T_CLIP / 10])).tolist() == [1.0, 2.0, 1.0 / T_CLIP]
+    rng = np.random.default_rng(0)
+    for bad in (0.0, -0.1, 1.5, math.nan):
         with pytest.raises(OutOfRange):
-            s.alpha(bad)
+            nelbo_weight(bad)
+        with pytest.raises(OutOfRange):
+            nelbo_weight(np.array([0.5, bad]))
+        with pytest.raises(OutOfRange):
+            forward_mask(np.zeros(4, dtype=np.int64), bad, rng)
 
 
 def test_forward_mask_fraction():
@@ -66,21 +71,31 @@ def brute_force_train_mask(L, K):
 
 
 def test_train_mask_hand_case_l4_k2():
-    got = build_train_mask(FragmentConfig(4, 2)).matrix
+    got = build_train_mask(FragmentConfig(4, 2))
     assert (got == brute_force_train_mask(4, 2)).all()
 
 
 @pytest.mark.parametrize("L,K", [(8, 2), (8, 4), (12, 3), (16, 8)])
 def test_train_mask_matches_predicates(L, K):
-    got = build_train_mask(FragmentConfig(L, K)).matrix
+    got = build_train_mask(FragmentConfig(L, K))
     assert (got == brute_force_train_mask(L, K)).all()
 
 
-def test_infer_mask_shape():
-    m = build_infer_mask(4, 12)
-    assert m.matrix.shape == (4, 16) and m.matrix.all()
-    with pytest.raises(OutOfRange):
-        build_infer_mask(0, 4)
+def test_predict_attends_whole_window():
+    # At inference there is no mask: each of the K active rows sees every
+    # cached position and the whole active block, even past the gain window.
+    V, cached, K = 9, 12, 4
+    params = PredictorParams.init(V, dim=6, window=3, seed=4)
+    window = np.random.default_rng(4).integers(4, V, cached + K)
+    positions = np.arange(cached + K)
+    active = np.arange(cached, cached + K)
+    base = predict(params, window, positions, active)[0]
+    assert base.shape == (K, V)
+    for k in range(cached + K):
+        changed = window.copy()
+        changed[k] = 4 + (changed[k] - 3) % (V - 4)  # another non-control token
+        moved = predict(params, changed, positions, active)[0]
+        assert (np.abs(moved - base).max(axis=1) > 0).all(), k
 
 
 def test_uniform_predictor_single_mask_nelbo():
@@ -98,6 +113,31 @@ def test_uniform_predictor_single_mask_nelbo():
     assert report.masked_counts.tolist() == [1, 0]
 
 
+def _block_ce(params, bt, noised, b):
+    """Cross-entropy of the true tokens at masked positions of block b, with
+    the clean prefix x^{<b} as context, from ``predict`` alone."""
+    sl = bt.config.block_slice(b)
+    masked = noised[sl] == Vocab.MASK_ID
+    if not masked.any():
+        return 0.0, 0
+    window = np.concatenate([bt.ids[: sl.start], noised[sl]])
+    probs = predict(params, window, np.arange(sl.stop), np.arange(sl.start, sl.stop))[0]
+    true_ids = bt.ids[sl][masked]
+    picked = probs[masked, :][np.arange(true_ids.shape[0]), true_ids]
+    return float(-np.log(picked).sum()), int(masked.sum())
+
+
+def nelbo_loop(params, bt, ts, noised):
+    """Block-by-block reference for nelbo_loss: (nelbo, per_block, masked_counts)."""
+    weights = nelbo_weight(ts)
+    per_block = np.zeros(bt.config.num_blocks)
+    counts = np.zeros(bt.config.num_blocks, dtype=np.int64)
+    for b in range(bt.config.num_blocks):
+        ce, counts[b] = _block_ce(params, bt, noised, b)
+        per_block[b] = weights[b] * ce
+    return float(per_block.sum()), per_block, counts
+
+
 def test_nelbo_loop_equals_vectorized(corpus, vocab):
     rng = np.random.default_rng(11)
     params = PredictorParams.init(len(vocab), dim=8, window=4, seed=3)
@@ -105,10 +145,24 @@ def test_nelbo_loop_equals_vectorized(corpus, vocab):
     for bt in corpus[:10]:
         ts = draw_block_times(bt.config.num_blocks, rng)
         noised = draw_noise(bt, ts, rng)
-        a = nelbo_loss(params, bt, ts, noised, vectorized=True).nelbo
-        b = nelbo_loss(params, bt, ts, noised, vectorized=False).nelbo
-        worst = max(worst, abs(a - b))
+        report = nelbo_loss(params, bt, ts, noised)
+        nelbo, _, counts = nelbo_loop(params, bt, ts, noised)
+        assert (report.masked_counts == counts).all()
+        worst = max(worst, abs(report.nelbo - nelbo))
     assert worst <= 1e-9
+
+
+def test_loss_gradient_reports_nelbo_loss(corpus, vocab):
+    rng = np.random.default_rng(12)
+    params = PredictorParams.init(len(vocab), dim=8, window=4, seed=3)
+    for bt in corpus[:5]:
+        ts = draw_block_times(bt.config.num_blocks, rng)
+        noised = draw_noise(bt, ts, rng)
+        report, _ = loss_gradient(params, bt, ts, noised)
+        loss = nelbo_loss(params, bt, ts, noised)
+        assert report.nelbo == loss.nelbo
+        assert np.array_equal(report.per_block, loss.per_block)
+        assert np.array_equal(report.masked_counts, loss.masked_counts)
 
 
 def test_antithetic_times_mirror():
@@ -231,6 +285,21 @@ def test_train_loss_decreases_and_is_deterministic(corpus, vocab):
     assert hist_a == hist_b
     for field in ("embeddings", "gains", "out", "bias"):
         assert (getattr(a, field) == getattr(b, field)).all()
+
+
+# sha256 over the trained tables' bytes and the history's bytes (numpy 2.4,
+# x86-64).  Training must reproduce it bit for bit, so any change to
+# loss_gradient's arithmetic, however small, fails here.
+TRAIN_DIGEST = "874e7c5298d8e0757e729b6c09901f1e5d6be46ff4a91d27115ada1f459f888d"
+
+
+def test_train_is_pinned_to_a_golden_digest(corpus, vocab):
+    params = PredictorParams.init(len(vocab), dim=8, window=4, seed=5)
+    out, history = train(params, corpus[:40], epochs=2, lr=0.1, seed=5)
+    digest = hashlib.sha256()
+    for table in (out.embeddings, out.gains, out.out, out.bias, np.asarray(history)):
+        digest.update(table.tobytes())
+    assert digest.hexdigest() == TRAIN_DIGEST, history
 
 
 def test_checkpoint_roundtrip(tmp_path, corpus, vocab):

@@ -11,7 +11,6 @@ from blockmol.fragment import (
     ConfigError,
     FragmentConfig,
     IncompleteSequence,
-    MaskState,
     TooLong,
     pad_and_partition,
     reassemble,
@@ -31,7 +30,6 @@ def test_layout_bos_body_eos_pad():
     assert vocab.decode(bt.ids[1:4]) == ["C", "C", "N"]
     assert bt.ids[4] == Vocab.EOS_ID
     assert (bt.ids[5:] == Vocab.PAD_ID).all()
-    assert (bt.state == MaskState.CLEAN).all()
 
 
 def test_block_partition_arithmetic():
@@ -39,7 +37,11 @@ def test_block_partition_arithmetic():
     assert cfg.num_blocks == 6
     assert cfg.block_slice(0) == slice(0, 8)
     assert cfg.block_slice(5) == slice(40, 48)
-    assert cfg.block_of(0) == 0 and cfg.block_of(47) == 5
+    # Every position lies in exactly one block: block position // K.
+    for position in range(cfg.length):
+        owners = [b for b in range(cfg.num_blocks)
+                  if position in range(cfg.length)[cfg.block_slice(b)]]
+        assert owners == [position // cfg.block]
     with pytest.raises(ConfigError):
         cfg.block_slice(6)
 
@@ -85,7 +87,7 @@ def test_reassemble_rejects_masked():
 def test_block_tensor_shape_check():
     cfg = FragmentConfig(8, 4)
     with pytest.raises(ConfigError):
-        BlockTensor(np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int8), cfg)
+        BlockTensor(np.zeros(6, dtype=np.int64), cfg)
 
 
 @settings(max_examples=300, deadline=None)

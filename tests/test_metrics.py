@@ -6,9 +6,12 @@ import pytest
 
 from blockmol.chem import Fingerprint, descriptors, fingerprint, tanimoto, validate_smiles
 from blockmol.metrics import (
+    QED_HIT,
+    QED_QUALITY,
+    SA_HIT,
+    SA_QUALITY,
     EmptySet,
     EvalReport,
-    GateConfig,
     circles,
     diversity_score,
     hit_metrics,
@@ -46,13 +49,12 @@ def test_four_molecule_brute_force(oracle):
     fps = [fingerprint(m, oracle.profile.fp_width) for m in mols]
     pair = [tanimoto(fps[i], fps[j]) for i in range(4) for j in range(i + 1, 4)]
     assert report.diversity == pytest.approx(1.0 - sum(pair) / 6)
-    gate = GateConfig()
     scores = [oracle.score_mol(m) for m in mols]
     assert report.quality == pytest.approx(
-        sum(s.qed >= gate.qed_quality and s.sa <= gate.sa_quality
+        sum(s.qed >= QED_QUALITY and s.sa <= SA_QUALITY
             for s in scores) / 4)
     assert report.docking_filter == pytest.approx(
-        sum(s.qed > gate.qed_hit and s.sa < gate.sa_hit for s in scores) / 4)
+        sum(s.qed > QED_HIT and s.sa < SA_HIT for s in scores) / 4)
     assert report.uniqueness == 1.0
 
 

@@ -16,7 +16,6 @@ from blockmol.oracle import (
     Timeout,
     list_profiles,
     load_profile,
-    surrogate_ds,
     surrogate_qed,
     surrogate_sa,
 )
@@ -68,16 +67,20 @@ def test_ds_global_minimum_is_self():
     d = descriptors(mol)
     assert d.heavy_atoms == profile.size_optimum  # profile constant consistency
     fp = fingerprint(mol, profile.fp_width)
-    assert surrogate_ds(fp, d, profile) == pytest.approx(-18.0, abs=1e-9)
+    ds = SurrogateOracle(profile).score_mol(mol, d, fp).ds
+    assert ds == pytest.approx(-18.0, abs=1e-9)
 
 
 def test_ds_monotone_in_similarity():
     profile = load_profile("fa7")
     d = synth(heavy=profile.size_optimum)
     target = profile.target_fp()
-    other = fingerprint(validate_smiles("CCCCCCCC"), profile.fp_width)
-    far = surrogate_ds(other, d, profile)
-    near = surrogate_ds(target, d, profile)
+    mol = validate_smiles("CCCCCCCC")
+    other = fingerprint(mol, profile.fp_width)
+    # With d and fp given, score_mol reads neither from mol.
+    oracle = SurrogateOracle(profile)
+    far = oracle.score_mol(mol, d, other).ds
+    near = oracle.score_mol(mol, d, target).ds
     assert near < far <= 0.0
 
 
