@@ -211,6 +211,9 @@ def cmd_sample(args) -> int:
                          "temp": "sample.temperature", "nucleus": "sample.nucleus",
                          "steps": "sample.T", "mode": "sample.mode",
                          "seed": "seed"})
+    if cfg["sample.mode"] == "confidence" and args.seed is not None:
+        log.warning("sample: --seed changes nothing in confidence mode, which "
+                    "commits the most likely tokens; use --mode sample to draw")
     params, vocab, _ = diffusion.load_checkpoint(args.checkpoint)
     decoder = Decoder(params, _decode_config(cfg), vocab)
     prefix = tokenize(args.prefix) if args.prefix else None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chem import tokenize
 from .curate import CurationConfig, curate_stream
 
 # Two-slot ring templates: {a} takes a small decoration, {b} the linker+tail.
@@ -68,7 +67,3 @@ def toy_corpus(n: int = 500) -> list[str]:
     if len(smiles) < n:
         raise ValueError(f"toy grid yields only {len(smiles)} curated molecules")
     return list(smiles[:n])
-
-
-def toy_tokens(n: int = 500) -> list[list[str]]:
-    return [tokenize(s) for s in toy_corpus(n)]

@@ -59,23 +59,43 @@ def lane_keys(seed: int, lanes: np.ndarray) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def lane_uniforms(keys: np.ndarray, *parts: int) -> np.ndarray:
-    """``key_uniform(seed, lane, *parts)`` for every lane of ``lane_keys``.
-
-    FNV-1a is streaming, so each lane's state only continues over the
-    ``,part,...`` suffix the lanes share; the finalizer then runs in numpy's
-    wrapping uint64 arithmetic.
-    """
+def _extend(keys: np.ndarray, data: bytes) -> np.ndarray:
+    # FNV-1a is streaming: a lane's state continues over further key bytes.
     h = keys.copy()
-    for byte in b"".join(b"," + str(int(p)).encode() for p in parts):
+    for byte in data:
         h ^= np.uint64(byte)
         h *= np.uint64(_FNV_PRIME)
+    return h
+
+
+def lane_uniforms(keys: np.ndarray, *parts: int) -> np.ndarray:
+    """``key_uniform(seed, lane, *parts)`` for every lane state in ``keys``
+    (of any shape, from ``lane_keys`` or ``step_keys``).
+
+    Each state continues over the ``,part,...`` suffix the lanes share; the
+    finalizer then runs in numpy's wrapping uint64 arithmetic.
+    """
+    h = _extend(keys, b"".join(b"," + str(int(p)).encode() for p in parts))
     h ^= h >> np.uint64(30)
     h *= np.uint64(0xBF58476D1CE4E5B9)
     h ^= h >> np.uint64(27)
     h *= np.uint64(0x94D049BB133111EB)
     h ^= h >> np.uint64(31)
     return np.maximum(h >> np.uint64(11), np.uint64(1)).astype(np.float64) * 2.0**-53
+
+
+def step_keys(keys: np.ndarray, b: int, steps: int) -> np.ndarray:
+    """FNV-1a states of ``seed,lane,b,step`` for each lane of ``lane_keys``
+    and each step below ``steps``, as (lanes, steps)."""
+    h = np.repeat(_extend(keys, f",{b},".encode())[:, None], steps, axis=1)
+    lo = 0
+    while lo < steps:  # the steps with as many digits continue together
+        hi = min(steps, 10 * lo or 10)
+        for digit in np.array([list(str(s).encode()) for s in range(lo, hi)], np.uint64).T:
+            h[:, lo:hi] ^= digit
+            h[:, lo:hi] *= np.uint64(_FNV_PRIME)
+        lo = hi
+    return h
 
 
 def _holds(ok) -> bool:
@@ -113,16 +133,17 @@ def gcd_select(probs: np.ndarray,
         raise ZeroMasked("no masked positions in block")
     conf = np.where(masked, probs.max(axis=-1), -1.0)
     j = conf.argmax(axis=-1)
-    top = np.take_along_axis(probs, j[..., None, None], axis=-2)[..., 0, :]
+    K, V = probs.shape[-2:]
+    top = probs.reshape(-1, V)[np.arange(j.size) * K + j.ravel()]  # chosen rows
     v = top.argmax(axis=-1)
-    return j, v, np.take_along_axis(top, v[..., None], axis=-1)[..., 0]
+    conf = top[np.arange(j.size), v]
+    return j, v.reshape(j.shape), conf.reshape(j.shape)
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
     block: int = 8
     length: int = 72
-    window: int | None = None  # context tokens visible behind the block; None = all
     budget: int = 128  # predictor-call cap per sequence per block
     temperature: float = 1.0
     nucleus_p: float = 1.0
@@ -160,7 +181,6 @@ class GenRecord:
     smiles: str
     completed: bool
     block_count: int
-    index: int
 
 
 class Decoder:
@@ -215,48 +235,52 @@ class Decoder:
         lanes accidentally.
         """
         cfg = self.cfg
-        K, L = cfg.block, cfg.length
+        K = cfg.block
         lo, hi = max(1, b * K), (b + 1) * K
         live = ~state.done
         starts = np.maximum(lo, state.protect)
         m_init = np.where(live, np.maximum(hi - starts, 0), 0)
-        if m_init.max(initial=0) == 0:
+        steps = int(m_init.max(initial=0))
+        if steps == 0:
             return
-        if int(m_init.max()) > cfg.budget:
-            raise BudgetExhausted(int(m_init.max()), cfg.budget, b)
+        if steps > cfg.budget:
+            raise BudgetExhausted(steps, cfg.budget, b)
         block = state.ids[:, b * K : hi]  # a view: commits land in state.ids
         block[(np.arange(b * K, hi) >= starts[:, None]) & (m_init > 0)[:, None]] = Vocab.MASK_ID
         state.t[live] = 1.0
+        # Built once per block: every step's uniforms, and the offset gains of
+        # the block's positions over the whole prefix.
         pending = np.nonzero((block == Vocab.MASK_ID).any(axis=1))[0]
-        keys = np.zeros(block.shape[0], dtype=np.uint64)
-        keys[pending] = lane_keys(cfg.seed, row_offset + pending)
-
-        window = L if cfg.window is None else cfg.window
-        w0 = max(0, b * K - window)
-        positions = np.arange(w0, hi)
-        active = np.arange(b * K - w0, hi - w0)
-        for step in range(int(m_init.max())):
+        keys = np.zeros((block.shape[0], steps), dtype=np.uint64)
+        keys[pending] = step_keys(lane_keys(cfg.seed, row_offset + pending), b, steps)
+        u_time = lane_uniforms(keys)
+        if cfg.mode == "sample":
+            u_draw = lane_uniforms(keys, 0xD0)
+        positions = np.arange(hi)
+        active = np.arange(b * K, hi)
+        gain = diffusion.offset_gains(self.params, positions, active)
+        for step in range(steps):
             masked = block == Vocab.MASK_ID
             rows = np.nonzero(masked.any(axis=1))[0]
             if rows.shape[0] == 0:
                 break
             masked = masked[rows]
             probs = diffusion.predict(
-                self.params, state.ids[rows, w0:hi], positions, active,
-                temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
+                self.params, state.ids[rows, :hi], positions, active,
+                temperature=cfg.temperature, nucleus_p=cfg.nucleus_p, gain=gain)
             # Absorbing-state convention: the decoder never commits MASK itself,
             # otherwise a masked slot could survive its own reveal step.
             probs[:, :, Vocab.MASK_ID] = 0.0
             state.t[rows] = first_hitting_step(
-                state.t[rows], masked.sum(axis=1), lane_uniforms(keys[rows], b, step))
+                state.t[rows], masked.sum(axis=1), u_time[rows, step])
             j, v, _ = gcd_select(probs, masked)
             if cfg.mode == "sample":
                 # Inverse CDF of each chosen row; on a nondecreasing row the
                 # count of entries <= u is searchsorted(side="right").
                 top = probs[np.arange(rows.shape[0]), j]
                 csum = np.cumsum(top / top.sum(axis=1, keepdims=True), axis=1)
-                u = lane_uniforms(keys[rows], b, step, 0xD0)
-                v = np.minimum((csum <= u[:, None]).sum(axis=1), top.shape[1] - 1)
+                u = u_draw[rows, step][:, None]
+                v = np.minimum((csum <= u).sum(axis=1), top.shape[1] - 1)
             block[rows, j] = v
             for n in rows[v == Vocab.EOS_ID]:
                 self._finish(state, n, b)
@@ -296,7 +320,7 @@ class Decoder:
             return []
         return self.records(state)
 
-    def records(self, state: DecodeState, indices: list | None = None) -> list[GenRecord]:
+    def records(self, state: DecodeState) -> list[GenRecord]:
         out = []
         frag = self.cfg.fragment
         for n in range(state.ids.shape[0]):
@@ -307,7 +331,6 @@ class Decoder:
                 smiles="".join(tokens),
                 completed=bool(state.done[n]),
                 block_count=blocks,
-                index=indices[n] if indices else n,
             ))
         return out
 

@@ -156,23 +156,32 @@ class PredictorParams:
                                self.out.copy(), self.bias.copy())
 
 
-def _pooled(params: PredictorParams, windows: np.ndarray,
-            positions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def offset_gains(params: PredictorParams, positions: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """G[pos(targets[j]) - pos(k)], laid out (d, J, S) for ``_pooled``'s matmul."""
+    W = params.window
+    rel = np.clip(positions[targets][:, None] - positions[None, :], -W, W) + W  # (J, S)
+    return params.gains[rel].transpose(2, 0, 1)
+
+
+def _pooled(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
+            targets: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
     """h[n, j] = sum_k visible(n, k) * E[x[n, k]] * G[pos(targets[j]) - pos(k)].
 
     ``windows``: (N, S) token ids; MASK positions contribute nothing.
     ``positions``: (S,) sequence positions of the window columns.
     ``targets``: indices into the window for which h is produced.
     """
-    W = params.window
-    vis = (windows != Vocab.MASK_ID).astype(np.float64)  # (N, S)
-    emb = params.embeddings[windows] * vis[:, :, None]  # (N, S, d)
-    rel = np.clip(positions[targets][:, None] - positions[None, :], -W, W) + W  # (J, S)
-    gain = params.gains[rel]  # (J, S, d)
+    if gain is None:
+        gain = offset_gains(params, positions, targets)
+    # Scaling table rows by their 0/1 visibility gives the values that scaling
+    # the gathered (N, S, d) columns would, for one (V, d) multiply.
+    vis = (np.arange(params.vocab_size) != Vocab.MASK_ID).astype(np.float64)
+    emb = (params.embeddings * vis[:, None])[windows]  # (N, S, d)
     # The batched matmul that einsum("nsd,jsd->njd", optimize=True) plans,
     # without the planning: same sums, same (d, J, N) memory layout, so the
     # projection below rounds the same way too.
-    h = np.matmul(gain.transpose(2, 0, 1), emb.transpose(2, 1, 0)).transpose(2, 1, 0)
+    h = np.matmul(gain, emb.transpose(2, 1, 0)).transpose(2, 1, 0)
     # With one window column there is nothing to sum and einsum multiplies
     # into a C-ordered array instead.
     return np.ascontiguousarray(h) if windows.shape[1] == 1 else h
@@ -186,40 +195,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def nucleus_truncate(probs: np.ndarray, p: float) -> np.ndarray:
     """Keep the smallest descending-probability set with cumulative mass >= p,
-    then renormalize.  Ties are broken toward lower token ids."""
+    then renormalize by its numpy sum.  Ties are broken toward lower token ids."""
     if not 0.0 < p <= 1.0:
         raise OutOfRange(f"nucleus p={p} outside (0, 1]")
     if p == 1.0:
         return probs
-    flat = probs.reshape(-1, probs.shape[-1])
-    order = np.argsort(-flat, axis=1, kind="stable")  # stable: ties to lower ids
-    ranked = np.take_along_axis(flat, order, axis=1)
-    keep = np.minimum((np.cumsum(ranked, axis=1) < p).sum(axis=1) + 1,
-                      flat.shape[1])
-    out = np.zeros_like(flat)
-    # Rows that keep the same count are normalized together; each row's mass
-    # is still the sum of one contiguous run of its kept entries, so the
-    # result is bit-identical to a row-by-row loop.
-    for k in np.unique(keep):
-        rows = np.nonzero(keep == k)[0]
-        top = ranked[rows, :k]
-        out[rows[:, None], order[rows, :k]] = top / top.sum(axis=1, keepdims=True)
-    return out.reshape(probs.shape)
+    width = probs.shape[-1]
+    flat = probs.reshape(-1, width)
+    rows = np.arange(flat.shape[0])
+    ranked = np.sort(flat, axis=1)[:, ::-1]  # tie order cannot change the values
+    csum = np.cumsum(ranked, axis=1)
+    last = (csum[:, :-1] < p).sum(axis=1)  # index of the last kept entry
+    keep = last + 1
+    # numpy sums fewer than 8 entries left to right, as cumsum does, and
+    # more pairwise: those rows are summed by numpy, grouped by count.
+    mass = csum[rows, last]
+    for k in set(keep[keep >= 8].tolist()):
+        group = np.nonzero(keep == k)[0]
+        mass[group] = ranked[group, :k].sum(axis=1)
+    kept = flat >= ranked[rows, last][:, None]
+    tied = np.nonzero(kept.sum(axis=1) > keep)[0]  # equal entries straddle the cut
+    if tied.size:
+        order = np.argsort(-flat[tied], axis=1, kind="stable")
+        kept[tied[:, None], order] = np.arange(width) < keep[tied, None]
+    return np.where(kept, flat / mass[:, None], 0.0).reshape(probs.shape)
 
 
 def predict(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
-            active: np.ndarray, temperature: float = 1.0,
-            nucleus_p: float = 1.0) -> np.ndarray:
+            active: np.ndarray, temperature: float = 1.0, nucleus_p: float = 1.0,
+            gain: np.ndarray | None = None) -> np.ndarray:
     """Token distributions for the ``active`` window columns of each row.
 
     This reference model is time-independent, so it takes no diffusion time.
+    ``gain`` is ``offset_gains(params, positions, active)``, if already built.
     Returns (N, len(active), V) with rows summing to one.
     """
     if temperature <= 0.0:
         raise OutOfRange(f"temperature {temperature} must be positive")
     if windows.ndim == 1:
         windows = windows[None, :]
-    h = _pooled(params, windows, positions, active)  # (N, J, d)
+    h = _pooled(params, windows, positions, active, gain)  # (N, J, d)
     logits = h @ params.out + params.bias
     return nucleus_truncate(_softmax(logits / temperature), nucleus_p)
 

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from blockmol import diffusion
-from blockmol.chem import Vocab
-from blockmol.data import toy_tokens
+from blockmol.chem import Vocab, tokenize
+from blockmol.data import toy_corpus
 from blockmol.fragment import FragmentConfig, pad_and_partition
 
 CORPUS_SIZE = 500
@@ -30,7 +30,7 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture(scope="session")
 def toy500():
-    return toy_tokens(CORPUS_SIZE)
+    return [tokenize(s) for s in toy_corpus(CORPUS_SIZE)]
 
 
 @pytest.fixture(scope="session")

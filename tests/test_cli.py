@@ -219,6 +219,20 @@ def test_sample_rerun_is_byte_identical(blockmol_cli, checkpoint):
     assert other != first
 
 
+def test_confidence_mode_warns_that_seed_changes_nothing(blockmol_cli, checkpoint):
+    # Confidence mode commits each row's argmax; the seed keys only the
+    # diffusion time, which the predictor ignores.  --temp and --nucleus can
+    # change the output, so they draw no warning.
+    base = ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"]
+    seeded = blockmol_cli(base + ["--seed", "7"])
+    unseeded = blockmol_cli(base + ["--temp", "0.5", "--nucleus", "0.5"])
+    drawn = blockmol_cli(base + ["--seed", "7", "--mode", "sample"])
+    assert b"--seed changes nothing in confidence mode" in seeded.stderr
+    assert b"--seed" not in unseeded.stderr and b"--seed" not in drawn.stderr
+    rows = [json.loads(line) for line in seeded.stdout.splitlines()]
+    assert len(rows) == 3 and {row["seed"] for row in rows} == {7}
+
+
 def test_search_rerun_is_byte_identical(blockmol_cli, checkpoint, tmp_path):
     manifest = tmp_path / "m.json"
     rollouts = tmp_path / "r.jsonl"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from blockmol import diffusion
@@ -17,6 +19,9 @@ from blockmol.decode import (
     first_hitting_step,
     gcd_select,
     key_uniform,
+    lane_keys,
+    lane_uniforms,
+    step_keys,
 )
 from blockmol.diffusion import OutOfRange, PredictorParams
 
@@ -28,6 +33,24 @@ def test_key_uniform_is_deterministic_and_keyed():
     for parts in [(0,), (7, 0, 0, 0), (2**40, 5)]:
         u = key_uniform(*parts)
         assert 0.0 < u < 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(-2**62, 2**62),
+       lanes=st.lists(st.integers(0, 10**7), min_size=1, max_size=12),
+       b=st.one_of(st.sampled_from([0, 9, 10, 99, 100]), st.integers(0, 10**6)),
+       steps=st.integers(1, 120))
+@example(seed=-1, lanes=[9, 10, 99, 100], b=9, steps=12)
+@example(seed=-(2**40), lanes=[0], b=99, steps=101)
+def test_step_keys_give_each_steps_uniforms(seed, lanes, b, steps):
+    # A block's uniforms, built once for all of its steps, are the scalar
+    # key_uniform of both of the decoder's streams: time and token draw.
+    keys = step_keys(lane_keys(seed, np.array(lanes)), b, steps)
+    assert keys.shape == (len(lanes), steps)
+    for stream in ((), (0xD0,)):
+        want = [[key_uniform(seed, lane, b, step, *stream) for step in range(steps)]
+                for lane in lanes]
+        assert lane_uniforms(keys, *stream).tolist() == want
 
 
 def test_key_uniform_rough_uniformity():

@@ -48,7 +48,7 @@ def ref_finish(state, n, b):
 
 def ref_decode_block(dec, state, b, row_offset=0):
     cfg = dec.cfg
-    K, L = cfg.block, cfg.length
+    K = cfg.block
     lo, hi = max(1, b * K), (b + 1) * K
     live = ~state.done
     starts = np.maximum(lo, state.protect)
@@ -61,16 +61,14 @@ def ref_decode_block(dec, state, b, row_offset=0):
         state.ids[n, starts[n] : hi] = Vocab.MASK_ID
     state.t[live] = 1.0
 
-    window = L if cfg.window is None else cfg.window
-    w0 = max(0, b * K - window)
-    positions = np.arange(w0, hi)
-    active = np.arange(b * K - w0, hi - w0)
+    positions = np.arange(hi)
+    active = np.arange(b * K, hi)
     for step in range(int(m_init.max())):
         rows = np.nonzero((state.ids[:, b * K : hi] == Vocab.MASK_ID).any(axis=1))[0]
         if rows.shape[0] == 0:
             break
         probs = diffusion.predict(
-            dec.params, state.ids[rows, w0:hi], positions, active,
+            dec.params, state.ids[rows, :hi], positions, active,
             temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
         probs[:, :, Vocab.MASK_ID] = 0.0
         for r, n in enumerate(rows):
@@ -105,7 +103,6 @@ def decode_problems(draw):
     prefix_len = draw(st.integers(0, min(length - 2, 2 * block)))
     cfg = DecodeConfig(
         block=block, length=length,
-        window=draw(st.one_of(st.none(), st.integers(0, 2 * block))),
         budget=draw(st.integers(max(1, block - 2), block + 1)),
         temperature=draw(st.floats(0.25, 4.0)),
         nucleus_p=draw(st.floats(0.0, 1.0, exclude_min=True)),
@@ -139,7 +136,7 @@ def assert_same_state(got, want):
 @given(decode_problems())
 @example(dict(  # sample mode, lanes 95..134, a prefix ending mid-block
     dec=Decoder(PredictorParams.init(len(VOCAB), 6, 3, seed=7, scale=3.0),
-                DecodeConfig(block=8, length=32, window=5, budget=8,
+                DecodeConfig(block=8, length=32, budget=8,
                              temperature=0.7, nucleus_p=0.9, mode="sample",
                              seed=-12), VOCAB),
     rows=40, prefix=["C", "C", "(", "=", "O"], row_offset=95, resume="tile"))

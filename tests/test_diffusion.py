@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockmol import diffusion
@@ -234,6 +234,34 @@ def test_nucleus_truncate_matches_rowwise_reference_exactly():
             got = nucleus_truncate(probs, p)
             assert got.shape == probs.shape
             assert np.array_equal(got, _nucleus_truncate_rowwise(probs, p)), p
+
+
+@st.composite
+def nucleus_problems(draw):
+    """Rows with ties and zeroed columns, and a p that makes row 0 keep a
+    drawn count of entries; the other rows keep what they keep."""
+    rows, width = draw(st.integers(1, 10)), draw(st.integers(2, 40))
+    levels = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+    raw = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(levels), st.just(0.0), st.floats(1e-6, 10.0)),
+        min_size=rows * width, max_size=rows * width))).reshape(rows, width)
+    raw[:, draw(st.integers(0, width - 1))] += 1.0  # no all-zero row
+    # Repeat row 0 among the others, so several rows share its count.
+    raw[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = raw[0]
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    keep = draw(st.integers(1, width))
+    mass = np.cumsum(np.sort(probs[0])[::-1])[keep - 1]
+    p = min(float(mass), 1.0 - 2.0**-53) if draw(st.booleans()) else \
+        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return probs, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(nucleus_problems())
+@example((np.full((3, 20), 0.05), 0.5))  # ten equal entries kept of twenty
+def test_nucleus_truncate_matches_rowwise_reference_on_drawn_counts(problem):
+    probs, p = problem
+    assert np.array_equal(nucleus_truncate(probs, p), _nucleus_truncate_rowwise(probs, p))
 
 
 @st.composite
