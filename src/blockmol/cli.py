@@ -174,11 +174,24 @@ def _tokenized_corpus(lines, frag: FragmentConfig):
     return token_lists
 
 
+def _check_train_config(cfg: dict):
+    """Reject hyperparameters that cannot train, naming the offending key."""
+    for key, least in (("train.epochs", 1), ("train.dim", 1), ("train.window", 0)):
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    lr = cfg["train.lr"]
+    if isinstance(lr, bool) or not isinstance(lr, (int, float)) \
+            or not math.isfinite(lr) or lr <= 0:
+        raise ValueError(f"train.lr must be a finite number > 0, got {lr!r}")
+
+
 def cmd_train(args) -> int:
     cfg = resolve(args, {"epochs": "train.epochs", "lr": "train.lr",
                          "dim": "train.dim", "window": "train.window",
                          "block": "train.K", "length": "train.L",
                          "seed": "seed"})
+    _check_train_config(cfg)
     frag = FragmentConfig(cfg["train.L"], cfg["train.K"])
     lines = data.toy_corpus(args.toy) if args.infile is None \
         else list(_read_lines(args.infile))
@@ -190,6 +203,9 @@ def cmd_train(args) -> int:
     params, history = diffusion.train(
         params, corpus, epochs=cfg["train.epochs"], lr=cfg["train.lr"],
         seed=cfg["seed"])
+    if not all(math.isfinite(x) for x in history):
+        raise ValueError(f"training diverged (NELBO history {history}); "
+                         "no checkpoint written: lower train.lr")
     diffusion.save_checkpoint(args.out, params, vocab, cfg["seed"])
     sys.stdout.write(json.dumps({
         "examples": len(corpus), "vocab_size": len(vocab),
@@ -314,6 +330,38 @@ def _selftests():
         report = diffusion.nelbo_loss(params, bt, np.array([0.5, 0.5]), noised)
         _require(abs(report.nelbo - 2 * math.log(len(vocab))) < 1e-12)
 
+    def nelbo_gradient():
+        # central differences of the summed NELBO of a pair against the
+        # batched closed-form gradient, at a few coordinates of every table
+        vocab = Vocab.build([["C", "N", "O", "F"]])
+        frag = FragmentConfig(8, 4)
+        params = diffusion.PredictorParams.init(len(vocab), 3, 2, seed=1,
+                                                scale=0.5)
+        pair = [pad_and_partition(list(s), frag, vocab) for s in ("CNO", "FCCNO")]
+        noised = np.stack([bt.ids for bt in pair])
+        noised[0, [2, 3, 5]] = noised[1, [1, 4, 6, 7]] = Vocab.MASK_ID
+        ts = np.array([[0.5, 0.25], [0.5, 0.75]])
+        _, grads = diffusion.loss_gradient(params, pair, ts, noised)
+        c, n = vocab.id("C"), vocab.id("N")
+        coords = [("embeddings", (c, 0)), ("embeddings", (n, 2)),
+                  ("gains", (0, 1)), ("gains", (1, 0)), ("gains", (4, 2)),
+                  ("out", (1, c)), ("out", (2, Vocab.EOS_ID)),
+                  ("bias", (c,)), ("bias", (Vocab.PAD_ID,))]
+        for name, idx in coords:
+            table = getattr(params, name)
+            orig, step = table[idx], 1e-6
+            losses = []
+            for value in (orig + step, orig - step):
+                table[idx] = value
+                losses.append(sum(diffusion.nelbo_loss(params, bt, t, x).nelbo
+                                  for bt, t, x in zip(pair, ts, noised)))
+            table[idx] = orig
+            numeric = (losses[0] - losses[1]) / (2 * step)
+            analytic = getattr(grads, name)[idx]
+            _require(abs(analytic) > 1e-3, name, idx, analytic)
+            _require(abs(numeric - analytic) <= 1e-6 * abs(analytic),
+                     name, idx, numeric, analytic)
+
     def train_mask():
         for K in (2, 4):
             frag = FragmentConfig(8, K)
@@ -384,6 +432,7 @@ def _selftests():
         ("aspirin-mw", aspirin_mw),
         ("tanimoto-identity", tanimoto_self),
         ("uniform-nelbo", uniform_nelbo),
+        ("nelbo-gradient", nelbo_gradient),
         ("train-mask-predicates", train_mask),
         ("first-hitting-mean", first_hitting_mean),
         ("mcts-arithmetic", mcts_arithmetic),

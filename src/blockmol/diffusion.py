@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,6 +166,16 @@ def offset_gains(params: PredictorParams, positions: np.ndarray,
     return params.gains[rel].transpose(2, 0, 1)
 
 
+def _visible_embeddings(params: PredictorParams, windows: np.ndarray) -> np.ndarray:
+    """E[x[n, k]] for every window column, zero where the token is MASK, (N, S, d).
+
+    Scaling table rows by their 0/1 visibility gives the values that scaling
+    the gathered (N, S, d) columns would, for one (V, d) multiply.
+    """
+    vis = (np.arange(params.vocab_size) != Vocab.MASK_ID).astype(np.float64)
+    return (params.embeddings * vis[:, None])[windows]
+
+
 def _pooled(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
             targets: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
     """h[n, j] = sum_k visible(n, k) * E[x[n, k]] * G[pos(targets[j]) - pos(k)].
@@ -174,10 +186,7 @@ def _pooled(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
     """
     if gain is None:
         gain = offset_gains(params, positions, targets)
-    # Scaling table rows by their 0/1 visibility gives the values that scaling
-    # the gathered (N, S, d) columns would, for one (V, d) multiply.
-    vis = (np.arange(params.vocab_size) != Vocab.MASK_ID).astype(np.float64)
-    emb = (params.embeddings * vis[:, None])[windows]  # (N, S, d)
+    emb = _visible_embeddings(params, windows)  # (N, S, d)
     # The batched matmul that einsum("nsd,jsd->njd", optimize=True) plans,
     # without the planning: same sums, same (d, J, N) memory layout, so the
     # projection below rounds the same way too.
@@ -257,79 +266,125 @@ class PredictorGrads:
     bias: np.ndarray
 
 
-def _forward(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
-             noised: np.ndarray):
-    """The forward pass of the blockwise NELBO, for every block at once.
+class _TrainLayout(NamedTuple):
+    positions: np.ndarray  # (2L,) positions of the window [x_t ; x]
+    offset: np.ndarray  # (L, 2L) gain row per noised row and column; 2W+1 = hidden
+    grouped: np.ndarray  # flat (row, column) indices of the visible pairs, by gain row
+    starts: np.ndarray  # where each non-empty group of ``grouped`` starts
+    present: np.ndarray  # the gain row of each such group
 
-    Every noised row attends, under the training mask, the visible tokens of
-    its own block and the clean tokens of the blocks before it.  Returns the
-    LossReport and the intermediates that the backward pass reuses.
+
+@lru_cache(maxsize=4)
+def _train_layout(cfg: FragmentConfig, window: int) -> _TrainLayout:
+    """Constants of the training pass that depend only on (L, K, W), read-only.
+
+    Each noised row reads, for each window column, the gain row of their
+    clipped offset, or the extra zero row 2W+1 where the training mask hides
+    the column.  The groups fold the (L, 2L) gain gradient back into the
+    table with one reduceat, and no per-row scatter.
     """
-    cfg = bt.config
-    L = cfg.length
-    W = params.window
-    mask = build_train_mask(cfg).astype(np.float64)[:L, :]
-    concat = np.concatenate([noised, bt.ids])
-    vis = np.ones(2 * L)
-    vis[:L] = (noised != Vocab.MASK_ID).astype(np.float64)
+    L, rows = cfg.length, 2 * window + 1
     positions = np.concatenate([np.arange(L), np.arange(L)])
-    rel = np.clip(positions[:L, None] - positions[None, :], -W, W) + W
-    gain = params.gains[rel]
-    weighted_vis = mask * vis[None, :]  # (L, 2L): column k visible to row j
-    h = np.einsum("js,sd,jsd->jd", weighted_vis, params.embeddings[concat], gain,
-                  optimize=True)
+    rel = np.clip(positions[:L, None] - positions[None, :], -window, window) + window
+    offset = np.where(build_train_mask(cfg)[:L] == 1, rel, rows)
+    flat = offset.ravel()
+    grouped = np.argsort(flat, kind="stable")[:np.count_nonzero(flat < rows)]
+    present, starts = np.unique(flat[grouped], return_index=True)
+    layout = _TrainLayout(positions, offset, grouped, starts, present)
+    for table in layout:
+        table.setflags(write=False)
+    return layout
+
+
+def _forward(params: PredictorParams, bts: list[BlockTensor], ts: np.ndarray,
+             noised: np.ndarray):
+    """The forward pass of the blockwise NELBO, for every block of a stack of
+    examples at once.
+
+    ``ts`` (n, B) and ``noised`` (n, L) hold one row per example of ``bts``,
+    which share one FragmentConfig.  Every noised row attends, under the
+    training mask, the visible tokens of its own block and the clean tokens
+    of the blocks before it.  Returns one LossReport per example and the
+    intermediates that the backward pass reuses.
+    """
+    cfg = bts[0].config
+    n, L, B = len(bts), cfg.length, cfg.num_blocks
+    layout = _train_layout(cfg, params.window)
+    positions = layout.positions
+    ids = np.stack([bt.ids for bt in bts])
+    concat = np.concatenate([noised, ids], axis=1)  # (n, 2L)
+    # The offset gains under the training mask, laid out (d, L, 2L).
+    table = np.vstack([params.gains, np.zeros(params.dim)]).T
+    gain = np.take(table, layout.offset, axis=1)
+    # One matmul per example: numpy takes another BLAS routine for one column
+    # than for several, so a batched call would round an example's NELBO
+    # differently from nelbo_loss on that example alone.
+    h = np.concatenate([_pooled(params, row[None], positions, positions[:L], gain)
+                        for row in concat])  # (n, L, d)
     probs = _softmax(h @ params.out + params.bias)
 
-    weights = nelbo_weight(ts)
+    weights = nelbo_weight(ts)  # (n, B)
     masked = noised == Vocab.MASK_ID
-    counts = np.zeros(cfg.num_blocks, dtype=np.int64)
-    per_block = np.zeros(cfg.num_blocks)
-    logp = np.log(probs)
-    for b in range(cfg.num_blocks):
-        sl = cfg.block_slice(b)
-        m = masked[sl]
-        counts[b] = int(m.sum())
-        if counts[b]:
-            rows = np.arange(sl.start, sl.stop)[m]
-            per_block[b] = -weights[b] * logp[rows, bt.ids[sl][m]].sum()
-    report = LossReport(float(per_block.sum()), per_block, counts)
-    rows = np.nonzero(masked)[0]
-    return report, (concat, rel, gain, weighted_vis, h, probs, rows,
-                    weights[rows // cfg.block])
+    row_weight = np.where(masked, np.repeat(weights, cfg.block, axis=1), 0.0)
+    picked = np.take_along_axis(probs, ids[:, :, None], axis=2)[:, :, 0]
+    logp = np.log(np.where(masked, picked, 1.0)).reshape(n, B, cfg.block)
+    per_block = -weights * logp.sum(axis=2)
+    counts = masked.reshape(n, B, cfg.block).sum(axis=2)
+    reports = [LossReport(float(pb.sum()), pb, c) for pb, c in zip(per_block, counts)]
+    return reports, (concat, ids, gain, h, probs, row_weight)
 
 
 def nelbo_loss(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
                noised: np.ndarray) -> LossReport:
     """Blockwise NELBO: sum_b weight(t_b) * CE(true tokens at masked slots of b),
     with the clean prefix x^{<b} as each block's context."""
-    return _forward(params, bt, ts, noised)[0]
+    return _forward(params, [bt], ts[None], noised[None])[0][0]
 
 
-def loss_gradient(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
-                  noised: np.ndarray) -> tuple[LossReport, PredictorGrads]:
+def loss_gradient(params: PredictorParams, bt: BlockTensor | list[BlockTensor],
+                  ts: np.ndarray, noised: np.ndarray
+                  ) -> tuple[LossReport | list[LossReport], PredictorGrads]:
     """nelbo_loss and its closed-form gradient with respect to every table.
+
+    ``bt`` is one BlockTensor, with ``ts`` (B,) and ``noised`` (L,), or a
+    list of n of them sharing one config, with ``ts`` (n, B) and ``noised``
+    (n, L).  Returns the LossReport (a list of n for a list) and the gradient
+    of the summed NELBO, from one forward and one backward pass.
 
     For masked position j with weight w and true token y:
       dL/dlogits_j = w * (softmax(logits_j) - onehot(y))
     and the chain rule pushes that through out, bias, gains, embeddings.
     """
-    report, (concat, rel, gain, weighted_vis, h, probs, rows, w) = _forward(
-        params, bt, ts, noised)
-    L = bt.config.length
-    dlogits = np.zeros_like(probs)
-    dlogits[rows] = probs[rows] * w[:, None]
-    dlogits[rows, bt.ids[rows]] -= w
+    single = isinstance(bt, BlockTensor)
+    bts = [bt] if single else list(bt)
+    if any(b.config != bts[0].config for b in bts):
+        raise ValueError("a stack of examples must share one FragmentConfig")
+    reports, (concat, ids, gain, h, probs, row_weight) = _forward(
+        params, bts, np.reshape(ts, (len(bts), -1)), np.reshape(noised, (len(bts), -1)))
+    n, L = ids.shape
+    d, V = params.dim, params.vocab_size
+    dlogits = (probs * row_weight[:, :, None]).reshape(n * L, V)
+    dlogits[np.arange(n * L), ids.ravel()] -= row_weight.ravel()
 
-    g_out = h.T @ dlogits
+    g_out = h.reshape(n * L, d).T @ dlogits
     g_bias = dlogits.sum(axis=0)
-    dh = dlogits @ params.out.T  # (L, d)
-    contrib = weighted_vis[:, :, None] * gain * dh[:, None, :]  # (L, 2L, d)
+    dh = (dlogits @ params.out.T).reshape(n, L, d).transpose(2, 1, 0)  # (d, L, n)
+    emb = _visible_embeddings(params, concat)  # (n, 2L, d)
+    # h = gain @ emb per dimension, so each factor's gradient is one batched
+    # matmul summed over target rows or over examples: 2L rows per example
+    # reach the embedding table, and the layout's groups fold the (L, 2L)
+    # gain gradient into the 2W+1 gain rows.
+    d_emb = np.matmul(gain.transpose(0, 2, 1), dh)  # (d, 2L, n)
     g_emb = np.zeros_like(params.embeddings)
-    np.add.at(g_emb, np.tile(concat, L), contrib.reshape(-1, params.dim))
+    np.add.at(g_emb, concat.ravel(), d_emb.transpose(2, 1, 0).reshape(-1, d))
+    g_emb[Vocab.MASK_ID] = 0.0  # MASK columns are invisible
+    d_gain = np.matmul(dh, emb.transpose(2, 0, 1)).reshape(d, -1)  # (d, L * 2L)
+    layout = _train_layout(bts[0].config, params.window)
     g_gain = np.zeros_like(params.gains)
-    src = weighted_vis[:, :, None] * params.embeddings[concat][None, :, :] * dh[:, None, :]
-    np.add.at(g_gain, rel.reshape(-1), src.reshape(-1, params.dim))
-    return report, PredictorGrads(g_emb, g_gain, g_out, g_bias)
+    g_gain[layout.present] = np.add.reduceat(d_gain[:, layout.grouped], layout.starts,
+                                             axis=1).T
+    grads = PredictorGrads(g_emb, g_gain, g_out, g_bias)
+    return (reports[0] if single else reports), grads
 
 
 # --- training -----------------------------------------------------------------
@@ -354,7 +409,9 @@ def train(params: PredictorParams, corpus: list[BlockTensor], epochs: int,
 
     Examples are reshuffled each epoch; consecutive examples share mirrored
     (antithetic) per-block diffusion times, and each update averages the
-    gradient over one such pair so the mirrored 1/t weights actually cancel.
+    gradient over one such pair, from one batched ``loss_gradient`` call, so
+    the mirrored 1/t weights actually cancel.  An odd corpus ends each epoch
+    with a one-example update.
     The averaged gradient is rescaled to global norm <= clip before applying:
     the loss weight can still reach 1e4 near the clip floor, and one such
     draw at full step size is enough to blow up every table.  Both devices
@@ -369,29 +426,18 @@ def train(params: PredictorParams, corpus: list[BlockTensor], epochs: int,
     for _ in range(epochs):
         order = rng.permutation(len(corpus))
         total = 0.0
-        prev_ts = None
-        acc: list[np.ndarray] | None = None
-        count = 0
-        for step, idx in enumerate(order):
-            bt = corpus[idx]
-            if step % 2 == 0:
-                ts = draw_block_times(bt.config.num_blocks, rng)
-                prev_ts = ts
-            else:
-                ts = draw_block_times(bt.config.num_blocks, rng, antithetic_of=prev_ts)
-            noised = draw_noise(bt, ts, rng)
-            report, grads = loss_gradient(params, bt, ts, noised)
-            total += report.nelbo
-            if acc is None:
-                acc = [grads.embeddings, grads.gains, grads.out, grads.bias]
-            else:
-                for a, g in zip(acc, (grads.embeddings, grads.gains, grads.out, grads.bias)):
-                    a += g
-            count += 1
-            if count == 2 or step == len(order) - 1:
-                _apply_update(params, acc, count, lr, clip)
-                acc = None
-                count = 0
+        for start in range(0, len(order), 2):
+            pair = [corpus[i] for i in order[start:start + 2]]
+            ts, noised = [], []
+            for bt in pair:  # the second member mirrors the first's times
+                ts.append(draw_block_times(bt.config.num_blocks, rng,
+                                           antithetic_of=ts[0] if ts else None))
+                noised.append(draw_noise(bt, ts[-1], rng))
+            reports, grads = loss_gradient(params, pair, np.stack(ts), np.stack(noised))
+            for report in reports:
+                total += report.nelbo
+            _apply_update(params, [grads.embeddings, grads.gains, grads.out, grads.bias],
+                          len(pair), lr, clip)
         history.append(total / len(corpus))
     return params, history
 
@@ -401,7 +447,16 @@ def train(params: PredictorParams, corpus: list[BlockTensor], epochs: int,
 CHECKPOINT_VERSION = 1
 
 
+def _require_finite(params: PredictorParams):
+    for name in ("embeddings", "gains", "out", "bias"):
+        if not np.isfinite(getattr(params, name)).all():
+            raise ValueError(f"checkpoint table {name} holds non-finite values")
+
+
 def save_checkpoint(path, params: PredictorParams, vocab: Vocab, seed: int):
+    """Writes the tables as JSON; raises ValueError, writing nothing, if any
+    entry is non-finite."""
+    _require_finite(params)
     record = {
         "version": CHECKPOINT_VERSION,
         "vocab": list(vocab.tokens),
@@ -419,7 +474,8 @@ def save_checkpoint(path, params: PredictorParams, vocab: Vocab, seed: int):
 
 
 def load_checkpoint(path, vocab: Vocab | None = None):
-    """Returns (params, vocab, seed); verifies the stored vocabulary hash."""
+    """Returns (params, vocab, seed); verifies the stored vocabulary hash and
+    raises ValueError on a non-finite table entry."""
     with open(path) as fh:
         record = json.load(fh)
     tokens = tuple(record["vocab"])
@@ -435,4 +491,5 @@ def load_checkpoint(path, vocab: Vocab | None = None):
         np.array(record["out"]).reshape(d, v),
         np.array(record["bias"]),
     )
+    _require_finite(params)
     return params, stored, record["seed"]

@@ -1,9 +1,11 @@
 """CLI exit codes, stream formats, config precedence, rerun identity."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -70,7 +72,7 @@ def test_selftest_all_green(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[-1] == "OK: 10/10"
+    assert lines[-1] == "OK: 11/11"
     assert all(line.startswith("PASS ") for line in lines[:-1])
 
 
@@ -89,7 +91,94 @@ def test_selftest_failure_survives_python_O():
     assert proc.returncode == 2, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert "FAIL tokenize-roundtrip: AssertionError()" in lines
-    assert lines[-1] == "FAILED: 9/10"
+    assert lines[-1] == "FAILED: 10/11"
+
+
+def test_selftest_catches_a_broken_gradient_under_python_O():
+    # A backward pass that is off by 0.1% in one table fails the
+    # finite-difference check, also with asserts stripped.
+    script = (
+        "import sys\n"
+        "from blockmol import cli, diffusion\n"
+        "real = diffusion.loss_gradient\n"
+        "def broken(*args):\n"
+        "    reports, grads = real(*args)\n"
+        "    grads.gains = grads.gains * 1.001\n"
+        "    return reports, grads\n"
+        "diffusion.loss_gradient = broken\n"
+        "sys.exit(cli.main(['selftest']))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith("FAIL nelbo-gradient: AssertionError('gains'")
+               for line in lines), lines
+    assert lines[-1] == "FAILED: 10/11"
+
+
+@pytest.mark.parametrize("flags,key", [
+    (["--epochs", "0"], "train.epochs"),
+    (["--epochs", "-1"], "train.epochs"),
+    (["--lr", "nan"], "train.lr"),
+    (["--lr", "inf"], "train.lr"),
+    (["--lr", "-0.1"], "train.lr"),
+    (["--lr", "0"], "train.lr"),
+    (["--dim", "0"], "train.dim"),
+    (["--window", "-1"], "train.window"),
+])
+def test_train_rejects_hyperparameters_that_cannot_train(flags, key, tmp_path,
+                                                        capsys, caplog):
+    out = tmp_path / "t.ckpt"
+    code, stdout, _ = run_cli(["train", "--toy", "10", "--out", str(out), *flags],
+                              capsys)
+    assert code == 2 and stdout == ""
+    assert not out.exists()
+    assert key in caplog.text
+
+
+@pytest.mark.parametrize("record", [
+    {"train.epochs": 0}, {"train.lr": -0.1}, {"train.dim": 0},
+    {"train.window": -1}, {"train.epochs": 1.5}, {"train.lr": "0.1"},
+])
+def test_train_rejects_such_config_keys_too(record, tmp_path, capsys, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(record))
+    out = tmp_path / "t.ckpt"
+    code, stdout, _ = run_cli(["train", "--toy", "10", "--out", str(out),
+                               "--config", str(cfg)], capsys)
+    assert code == 2 and stdout == ""
+    assert not out.exists()
+    assert next(iter(record)) in caplog.text
+
+
+def test_train_writes_no_diverged_checkpoint(tmp_path, capsys, caplog):
+    # lr 1e300 overflows the tables; the NELBO history turns NaN.
+    out = tmp_path / "t.ckpt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code, stdout, _ = run_cli(["train", "--toy", "30", "--epochs", "1",
+                                   "--dim", "8", "--window", "4", "--lr",
+                                   "1e300", "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert not out.exists()
+    assert "no checkpoint written" in caplog.text
+
+
+def test_non_finite_checkpoint_fails_sample_and_search(checkpoint, tmp_path,
+                                                      capsys, caplog):
+    record = json.loads(Path(checkpoint).read_text())
+    record["embeddings"] = [math.nan] * len(record["embeddings"])
+    broken = tmp_path / "nan.ckpt"
+    broken.write_text(json.dumps(record))
+    for argv in (["sample", "--checkpoint", str(broken), "--n", "3",
+                  "--length", "48"],
+                 ["search", "--target", "parp1", "--checkpoint", str(broken),
+                  "--budget", "5", "--m", "8", "--length", "32"]):
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 2 and stdout == "", argv[0]
+    assert "checkpoint table embeddings holds non-finite values" in caplog.text
 
 
 def test_validate_reports_per_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """NELBO weight, training mask, predictor, NELBO and gradients, and the training loop."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from blockmol.diffusion import (
     save_checkpoint,
     train,
 )
-from blockmol.fragment import FragmentConfig, pad_and_partition
+from blockmol.fragment import BlockTensor, FragmentConfig, pad_and_partition
 
 
 def test_schedule_values():
@@ -163,6 +164,155 @@ def test_loss_gradient_reports_nelbo_loss(corpus, vocab):
         assert report.nelbo == loss.nelbo
         assert np.array_equal(report.per_block, loss.per_block)
         assert np.array_equal(report.masked_counts, loss.masked_counts)
+
+
+def ref_loss_gradient(params, bt, ts, noised):
+    """One example's NELBO gradient as two np.add.at scatters over every
+    (target row, window column) pair: the reference for loss_gradient."""
+    cfg = bt.config
+    L, W = cfg.length, params.window
+    mask = build_train_mask(cfg).astype(np.float64)[:L, :]
+    concat = np.concatenate([noised, bt.ids])
+    vis = np.ones(2 * L)
+    vis[:L] = (noised != Vocab.MASK_ID).astype(np.float64)
+    positions = np.concatenate([np.arange(L), np.arange(L)])
+    rel = np.clip(positions[:L, None] - positions[None, :], -W, W) + W
+    gain = params.gains[rel]
+    weighted_vis = mask * vis[None, :]  # (L, 2L): column k visible to row j
+    h = np.einsum("js,sd,jsd->jd", weighted_vis, params.embeddings[concat], gain,
+                  optimize=True)
+    logits = h @ params.out + params.bias
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    rows = np.nonzero(noised == Vocab.MASK_ID)[0]
+    w = nelbo_weight(ts)[rows // cfg.block]
+
+    dlogits = np.zeros_like(probs)
+    dlogits[rows] = probs[rows] * w[:, None]
+    dlogits[rows, bt.ids[rows]] -= w
+    g_out = h.T @ dlogits
+    g_bias = dlogits.sum(axis=0)
+    dh = dlogits @ params.out.T  # (L, d)
+    contrib = weighted_vis[:, :, None] * gain * dh[:, None, :]  # (L, 2L, d)
+    g_emb = np.zeros_like(params.embeddings)
+    np.add.at(g_emb, np.tile(concat, L), contrib.reshape(-1, params.dim))
+    g_gain = np.zeros_like(params.gains)
+    src = weighted_vis[:, :, None] * params.embeddings[concat][None, :, :] * dh[:, None, :]
+    np.add.at(g_gain, rel.reshape(-1), src.reshape(-1, params.dim))
+    return {"embeddings": g_emb, "gains": g_gain, "out": g_out, "bias": g_bias}
+
+
+def ref_train(params, corpus, epochs, lr, seed, clip=diffusion.GRAD_CLIP):
+    """The training loop one example per step, each update summing the
+    reference gradients of an antithetic pair: the reference for train."""
+    params = params.copy()
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(len(corpus))
+        total = 0.0
+        prev_ts = None
+        acc = None
+        count = 0
+        for step, idx in enumerate(order):
+            bt = corpus[idx]
+            if step % 2 == 0:
+                ts = draw_block_times(bt.config.num_blocks, rng)
+                prev_ts = ts
+            else:
+                ts = draw_block_times(bt.config.num_blocks, rng, antithetic_of=prev_ts)
+            noised = draw_noise(bt, ts, rng)
+            total += nelbo_loss(params, bt, ts, noised).nelbo
+            grads = ref_loss_gradient(params, bt, ts, noised)
+            grads = [grads[f] for f in ("embeddings", "gains", "out", "bias")]
+            if acc is None:
+                acc = grads
+            else:
+                for a, g in zip(acc, grads):
+                    a += g
+            count += 1
+            if count == 2 or step == len(order) - 1:
+                diffusion._apply_update(params, acc, count, lr, clip)
+                acc = None
+                count = 0
+        history.append(total / len(corpus))
+    return params, history
+
+
+@st.composite
+def gradient_problems(draw):
+    """A model and two examples of one layout: repeated tokens, and blocks
+    that are all masked, unmasked or partly masked."""
+    K, B = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if K * B < 2:
+        B = 2
+    L = K * B
+    V = draw(st.integers(5, 9))
+    cfg = FragmentConfig(L, K)
+    params = PredictorParams.init(V, dim=draw(st.integers(1, 4)),
+                                  window=draw(st.integers(0, L)),
+                                  seed=draw(st.integers(0, 2**16)), scale=0.5)
+    tokens = draw(st.lists(st.sampled_from([t for t in range(V) if t != Vocab.MASK_ID]),
+                           min_size=1, max_size=3))  # few distinct ids: repeats
+    examples = []
+    for _ in range(2):
+        ids = np.array(draw(st.lists(st.sampled_from(tokens), min_size=L, max_size=L)))
+        noised = ids.copy()
+        for b in range(B):
+            kind = draw(st.sampled_from(["none", "all", "some"]))
+            if kind != "none":
+                hide = [kind == "all" or draw(st.booleans()) for _ in range(K)]
+                noised[b * K:(b + 1) * K][np.array(hide)] = Vocab.MASK_ID
+        ts = np.array(draw(st.lists(st.floats(T_CLIP, 1.0), min_size=B, max_size=B)))
+        examples.append((BlockTensor(ids, cfg), ts, noised))
+    return params, examples
+
+
+def _close_to(grads, want):
+    for field, table in want.items():
+        got = getattr(grads, field)
+        assert got.shape == table.shape
+        assert np.abs(got - table).max() <= 1e-12 * np.abs(table).max(), field
+
+
+@settings(max_examples=200, deadline=None)
+@given(gradient_problems())
+def test_batched_gradient_matches_per_example_reference(problem):
+    params, examples = problem
+    refs = [ref_loss_gradient(params, *ex) for ex in examples]
+    losses = [nelbo_loss(params, *ex) for ex in examples]
+
+    report, grads = loss_gradient(params, *examples[0])
+    _close_to(grads, refs[0])
+    reports = [report]
+
+    bts, ts, noised = zip(*examples)
+    pair_reports, grads = loss_gradient(params, list(bts), np.stack(ts), np.stack(noised))
+    _close_to(grads, {f: refs[0][f] + refs[1][f] for f in refs[0]})
+    assert len(pair_reports) == 2
+    for got, want in zip(reports + pair_reports, losses[:1] + losses):
+        assert got.nelbo == want.nelbo
+        assert np.array_equal(got.per_block, want.per_block)
+        assert np.array_equal(got.masked_counts, want.masked_counts)
+
+
+def test_loss_gradient_rejects_mixed_layouts(corpus, vocab):
+    params = PredictorParams.init(len(vocab), dim=4, window=2, seed=0)
+    other = BlockTensor(corpus[1].ids[:16], FragmentConfig(16, 8))
+    ts = [np.full(6, 0.5), np.full(2, 0.5)]
+    with pytest.raises(ValueError, match="FragmentConfig"):
+        loss_gradient(params, [corpus[0], other], ts, [corpus[0].ids, other.ids])
+
+
+def test_train_matches_one_example_per_step_reference(corpus, vocab):
+    # An odd corpus: each epoch ends with a one-member update.
+    params = PredictorParams.init(len(vocab), dim=8, window=4, seed=7)
+    got, history = train(params, corpus[:41], epochs=2, lr=0.1, seed=7)
+    want, ref_history = ref_train(params, corpus[:41], epochs=2, lr=0.1, seed=7)
+    assert len(history) == len(ref_history) == 2
+    assert np.allclose(history, ref_history, rtol=0, atol=1e-9)
+    for field in ("embeddings", "gains", "out", "bias"):
+        assert np.abs(getattr(got, field) - getattr(want, field)).max() <= 1e-9, field
 
 
 def test_antithetic_times_mirror():
@@ -318,7 +468,7 @@ def test_train_loss_decreases_and_is_deterministic(corpus, vocab):
 # sha256 over the trained tables' bytes and the history's bytes (numpy 2.4,
 # x86-64).  Training must reproduce it bit for bit, so any change to
 # loss_gradient's arithmetic, however small, fails here.
-TRAIN_DIGEST = "874e7c5298d8e0757e729b6c09901f1e5d6be46ff4a91d27115ada1f459f888d"
+TRAIN_DIGEST = "7c8254df93c46368ae143785d44031e37c492db89c7c25db6ccf8eeb4c0f8c8a"
 
 
 def test_train_is_pinned_to_a_golden_digest(corpus, vocab):
@@ -339,6 +489,23 @@ def test_checkpoint_roundtrip(tmp_path, corpus, vocab):
     assert stored_vocab.content_hash() == vocab.content_hash()
     for field in ("embeddings", "gains", "out", "bias"):
         assert (getattr(loaded, field) == getattr(params, field)).all()
+
+
+def test_non_finite_checkpoint_is_neither_written_nor_read(tmp_path, vocab):
+    params = PredictorParams.init(len(vocab), dim=4, window=2, seed=0)
+    path = tmp_path / "ck.json"
+    for field, bad in (("embeddings", math.nan), ("bias", math.inf)):
+        broken = params.copy()
+        getattr(broken, field).flat[1] = bad
+        with pytest.raises(ValueError, match=field):
+            save_checkpoint(path, broken, vocab, seed=0)
+        assert not path.exists()
+    save_checkpoint(path, params, vocab, seed=0)
+    record = json.loads(path.read_text())
+    record["gains"][3] = math.nan
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match="gains"):
+        load_checkpoint(path, vocab)
 
 
 def test_checkpoint_vocab_mismatch(tmp_path, vocab):
