@@ -1,11 +1,13 @@
-"""Block-sequential any-order decoding with first-hitting time skips.
+"""Block-sequential any-order decoding.
 
-Blocks are resolved left to right; inside a block, the position-token pair
-with the highest predictor confidence is committed first and the diffusion
-time jumps directly to the next unmasking event (t <- t * u^(1/m)).  All
-randomness comes from a counter-based generator keyed by
-(seed, sequence index, block, step), so trajectories do not depend on how
-sequences are batched.
+Blocks are resolved left to right; inside a block, each predictor call
+commits the most confident position-token pair of every row that still
+holds a MASK.  The decoder keeps no diffusion clock: the predictor is
+time-independent, and such a model's output depends only on the order in
+which tokens are unmasked, never on when (Zheng et al. 2024), so nothing
+would read the time that ``first_hitting_step`` advances.  Sample mode's
+token draws are keyed by (seed, sequence index, block, step), so
+trajectories do not depend on how sequences are batched.
 """
 
 from __future__ import annotations
@@ -98,25 +100,17 @@ def step_keys(keys: np.ndarray, b: int, steps: int) -> np.ndarray:
     return h
 
 
-def _holds(ok) -> bool:
-    # ``ok`` is a bool for scalar arguments and a bool array for rows; the
-    # scalar path stays free of numpy calls, which cost microseconds each.
-    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
-
-
-def first_hitting_step(t: float | np.ndarray, m: int | np.ndarray,
-                       u: float | np.ndarray) -> float | np.ndarray:
+def first_hitting_step(t: float, m: int, u: float) -> float:
     """Next unmasking time given m masked positions: t * u^(1/m).
 
     u^(1/m) is distributed as the maximum of m uniforms, so one draw skips
-    straight to the first of the m scheduled reveal events.  Works on
-    scalars and, elementwise, on arrays of rows.
+    straight to the first of the m scheduled reveal events.
     """
-    if not _holds(m >= 1):
+    if m < 1:
         raise ZeroMasked(f"m={m}: no masked positions remain")
-    if not _holds((0.0 < t) & (t <= 1.0)):
+    if not 0.0 < t <= 1.0:
         raise diffusion.OutOfRange(f"t={t} outside (0, 1]")
-    if not _holds((0.0 < u) & (u < 1.0)):
+    if not 0.0 < u < 1.0:
         raise diffusion.OutOfRange(f"u={u} outside (0, 1)")
     return t * u ** (1.0 / m)
 
@@ -169,9 +163,8 @@ class DecodeConfig:
 @dataclass
 class DecodeState:
     ids: np.ndarray  # (N, L)
-    t: np.ndarray  # (N,) current diffusion time
     done: np.ndarray  # (N,) bool
-    protect: np.ndarray  # (N,) positions below this are never masked
+    protect: int  # positions below this are never masked, in every row
     finish_block: np.ndarray  # (N,) block index at EOS, -1 while running
 
 
@@ -207,20 +200,17 @@ class Decoder:
             ids[:, 1 : 1 + len(prefix_ids)] = prefix_ids
         return DecodeState(
             ids=ids,
-            t=np.ones(n),
             done=np.zeros(n, dtype=bool),
-            protect=np.full(n, 1 + len(prefix_ids), dtype=np.int64),
+            protect=1 + len(prefix_ids),
             finish_block=np.full(n, -1, dtype=np.int64),
         )
 
     def state_from_rows(self, rows: np.ndarray, protect: int) -> DecodeState:
-        n = rows.shape[0]
         done = (rows == Vocab.EOS_ID).any(axis=1)
         return DecodeState(
             ids=rows.copy(),
-            t=np.ones(n),
             done=done,
-            protect=np.full(n, protect, dtype=np.int64),
+            protect=protect,
             finish_block=np.where(done, 0, -1).astype(np.int64),
         )
 
@@ -236,26 +226,22 @@ class Decoder:
         """
         cfg = self.cfg
         K = cfg.block
-        lo, hi = max(1, b * K), (b + 1) * K
-        live = ~state.done
-        starts = np.maximum(lo, state.protect)
-        m_init = np.where(live, np.maximum(hi - starts, 0), 0)
-        steps = int(m_init.max(initial=0))
-        if steps == 0:
+        hi = (b + 1) * K
+        start = max(1, b * K, state.protect)
+        steps = hi - start
+        if steps <= 0 or state.done.all():
             return
         if steps > cfg.budget:
             raise BudgetExhausted(steps, cfg.budget, b)
         block = state.ids[:, b * K : hi]  # a view: commits land in state.ids
-        block[(np.arange(b * K, hi) >= starts[:, None]) & (m_init > 0)[:, None]] = Vocab.MASK_ID
-        state.t[live] = 1.0
-        # Built once per block: every step's uniforms, and the offset gains of
-        # the block's positions over the whole prefix.
-        pending = np.nonzero((block == Vocab.MASK_ID).any(axis=1))[0]
-        keys = np.zeros((block.shape[0], steps), dtype=np.uint64)
-        keys[pending] = step_keys(lane_keys(cfg.seed, row_offset + pending), b, steps)
-        u_time = lane_uniforms(keys)
+        state.ids[~state.done, start:hi] = Vocab.MASK_ID
+        # Built once per block: the offset gains of the block's positions over
+        # the whole prefix and, in sample mode, every step's draw uniforms.
         if cfg.mode == "sample":
-            u_draw = lane_uniforms(keys, 0xD0)
+            pending = np.nonzero((block == Vocab.MASK_ID).any(axis=1))[0]
+            u_draw = np.zeros((block.shape[0], steps))
+            u_draw[pending] = lane_uniforms(
+                step_keys(lane_keys(cfg.seed, row_offset + pending), b, steps), 0xD0)
         positions = np.arange(hi)
         active = np.arange(b * K, hi)
         gain = diffusion.offset_gains(self.params, positions, active)
@@ -264,23 +250,23 @@ class Decoder:
             rows = np.nonzero(masked.any(axis=1))[0]
             if rows.shape[0] == 0:
                 break
-            masked = masked[rows]
             probs = diffusion.predict(
                 self.params, state.ids[rows, :hi], positions, active,
                 temperature=cfg.temperature, nucleus_p=cfg.nucleus_p, gain=gain)
             # Absorbing-state convention: the decoder never commits MASK itself,
             # otherwise a masked slot could survive its own reveal step.
             probs[:, :, Vocab.MASK_ID] = 0.0
-            state.t[rows] = first_hitting_step(
-                state.t[rows], masked.sum(axis=1), u_time[rows, step])
-            j, v, _ = gcd_select(probs, masked)
+            j, v, conf = gcd_select(probs, masked[rows])
             if cfg.mode == "sample":
                 # Inverse CDF of each chosen row; on a nondecreasing row the
                 # count of entries <= u is searchsorted(side="right").
                 top = probs[np.arange(rows.shape[0]), j]
-                csum = np.cumsum(top / top.sum(axis=1, keepdims=True), axis=1)
+                mass = top.sum(axis=1, keepdims=True)
+                csum = np.cumsum(top / np.where(mass > 0.0, mass, 1.0), axis=1)
                 u = u_draw[rows, step][:, None]
                 v = np.minimum((csum <= u).sum(axis=1), top.shape[1] - 1)
+            # A row whose nucleus kept only MASK has nothing to commit: it ends.
+            v[conf == 0.0] = Vocab.EOS_ID
             block[rows, j] = v
             for n in rows[v == Vocab.EOS_ID]:
                 self._finish(state, n, b)
@@ -312,7 +298,7 @@ class Decoder:
         position and the prefix tokens are never altered.
         """
         state = self.fresh_state(n, prefix)
-        b0 = int(state.protect[0]) // self.cfg.block
+        b0 = state.protect // self.cfg.block
         try:
             self.run_blocks(state, b0, self.cfg.fragment.num_blocks)
         except BudgetExhausted as err:

@@ -54,14 +54,6 @@ def nelbo_weight(t) -> np.ndarray:
     return 1.0 / np.maximum(t, T_CLIP)
 
 
-def forward_mask(ids: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
-    """Replace each position with MASK independently with probability 1 - alpha(t) = t."""
-    _check_times(t)
-    noised = ids.copy()
-    noised[rng.random(ids.shape[0]) < t] = Vocab.MASK_ID
-    return noised
-
-
 def draw_block_times(num_blocks: int, rng: np.random.Generator,
                      antithetic_of: np.ndarray | None = None) -> np.ndarray:
     """Per-block diffusion times in [T_CLIP, 1].
@@ -75,12 +67,11 @@ def draw_block_times(num_blocks: int, rng: np.random.Generator,
 
 
 def draw_noise(bt: BlockTensor, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Apply forward masking blockwise, one diffusion time per block."""
-    cfg = bt.config
+    """Forward masking, one diffusion time per block: each position becomes
+    MASK independently with probability 1 - alpha(t_b) = t_b of its block b."""
+    _check_times(ts)
     noised = bt.ids.copy()
-    for b in range(cfg.num_blocks):
-        sl = cfg.block_slice(b)
-        noised[sl] = forward_mask(bt.ids[sl], float(ts[b]), rng)
+    noised[rng.random(bt.config.length) < np.repeat(ts, bt.config.block)] = Vocab.MASK_ID
     return noised
 
 
@@ -416,7 +407,8 @@ def train(params: PredictorParams, corpus: list[BlockTensor], epochs: int,
     the loss weight can still reach 1e4 near the clip floor, and one such
     draw at full step size is enough to blow up every table.  Both devices
     are stateless, so a fixed seed means bit-identical parameters.  Returns
-    (trained copy, per-epoch mean NELBO).
+    (trained copy, per-epoch mean NELBO).  Training stops at the first
+    non-finite NELBO, whose epoch's non-finite mean then ends the history.
     """
     if not corpus:
         raise EmptyCorpus("no training examples")
@@ -436,6 +428,8 @@ def train(params: PredictorParams, corpus: list[BlockTensor], epochs: int,
             reports, grads = loss_gradient(params, pair, np.stack(ts), np.stack(noised))
             for report in reports:
                 total += report.nelbo
+            if not math.isfinite(total):  # diverged: stop before the next step
+                return params, history + [total / len(corpus)]
             _apply_update(params, [grads.embeddings, grads.gains, grads.out, grads.bias],
                           len(pair), lr, clip)
         history.append(total / len(corpus))

@@ -199,6 +199,10 @@ class ExternalOracle:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise ProtocolError(f"bad oracle reply {line.decode(errors='replace')!r}") from err
 
+    def score_mol(self, mol: ParsedMol) -> OracleScores:
+        """Scores of ``mol``, sent to the child as its SMILES text."""
+        return self.score_smiles(mol.smiles)
+
     def close(self):
         if self._child is not None and self._child.poll() is None:
             self._child.terminate()

@@ -250,9 +250,7 @@ class TreeSearch:
         if err is not None:
             return None, False
         try:
-            if hasattr(self.oracle, "score_mol"):
-                return self.oracle.score_mol(mol), True
-            return self.oracle.score_smiles(smiles), True
+            return self.oracle.score_mol(mol), True
         except (ChildExited, Timeout) as failure:
             raise OracleUnavailable(str(failure)) from failure
         except OracleError:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,20 @@ def test_sampling_block_size_decoupled_from_training(trained42, vocab):
                                               mode="sample", seed=11), vocab)
         recs = dec.generate(2)
         assert len(recs) == 2 and all(r.smiles for r in recs)
+
+
+@pytest.mark.parametrize("mode", ["confidence", "sample"])
+def test_row_whose_nucleus_keeps_only_mask_ends(vocab, mode):
+    # MASK holds more than half of every row's mass, so the p = 0.5 nucleus
+    # keeps it alone and nothing is left once the decoder zeroes it.
+    params = PredictorParams.init(len(vocab), 8, 4, seed=1)
+    params.bias[Vocab.MASK_ID] = 8.0
+    dec = Decoder(params, DecodeConfig(block=8, length=16, nucleus_p=0.5,
+                                       mode=mode, seed=3), vocab)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no 0/0 in the draw
+        recs = dec.generate(4)
+    assert [(r.smiles, r.completed, r.block_count) for r in recs] == [("", True, 1)] * 4
 
 
 def test_generate_empty_prefix_matches_none(trained42, vocab):

@@ -49,21 +49,19 @@ def ref_finish(state, n, b):
 def ref_decode_block(dec, state, b, row_offset=0):
     cfg = dec.cfg
     K = cfg.block
-    lo, hi = max(1, b * K), (b + 1) * K
-    live = ~state.done
-    starts = np.maximum(lo, state.protect)
-    m_init = np.where(live, np.maximum(hi - starts, 0), 0)
-    if m_init.max(initial=0) == 0:
+    hi = (b + 1) * K
+    start = max(1, b * K, state.protect)
+    live = np.nonzero(~state.done)[0]
+    if start >= hi or live.shape[0] == 0:
         return
-    if int(m_init.max()) > cfg.budget:
-        raise BudgetExhausted(int(m_init.max()), cfg.budget, b)
-    for n in np.nonzero(m_init > 0)[0]:
-        state.ids[n, starts[n] : hi] = Vocab.MASK_ID
-    state.t[live] = 1.0
+    if hi - start > cfg.budget:
+        raise BudgetExhausted(hi - start, cfg.budget, b)
+    for n in live:
+        state.ids[n, start:hi] = Vocab.MASK_ID
 
     positions = np.arange(hi)
     active = np.arange(b * K, hi)
-    for step in range(int(m_init.max())):
+    for step in range(hi - start):
         rows = np.nonzero((state.ids[:, b * K : hi] == Vocab.MASK_ID).any(axis=1))[0]
         if rows.shape[0] == 0:
             break
@@ -73,11 +71,10 @@ def ref_decode_block(dec, state, b, row_offset=0):
         probs[:, :, Vocab.MASK_ID] = 0.0
         for r, n in enumerate(rows):
             masked = state.ids[n, b * K : hi] == Vocab.MASK_ID
-            m = int(masked.sum())
-            u = key_uniform(cfg.seed, row_offset + n, b, step)
-            state.t[n] = float(state.t[n]) * u ** (1.0 / m)
             j, v = ref_gcd_select(probs[r], masked)
-            if cfg.mode == "sample":
+            if probs[r, j].max() == 0.0:  # the nucleus kept only MASK
+                v = Vocab.EOS_ID
+            elif cfg.mode == "sample":
                 v = ref_draw_token(cfg, probs[r, j], row_offset + n, b, step)
             state.ids[n, b * K + j] = v
             if v == Vocab.EOS_ID:
@@ -126,10 +123,7 @@ def assert_same_state(got, want):
     assert np.array_equal(got.ids, want.ids)
     assert np.array_equal(got.done, want.done)
     assert np.array_equal(got.finish_block, want.finish_block)
-    assert np.array_equal(got.protect, want.protect)
-    # numpy's pow may differ from the C library's by one ulp per step, and
-    # a block has up to 16 steps; the predictor ignores t.
-    np.testing.assert_allclose(got.t, want.t, rtol=1e-14, atol=0.0)
+    assert got.protect == want.protect
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,7 +138,7 @@ def test_decode_block_matches_per_row_reference(problem):
     dec, row_offset = problem["dec"], problem["row_offset"]
     got = dec.fresh_state(problem["rows"], problem["prefix"])
     want = copy.deepcopy(got)
-    b0 = int(got.protect[0]) // dec.cfg.block
+    b0 = got.protect // dec.cfg.block
     for b in range(b0, dec.cfg.fragment.num_blocks):
         try:
             ref_decode_block(dec, want, b, row_offset)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from blockmol.diffusion import (
     build_train_mask,
     draw_block_times,
     draw_noise,
-    forward_mask,
     load_checkpoint,
     loss_gradient,
     nelbo_loss,
@@ -39,21 +39,24 @@ def test_schedule_values():
     assert nelbo_weight(T_CLIP / 10) == 1.0 / T_CLIP  # clip floor
     assert nelbo_weight(np.array([1.0, 0.5, T_CLIP / 10])).tolist() == [1.0, 2.0, 1.0 / T_CLIP]
     rng = np.random.default_rng(0)
+    bt = BlockTensor(np.zeros(4, dtype=np.int64), FragmentConfig(4, 2))
     for bad in (0.0, -0.1, 1.5, math.nan):
         with pytest.raises(OutOfRange):
             nelbo_weight(bad)
         with pytest.raises(OutOfRange):
             nelbo_weight(np.array([0.5, bad]))
         with pytest.raises(OutOfRange):
-            forward_mask(np.zeros(4, dtype=np.int64), bad, rng)
+            draw_noise(bt, np.array([0.5, bad]), rng)
 
 
 def test_forward_mask_fraction():
+    # Each block is masked at its own time's rate.
     rng = np.random.default_rng(7)
-    ids = np.full(100_000, 5, dtype=np.int64)
-    noised = forward_mask(ids, 0.3, rng)
-    frac = (noised == Vocab.MASK_ID).mean()
-    assert abs(frac - 0.3) < 0.01
+    bt = BlockTensor(np.full(100_000, 5, dtype=np.int64), FragmentConfig(100_000, 50_000))
+    noised = draw_noise(bt, np.array([0.3, 0.8]), rng)
+    frac = (noised == Vocab.MASK_ID).reshape(2, -1).mean(axis=1)
+    assert np.abs(frac - [0.3, 0.8]).max() < 0.01
+    assert (noised[noised != Vocab.MASK_ID] == 5).all()
 
 
 def brute_force_train_mask(L, K):
@@ -463,6 +466,23 @@ def test_train_loss_decreases_and_is_deterministic(corpus, vocab):
     assert hist_a == hist_b
     for field in ("embeddings", "gains", "out", "bias"):
         assert (getattr(a, field) == getattr(b, field)).all()
+
+
+def test_train_stops_at_the_first_non_finite_nelbo(corpus, vocab, monkeypatch):
+    calls = []
+
+    def recording(*args):
+        reports, grads = loss_gradient(*args)
+        calls.append(all(math.isfinite(r.nelbo) for r in reports))
+        return reports, grads
+
+    monkeypatch.setattr(diffusion, "loss_gradient", recording)
+    params = PredictorParams.init(len(vocab), dim=8, window=4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # lr 1e300 overflows
+        _, history = train(params, corpus[:30], epochs=3, lr=1e300, seed=0)
+    assert calls[-1] is False and all(calls[:-1])  # no call after the first NaN
+    assert len(history) == 1 and not math.isfinite(history[0])
 
 
 # sha256 over the trained tables' bytes and the history's bytes (numpy 2.4,

@@ -1,6 +1,7 @@
 """Gated MCTS: score arithmetic, tree mechanics, and full runs."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from blockmol.chem import Vocab
 from blockmol.decode import DecodeConfig
 from blockmol.oracle import (
     ChildExited,
+    ExternalOracle,
     OracleScores,
     ProtocolError,
     SurrogateOracle,
@@ -307,6 +309,30 @@ def test_scoring_error_maps_to_penalty_and_continues(search_setup):
     passing = {r.smiles: r.reward for r in out.results}
     for res in unscored:
         assert passing.get(res.smiles, 0.0) != cfg.gate.r_pen
+
+
+# Scores each molecule by its SMILES length, so a rollout's ds shows which
+# text the child was sent.
+LENGTH_CHILD = (
+    "import sys, json\n"
+    "for line in sys.stdin:\n"
+    "    smiles = json.loads(line)['smiles']\n"
+    "    print(json.dumps({'qed': 0.9, 'sa': 2.0, 'ds': -len(smiles) / 10}), flush=True)\n"
+)
+
+
+def test_search_scores_through_an_external_oracle(search_setup):
+    params, vocab, _, decode = search_setup
+    oracle = ExternalOracle([sys.executable, "-c", LENGTH_CHILD], timeout=10.0)
+    try:
+        out = run_search(SearchConfig(n_max=24, m=8, decode=decode, seed=11),
+                         params, vocab, oracle)
+    finally:
+        oracle.close()
+    assert not out.aborted and out.rollouts
+    for res in out.rollouts:
+        assert res.ds == -len(res.smiles) / 10, res.smiles
+        assert res.reward == -res.ds  # the child's qed and sa pass the gate
 
 
 def test_expand_marks_exhausted_when_candidates_repeat(search_setup):
