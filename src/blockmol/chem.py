@@ -86,7 +86,7 @@ class TokenKind(Enum):
     CONTROL = "control"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -177,6 +177,14 @@ def _parse_bracket(text: str, pos: int):
     return element, aromatic, m.group("chiral") or "", hcount, charge
 
 
+# A token's kind follows from its text, and tokens are immutable, so one
+# Token serves every molecule with the same text at the same offset.  The
+# distinct (text, offset) pairs are few (317 over the whole toy grid); the
+# bound only caps memory on odd input.
+_TOKEN_MEMO_SIZE = 1 << 14
+_TOKENS: dict[tuple[str, int], Token] = {}
+
+
 def tokenize(text: str) -> list[Token]:
     """Scan a SMILES string into tokens.
 
@@ -184,54 +192,50 @@ def tokenize(text: str) -> list[Token]:
     exactly.  Raises UnknownCharacter at the first unscannable offset.
     """
     out: list[Token] = []
+    memo = _TOKENS
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch == "[":
-            matched = False
             for ctrl in CONTROL_TOKENS:
                 if text.startswith(ctrl, i):
-                    out.append(Token(TokenKind.CONTROL, ctrl, i))
-                    i += len(ctrl)
-                    matched = True
+                    kind, j = TokenKind.CONTROL, i + len(ctrl)
                     break
-            if matched:
-                continue
-            j = text.find("]", i)
-            if j < 0:
-                raise UnknownCharacter("unterminated bracket atom", i)
-            tok = text[i : j + 1]
-            _parse_bracket(tok, i)  # validates, raises UnknownCharacter
-            out.append(Token(TokenKind.ATOM, tok, i))
-            i = j + 1
+            else:
+                j = text.find("]", i) + 1
+                if not j:
+                    raise UnknownCharacter("unterminated bracket atom", i)
+                kind = TokenKind.ATOM
         elif text.startswith(TWO_LETTER, i):
-            out.append(Token(TokenKind.ATOM, text[i : i + 2], i))
-            i += 2
+            kind, j = TokenKind.ATOM, i + 2
         elif ch in ONE_LETTER or ch in AROMATIC_LETTER:
-            out.append(Token(TokenKind.ATOM, ch, i))
-            i += 1
+            kind, j = TokenKind.ATOM, i + 1
         elif ch in BOND_CHARS:
-            out.append(Token(TokenKind.BOND, ch, i))
-            i += 1
+            kind, j = TokenKind.BOND, i + 1
         elif ch in DIGITS:
-            out.append(Token(TokenKind.RING, ch, i))
-            i += 1
+            kind, j = TokenKind.RING, i + 1
         elif ch == "%":
             if i + 2 >= n or not DIGITS.issuperset(text[i + 1 : i + 3]):
                 raise UnknownCharacter("'%' needs two digits", i)
-            out.append(Token(TokenKind.RING, text[i : i + 3], i))
-            i += 3
+            kind, j = TokenKind.RING, i + 3
         elif ch == "(":
-            out.append(Token(TokenKind.BRANCH_OPEN, ch, i))
-            i += 1
+            kind, j = TokenKind.BRANCH_OPEN, i + 1
         elif ch == ")":
-            out.append(Token(TokenKind.BRANCH_CLOSE, ch, i))
-            i += 1
+            kind, j = TokenKind.BRANCH_CLOSE, i + 1
         elif ch == ".":
-            out.append(Token(TokenKind.DOT, ch, i))
-            i += 1
+            kind, j = TokenKind.DOT, i + 1
         else:
             raise UnknownCharacter(f"unknown character {ch!r}", i)
+        key = (text[i:j], i)
+        tok = memo.get(key)
+        if tok is None:
+            if kind is TokenKind.ATOM and ch == "[":
+                _parse_bracket(key[0], i)  # validates, raises UnknownCharacter
+            tok = Token(kind, key[0], i)
+            if len(memo) < _TOKEN_MEMO_SIZE:
+                memo[key] = tok
+        out.append(tok)
+        i = j
     return out
 
 
@@ -242,7 +246,7 @@ def detokenize(tokens: TokenSeq) -> str:
 # --- parsed molecules --------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     element: str
     aromatic: bool = False
@@ -253,7 +257,7 @@ class Atom:
     pos: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     a: int
     b: int
@@ -282,35 +286,41 @@ class ParsedMol:
     def neighbors(self, i: int) -> list[tuple[int, Bond]]:
         return self.adjacency[i]
 
-    def bond_order_sum(self, i: int) -> float:
-        return sum(b.order for _, b in self.adjacency[i])
-
-    def sigma_order_sum(self, i: int) -> float:
-        """Bond-order sum with aromatic bonds counted at their sigma order."""
-        return sum(1.0 if b.order == 1.5 else b.order for _, b in self.adjacency[i])
-
 
 _BOND_ORDER = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5, "/": 1.0, "\\": 1.0}
 
 
-def _bridges(adjacency) -> tuple[set[int], int]:
-    """(ids of the bridge bonds, number of connected components).
+def _edge(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
 
-    One iterative Tarjan pass: a tree bond u-v is a bridge when nothing in
-    v's DFS subtree reaches back to u or above.  Assumes a simple graph, which
-    parse_validate guarantees (no self-closures, no duplicate bonds).
+
+def _ring_systems(mol: ParsedMol) -> list[tuple[list[int], list[int]]]:
+    """(atoms ascending, ring-bond indices ascending) of every ring system.
+
+    A ring system is a 2-edge-connected component with more than one atom;
+    its bonds are the ring bonds, and the bonds between systems are the
+    bridges.  One iterative Tarjan pass: a tree bond u-v is a bridge when
+    nothing in v's DFS subtree reaches back to u or above, and then the atoms
+    of that subtree not yet assigned form v's component.  Assumes a simple
+    graph, which parse_validate guarantees (no self-closures, no duplicate
+    bonds).
     """
+    adjacency = mol.adjacency
     n = len(adjacency)
     order = [0] * n  # DFS discovery number, 0 while unvisited
     low = [0] * n
-    bridges: set[int] = set()
-    counter = components = 0
+    component = [0] * n  # discovery number of the component's first atom
+    at = [0] * n  # index of each atom in ``unassigned``
+    unassigned: list[int] = []
+    members: dict[int, list[int]] = {}
+    counter = 0
     for root in range(n):
         if order[root]:
             continue
-        components += 1
         counter += 1
         order[root] = low[root] = counter
+        at[root] = len(unassigned)
+        unassigned.append(root)
         stack = [(root, None, iter(adjacency[root]))]
         while stack:
             u, via, edges = stack[-1]
@@ -323,6 +333,8 @@ def _bridges(adjacency) -> tuple[set[int], int]:
                 else:
                     counter += 1
                     order[v] = low[v] = counter
+                    at[v] = len(unassigned)
+                    unassigned.append(v)
                     stack.append((v, b, iter(adjacency[v])))
                     break
             else:
@@ -331,25 +343,92 @@ def _bridges(adjacency) -> tuple[set[int], int]:
                     parent = stack[-1][0]
                     if low[u] < low[parent]:
                         low[parent] = low[u]
-                    if low[u] > order[parent]:
-                        bridges.add(id(via))
-    return bridges, components
+                if low[u] == order[u]:
+                    group = unassigned[at[u]:]
+                    del unassigned[at[u]:]
+                    label = order[u]
+                    for a in group:
+                        component[a] = label
+                    if len(group) > 1:
+                        members[label] = sorted(group)
+    ring_bonds: dict[int, list[int]] = {}
+    for i, b in enumerate(mol.bonds):
+        label = component[b.a]
+        if label == component[b.b]:
+            ring_bonds.setdefault(label, []).append(i)
+    return [(members[label], bonds) for label, bonds in ring_bonds.items()]
 
 
-def _shortest_cycle(adjacency, atoms: list[Atom], closure: Bond) -> list[int] | None:
-    """Shortest cycle through bond ``closure``, or None when it is on none.
+def _simple_cycle(bonds: list[Bond], ring_bonds: list[int]) -> tuple[list[int], list[int]]:
+    """(atoms, bond indices) of the one cycle of a system with as many bonds
+    as atoms: from the first ring bond's ``b`` end back to its ``a`` end
+    without re-crossing it, the path _shortest_cycle finds for that bond."""
+    incident: dict[int, list[int]] = {}
+    for i in ring_bonds:
+        b = bonds[i]
+        incident.setdefault(b.a, []).append(i)
+        incident.setdefault(b.b, []).append(i)
+    first = bonds[ring_bonds[0]]
+    atom, via, goal = first.b, ring_bonds[0], first.a
+    path, used = [atom], []
+    while atom != goal:
+        i, j = incident[atom]
+        via = j if i == via else i
+        used.append(via)
+        b = bonds[via]
+        atom = b.b if b.a == atom else b.a
+        path.append(atom)
+    used.append(ring_bonds[0])
+    return path, used
+
+
+# Distinct fused or bridged system shapes are few (6 over the whole toy
+# grid); the bound only caps memory on odd input.
+_SYSTEM_MEMO_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_SYSTEM_MEMO_SIZE)
+def _system_cycles(edges: tuple[tuple[int, int], ...],
+                   aromatic: tuple[bool, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Shortest cycle through each ring bond of one fused or bridged system,
+    deduplicated by atom set in bond order, as (atom ranks, bond positions).
+
+    ``edges`` are the system's ring bonds in bond order as pairs of atom
+    ranks, and ``aromatic`` the flag of each ranked atom.  That is all the
+    search reads: bond order fixes the adjacency order, the rank order is the
+    atom-index order of the heap tie-break, and the flags fix the cost.  So
+    one search serves every system of the same shape.
+    """
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in aromatic]
+    for p, (a, b) in enumerate(edges):
+        adjacency[a].append((b, p))
+        adjacency[b].append((a, p))
+    found, seen = [], set()
+    for p, (a, b) in enumerate(edges):
+        cycle, used = _shortest_cycle(adjacency, aromatic, a, b, p)
+        key = frozenset(cycle)
+        if key not in seen:
+            seen.add(key)
+            found.append((tuple(cycle), tuple(used)))
+    return tuple(found)
+
+
+def _shortest_cycle(adjacency, aromatic, start: int, goal: int,
+                    closure: int) -> tuple[list[int], list[int]]:
+    """Shortest cycle through ring bond ``closure`` (start-goal), as its
+    atoms from ``goal`` back to ``start`` and the bonds it crosses.
 
     Dijkstra over (edge count, non-aromatic atom count): among equally short
     alternative paths, the one staying on aromatic atoms wins, so a fused
     aromatic ring is not shadowed by its saturated neighbor.  The pair is
     packed into one integer, edges * (atoms + 1) + non-aromatic, which orders
     exactly like the tuple because the second part never exceeds the atoms.
+    A ring bond lies on a cycle, so the goal is always reached.
     """
-    start, goal = closure.a, closure.b
-    scale = len(atoms) + 1
+    scale = len(aromatic) + 1
     unreached = 1 << 62
     best = {start: 0}
-    prev = {start: -1}
+    prev = {}  # atom -> (atom before it, bond between them)
     heap = [(0, start)]
     while heap:
         cost, u = heapq.heappop(heap)
@@ -357,24 +436,21 @@ def _shortest_cycle(adjacency, atoms: list[Atom], closure: Bond) -> list[int] | 
             continue
         if u == goal:
             break
-        for v, b in adjacency[u]:
-            if b is closure:
+        for v, p in adjacency[u]:
+            if p == closure:
                 continue
-            step = cost + scale + (0 if atoms[v].aromatic else 1)
+            step = cost + scale + (0 if aromatic[v] else 1)
             if step < best.get(v, unreached):
                 best[v] = step
-                prev[v] = u
+                prev[v] = (u, p)
                 heapq.heappush(heap, (step, v))
-    if goal not in prev:
-        return None
-    path = [goal]
+    path, used = [goal], []
     while path[-1] != start:
-        path.append(prev[path[-1]])
-    return path
-
-
-def _edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+        u, p = prev[path[-1]]
+        path.append(u)
+        used.append(p)
+    used.append(closure)
+    return path, used
 
 
 def _perceive_rings(mol: ParsedMol) -> list[list[int]]:
@@ -386,35 +462,31 @@ def _perceive_rings(mol: ParsedMol) -> list[list[int]]:
     interleaved style (both digits of an indole would claim the pyrrole
     ring); a small cycle basis recovers one ring per independent cycle.
 
-    Bridges lie on no cycle, and no path between the ends of a ring bond
-    crosses one, so the cycle search runs only over the ring bonds (the
-    non-bridges) and gives the same cycles as a search of the whole graph.
+    A cycle never leaves its ring system, so each system is searched on its
+    own: a simple one (as many bonds as atoms) is its one cycle, walked with
+    no search, and a fused or bridged one is searched once per shape.
     """
-    if not mol.atoms:
-        return []
-    bridges, components = _bridges(mol.adjacency)
-    rank = len(mol.bonds) - len(mol.atoms) + components
-    if rank <= 0:
-        return []
-
-    ring_adjacency = [[(v, b) for v, b in nbrs if id(b) not in bridges]
-                      for nbrs in mol.adjacency]
-    edge_index = {_edge(b.a, b.b): i for i, b in enumerate(mol.bonds)}
+    atoms, bonds = mol.atoms, mol.bonds
+    rank = 0
     candidates = []
-    dedupe = set()
-    for bond in mol.bonds:
-        if id(bond) in bridges:
-            continue
-        cycle = _shortest_cycle(ring_adjacency, mol.atoms, bond)
-        key = frozenset(cycle)
-        if key in dedupe:
-            continue
-        dedupe.add(key)
-        mask = 0
-        for k in range(len(cycle)):
-            mask |= 1 << edge_index[_edge(cycle[k], cycle[k - 1])]
-        non_aromatic = sum(1 for a in cycle if not mol.atoms[a].aromatic)
-        candidates.append((len(cycle), non_aromatic, tuple(sorted(cycle)), mask, cycle))
+    for members, ring_bonds in _ring_systems(mol):
+        rank += len(ring_bonds) - len(members) + 1
+        if len(ring_bonds) == len(members):
+            cycles = [_simple_cycle(bonds, ring_bonds)]
+        else:
+            local = {a: r for r, a in enumerate(members)}
+            shape = tuple((local[bonds[i].a], local[bonds[i].b]) for i in ring_bonds)
+            flags = tuple(atoms[a].aromatic for a in members)
+            cycles = [([members[r] for r in ranks], [ring_bonds[p] for p in used])
+                      for ranks, used in _system_cycles(shape, flags)]
+        for cycle, used in cycles:
+            mask = 0
+            for i in used:
+                mask |= 1 << i
+            non_aromatic = sum(1 for a in cycle if not atoms[a].aromatic)
+            candidates.append((len(cycle), non_aromatic, tuple(sorted(cycle)), mask, cycle))
+    if not candidates:
+        return []
     candidates.sort(key=lambda c: c[:3])
 
     basis: dict[int, int] = {}  # high bit -> reduced mask
@@ -442,49 +514,44 @@ def parse_validate(tokens: TokenSeq) -> ParsedMol:
     atoms: list[Atom] = []
     bonds: list[Bond] = []
     ring_open: dict[int, tuple[int, float | None, str, int]] = {}
-    branch_stack: list[tuple[int | None, int, int]] = []  # (prev, pos, atoms_seen)
+    branch_stack: list[list] = []  # [prev, pos, atoms seen while on top]
     prev: int | None = None
     pending: tuple[float, str, int] | None = None  # (order, stereo, pos)
     bonded: set[tuple[int, int]] = set()
-
-    def add_bond(a: int, b: int, order: float | None, stereo: str, closure: bool, pos: int):
-        if a == b:
-            raise RingBondError("ring closure to the same atom", pos)
-        edge = _edge(a, b)
-        if edge in bonded:
-            raise RingBondError("duplicate bond between atoms", pos)
-        bonded.add(edge)
-        if order is None:
-            order = 1.5 if atoms[a].aromatic and atoms[b].aromatic else 1.0
-        bonds.append(Bond(a, b, order, stereo, closure))
+    ATOM, BOND, RING = TokenKind.ATOM, TokenKind.BOND, TokenKind.RING
 
     for tok in tokens:
-        if tok.kind is TokenKind.CONTROL:
-            raise UnknownToken(f"control token {tok.text} inside molecule body", tok.pos)
-        if tok.kind is TokenKind.ATOM:
-            if tok.text.startswith("["):
-                element, aromatic, chiral, hcount, charge = _parse_bracket(tok.text, tok.pos)
+        kind = tok.kind
+        if kind is ATOM:
+            text = tok.text
+            if text[0] == "[":
+                element, aromatic, chiral, hcount, charge = _parse_bracket(text, tok.pos)
                 atoms.append(Atom(element, aromatic, charge, hcount, True, chiral, tok.pos))
             else:
-                aromatic = tok.text in AROMATIC_LETTER
-                atoms.append(Atom(tok.text.capitalize() if aromatic else tok.text,
-                                  aromatic, pos=tok.pos))
+                aromatic = text in AROMATIC_LETTER
+                atoms.append(Atom(text.upper() if aromatic else text, aromatic, 0, 0,
+                                  False, "", tok.pos))
             idx = len(atoms) - 1
             if prev is not None:
-                order, stereo = (pending[0], pending[1]) if pending else (None, "")
-                add_bond(prev, idx, order, stereo, False, tok.pos)
+                # A chain bond reaches the newest atom: never a duplicate, and
+                # already in _edge order.
+                bonded.add((prev, idx))
+                if pending:
+                    bonds.append(Bond(prev, idx, pending[0], pending[1]))
+                else:
+                    bonds.append(Bond(prev, idx, 1.5 if aromatic and atoms[prev].aromatic
+                                      else 1.0))
             pending = None
             prev = idx
             if branch_stack:
-                restore, bpos, seen = branch_stack[-1]
-                branch_stack[-1] = (restore, bpos, seen + 1)
-        elif tok.kind is TokenKind.BOND:
+                branch_stack[-1][2] += 1
+        elif kind is BOND:
             if pending is not None:
                 raise DanglingBond("two bond symbols in a row", pending[2])
             if prev is None:
                 raise DanglingBond("bond with no preceding atom", tok.pos)
             pending = (_BOND_ORDER[tok.text], tok.text if tok.text in "/\\" else "", tok.pos)
-        elif tok.kind is TokenKind.RING:
+        elif kind is RING:
             if prev is None:
                 raise DanglingBond("ring bond with no preceding atom", tok.pos)
             digit = int(tok.text.lstrip("%"))
@@ -494,18 +561,26 @@ def parse_validate(tokens: TokenSeq) -> ParsedMol:
                 if pending and open_order is not None and pending[0] != open_order:
                     raise RingBondError(f"conflicting orders for ring {digit}", tok.pos)
                 stereo = pending[1] if pending else open_stereo
-                add_bond(open_idx, prev, order, stereo, True, tok.pos)
+                if open_idx == prev:
+                    raise RingBondError("ring closure to the same atom", tok.pos)
+                edge = _edge(open_idx, prev)
+                if edge in bonded:
+                    raise RingBondError("duplicate bond between atoms", tok.pos)
+                bonded.add(edge)
+                if order is None:
+                    order = 1.5 if atoms[open_idx].aromatic and atoms[prev].aromatic else 1.0
+                bonds.append(Bond(open_idx, prev, order, stereo, True))
             else:
                 ring_open[digit] = (prev, pending[0] if pending else None,
                                     pending[1] if pending else "", tok.pos)
             pending = None
-        elif tok.kind is TokenKind.BRANCH_OPEN:
+        elif kind is TokenKind.BRANCH_OPEN:
             if prev is None:
                 raise UnbalancedBranch("branch with no preceding atom", tok.pos)
             if pending is not None:
                 raise DanglingBond("bond symbol before '('", pending[2])
-            branch_stack.append((prev, tok.pos, 0))
-        elif tok.kind is TokenKind.BRANCH_CLOSE:
+            branch_stack.append([prev, tok.pos, 0])
+        elif kind is TokenKind.BRANCH_CLOSE:
             if not branch_stack:
                 raise UnbalancedBranch("')' without matching '('", tok.pos)
             if pending is not None:
@@ -514,10 +589,12 @@ def parse_validate(tokens: TokenSeq) -> ParsedMol:
             if seen == 0:
                 raise UnbalancedBranch("empty branch", tok.pos)
             prev = restore
-        elif tok.kind is TokenKind.DOT:
+        elif kind is TokenKind.DOT:
             if pending is not None:
                 raise DanglingBond("bond symbol before '.'", pending[2])
             prev = None
+        else:
+            raise UnknownToken(f"control token {tok.text} inside molecule body", tok.pos)
 
     # End-of-input checks, reported at the earliest offending token.
     leftovers: list[tuple[int, ChemError]] = []
@@ -539,26 +616,33 @@ def parse_validate(tokens: TokenSeq) -> ParsedMol:
     mol.rings = _perceive_rings(mol)
     ring_edges = {_edge(cycle[k], cycle[k - 1])
                   for cycle in mol.rings for k in range(len(cycle))}
-    for bond in mol.bonds:
-        bond.in_ring = _edge(bond.a, bond.b) in ring_edges
-
-    # An aromatic-aromatic bond outside any ring is a plain single bond
-    # (biphenyl linkage); demote before valence accounting.
-    for b in mol.bonds:
-        if b.order == 1.5 and not b.in_ring:
-            b.order = 1.0
+    # Bond-order sums with aromatic bonds at their sigma order (1), started
+    # from an int as sum() would be, so a bare atom reports an int total.
+    sigma = [0] * len(atoms)
+    for b in bonds:
+        b.in_ring = _edge(b.a, b.b) in ring_edges
+        # An aromatic-aromatic bond outside any ring is a plain single bond
+        # (biphenyl linkage); demote before valence accounting.
+        if b.order == 1.5:
+            if not b.in_ring:
+                b.order = 1.0
+            sigma[b.a] += 1.0
+            sigma[b.b] += 1.0
+        else:
+            sigma[b.a] += b.order
+            sigma[b.b] += b.order
 
     aromatic_ring_members = set()
     for cycle in mol.rings:
-        if len(cycle) in (5, 6) and all(mol.atoms[k].aromatic for k in cycle):
+        if len(cycle) in (5, 6) and all(atoms[k].aromatic for k in cycle):
             aromatic_ring_members.update(cycle)
-    for i, atom in enumerate(mol.atoms):
+    for i, atom in enumerate(atoms):
         if atom.aromatic and i not in aromatic_ring_members:
             raise AromaticityError(
                 "aromatic atom outside a closed aromatic 5- or 6-ring", atom.pos)
 
-    for i, atom in enumerate(mol.atoms):
-        total = mol.sigma_order_sum(i) + atom.explicit_h
+    for i, atom in enumerate(atoms):
+        total = sigma[i] + atom.explicit_h
         if total > max_valence(atom.element, atom.charge):
             raise ValenceExceeded(
                 f"{atom.element} with bond order {total}", atom.pos, i)
@@ -598,17 +682,16 @@ class DescriptorSet:
     radical_flag: bool
 
 
-def implicit_h(mol: ParsedMol, i: int) -> int:
-    """Implicit hydrogens on atom ``i``.
+def implicit_h(atom: Atom, order_sum: float) -> int:
+    """Implicit hydrogens on ``atom``, whose bond orders sum to ``order_sum``.
 
     Bare organic-subset atoms fill up to the smallest standard valence that
     covers their bond-order sum (aromatic bonds at 1.5, summed then rounded
     up).  Bracket atoms carry their hydrogens explicitly.
     """
-    atom = mol.atoms[i]
     if atom.bracket or atom.element not in IMPLICIT_VALENCES:
         return 0
-    used = -(-int(mol.bond_order_sum(i) * 2) // 2)  # ceil of the 1.5-sum
+    used = -(-int(order_sum * 2) // 2)  # ceil of the 1.5-sum
     for valence in IMPLICIT_VALENCES[atom.element]:
         if valence >= used:
             return valence - used
@@ -634,15 +717,24 @@ def _bridgeheads(mol: ParsedMol) -> int:
 
 
 def descriptors(mol: ParsedMol) -> DescriptorSet:
-    # One walk over the atoms, so implicit_h runs once per atom.
+    # One walk over the bonds, then one over the atoms.
+    atoms = mol.atoms
+    order_sum = [0] * len(atoms)
+    heavy_degree = [0] * len(atoms)
+    for b in mol.bonds:
+        order_sum[b.a] += b.order
+        order_sum[b.b] += b.order
+        if atoms[b.a].element != "H" and atoms[b.b].element != "H":
+            heavy_degree[b.a] += 1
+            heavy_degree[b.b] += 1
     weights = []  # heavy-atom weights, summed in atom order
     hydrogens = hbd = n_count = o_count = c_count = halogen_count = charge = 0
     elements = set()
-    for i, a in enumerate(mol.atoms):
+    for a, used in zip(atoms, order_sum):
         element = a.element
         elements.add(element)
         charge += a.charge
-        h_count = a.explicit_h + implicit_h(mol, i)
+        h_count = a.explicit_h + implicit_h(a, used)
         hydrogens += h_count
         if element == "H":
             hydrogens += 1
@@ -658,15 +750,10 @@ def descriptors(mol: ParsedMol) -> DescriptorSet:
             halogen_count += 1
     mw = sum(weights) + 1.008 * hydrogens
 
-    heavy_degree = [0] * len(mol.atoms)
-    for b in mol.bonds:
-        if mol.atoms[b.a].element != "H" and mol.atoms[b.b].element != "H":
-            heavy_degree[b.a] += 1
-            heavy_degree[b.b] += 1
     rotatable = sum(
         1 for b in mol.bonds
         if b.order == 1.0 and not b.in_ring
-        and mol.atoms[b.a].element != "H" and mol.atoms[b.b].element != "H"
+        and atoms[b.a].element != "H" and atoms[b.b].element != "H"
         and heavy_degree[b.a] >= 2 and heavy_degree[b.b] >= 2)
 
     return DescriptorSet(
@@ -724,14 +811,20 @@ def _atom_label(atom: Atom) -> str:
 
 _BOND_LABEL = {1.0: "-", 1.5: ":", 2.0: "=", 3.0: "#"}
 
-# Distinct path strings seen by the fingerprint are few (320 over the whole
-# toy grid), so each is hashed once; the bound only caps memory on odd input.
+# Distinct paths seen by the fingerprint are few (424 over the whole toy
+# grid, as enumerated), so each is hashed once per width; the bound only
+# caps memory on odd input.
 _PATH_MEMO_SIZE = 1 << 14
+_PATH_BITS: dict[int, dict[tuple[str, ...], int]] = {}  # width -> path -> bit
 
 
-@lru_cache(maxsize=_PATH_MEMO_SIZE)
-def _path_hash(path: tuple[str, ...]) -> int:
-    return fnv1a64("|".join(path).encode())
+def _path_bit(memo: dict, path: tuple[str, ...], width: int) -> int:
+    """The bit of ``path``: seeded FNV-1a of its lexicographically smaller
+    direction, joined by "|", modulo ``width``."""
+    bit = 1 << (fnv1a64("|".join(min(path, path[::-1])).encode()) % width)
+    if len(memo) < _PATH_MEMO_SIZE:
+        memo[path] = bit
+    return bit
 
 
 def fingerprint(mol: ParsedMol, width: int = DEFAULT_FP_WIDTH) -> Fingerprint:
@@ -739,29 +832,42 @@ def fingerprint(mol: ParsedMol, width: int = DEFAULT_FP_WIDTH) -> Fingerprint:
 
     Each simple path is labeled atom/bond/atom/..., canonicalized to the
     lexicographically smaller direction, and hashed with seeded FNV-1a.
+    Every undirected path is enumerated once: each atom, each bond, each pair
+    of neighbors around a center atom, and each pair of distinct neighbors
+    around a center bond.
     """
     if width < MIN_FP_WIDTH or width & (width - 1):
         raise ValueError(f"width must be a power of two >= {MIN_FP_WIDTH}")
+    memo = _PATH_BITS.setdefault(width, {})
     labels = [_atom_label(a) for a in mol.atoms]
-    steps = [[(j, _BOND_LABEL[b.order]) for j, b in nbrs] for nbrs in mol.adjacency]
+    # Per atom, (neighbor, "label|bond" tail, "bond|label" head) in bond order.
+    steps = [[(j, (labels[j], _BOND_LABEL[b.order]), (_BOND_LABEL[b.order], labels[j]))
+              for j, b in nbrs] for nbrs in mol.adjacency]
 
-    paths: set[tuple[str, ...]] = set()
-    # (labels so far, last atom, atoms visited), extended one bond per round.
-    frontier = [((labels[i],), i, (i,)) for i in range(len(labels))]
-    for depth in range(_MAX_PATH_BONDS + 1):
-        grown = []
-        for path, end, visited in frontier:
-            paths.add(min(path, path[::-1]))
-            if depth == _MAX_PATH_BONDS:
-                continue
-            for nxt, bond_label in steps[end]:
-                if nxt not in visited:
-                    grown.append((path + (bond_label, labels[nxt]), nxt, visited + (nxt,)))
-        frontier = grown
-
+    get = memo.get  # a bit is never 0, so ``or`` falls through only on a miss
     bits = 0
-    for path in paths:
-        bits |= 1 << (_path_hash(path) % width)
+    for label in labels:
+        path = (label,)
+        bits |= get(path) or _path_bit(memo, path, width)
+    for j, around in enumerate(steps):
+        center = (labels[j],)
+        for p in range(len(around)):
+            tail = around[p][1] + center
+            for q in range(p + 1, len(around)):
+                path = tail + around[q][2]
+                bits |= get(path) or _path_bit(memo, path, width)
+    for b in mol.bonds:
+        j, k = b.a, b.b
+        middle = (labels[j], _BOND_LABEL[b.order], labels[k])
+        bits |= get(middle) or _path_bit(memo, middle, width)
+        for i, tail, _ in steps[j]:
+            if i == k:
+                continue
+            left = tail + middle
+            for l, _, head in steps[k]:
+                if l != j and l != i:
+                    path = left + head
+                    bits |= get(path) or _path_bit(memo, path, width)
     return Fingerprint(bits, width)
 
 

@@ -91,26 +91,45 @@ def resolve(args, flag_map: dict) -> dict:
     return cfg
 
 
-def _read_lines(path):
+def _numbered_lines(path):
+    """(line number, stripped line) for every non-blank line of ``path``."""
     fh = sys.stdin if path == "-" else open(path)
     try:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                yield line
+                yield number, line
     finally:
         if fh is not sys.stdin:
             fh.close()
 
 
+def _read_lines(path):
+    return (line for _, line in _numbered_lines(path))
+
+
 def _load_samples(path) -> list[str]:
-    """SMILES list from a plain file or decode/search JSON-lines output."""
+    """SMILES list from a plain file, or from the JSON lines that ``sample``
+    prints and ``search --rollouts`` writes, one record with a string
+    "smiles" field per line.
+
+    ``search`` stdout ends with a summary record that has no "smiles"; it is
+    rejected like any other such line, with the file and line number.
+    """
     out = []
-    for line in _read_lines(path):
-        if line.startswith("{"):
-            out.append(json.loads(line)["smiles"])
-        else:
+    for number, line in _numbered_lines(path):
+        if not line.startswith("{"):
             out.append(line)
+            continue
+        where = f"{path}:{number}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{where}: not a JSON line ({err.msg})") from None
+        smiles = record.get("smiles")  # a line opening with "{" is an object
+        if not isinstance(smiles, str):
+            raise ValueError(f'{where}: JSON line has no string "smiles" field')
+        out.append(smiles)
     return out
 
 

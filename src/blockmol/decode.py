@@ -205,12 +205,13 @@ class Decoder:
             finish_block=np.full(n, -1, dtype=np.int64),
         )
 
-    def state_from_rows(self, rows: np.ndarray, protect: int) -> DecodeState:
+    def state_from_rows(self, rows: np.ndarray) -> DecodeState:
+        """A state over copies of ``rows``; only BOS is protected."""
         done = (rows == Vocab.EOS_ID).any(axis=1)
         return DecodeState(
             ids=rows.copy(),
             done=done,
-            protect=protect,
+            protect=1,
             finish_block=np.where(done, 0, -1).astype(np.int64),
         )
 

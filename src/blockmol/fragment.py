@@ -44,11 +44,6 @@ class FragmentConfig:
     def num_blocks(self) -> int:
         return self.length // self.block
 
-    def block_slice(self, b: int) -> slice:
-        if not 0 <= b < self.num_blocks:
-            raise ConfigError(f"block {b} out of range")
-        return slice(b * self.block, (b + 1) * self.block)
-
 
 @dataclass
 class BlockTensor:

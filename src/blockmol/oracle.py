@@ -131,9 +131,6 @@ class SurrogateOracle:
             ds=-(DS_SIMILARITY_WEIGHT * sim + DS_SIZE_WEIGHT * size),
         )
 
-    def score_smiles(self, smiles: str) -> OracleScores:
-        return self.score_mol(validate_smiles(smiles))
-
     def close(self):
         pass
 

@@ -217,7 +217,7 @@ class TreeSearch:
     def expand(self, node: SearchNode, iteration: int) -> SearchNode:
         cfg = self.cfg
         rows = np.tile(node.partial, (cfg.m, 1))
-        state = self._expander.state_from_rows(rows, protect=1)
+        state = self._expander.state_from_rows(rows)
         self._expander.decode_block(state, node.depth,
                                     row_offset=iteration * cfg.m)
         K = self._frag.block
@@ -261,10 +261,10 @@ class TreeSearch:
         cfg = self.cfg
         if node.terminal:
             recs = [self._roller.records(
-                self._roller.state_from_rows(node.partial[None, :], 1))[0]]
+                self._roller.state_from_rows(node.partial[None, :]))[0]]
         else:
             rows = np.tile(node.partial, (cfg.n_sim, 1))
-            state = self._roller.state_from_rows(rows, protect=1)
+            state = self._roller.state_from_rows(rows)
             self._roller.run_blocks(state, node.depth, self._last_block,
                                     row_offset=iteration * cfg.n_sim)
             recs = self._roller.records(state)

@@ -324,7 +324,7 @@ def test_criterion_08_gate_soundness(capsys, trained, vocab):
         assert out.results, "search returned no hits to audit"
         fresh = SurrogateOracle(load_profile("parp1"))
         for res in out.results:
-            s = fresh.score_smiles(res.smiles)
+            s = fresh.score_mol(validate_smiles(res.smiles))
             assert s.qed >= cfg.gate.tau_qed, res.smiles
             assert s.sa <= cfg.gate.tau_sa, res.smiles
             assert res.reward == pytest.approx(-s.ds, abs=1e-9)

@@ -1,10 +1,12 @@
-"""Ring perception against the bond-scan reference, and parser robustness.
+"""Ring perception and fingerprints against references, and parser robustness.
 
-The reference below is the original graph code: neighbors found by scanning
-the whole bond list, and a shortest-cycle Dijkstra from every bond, bridges
-included.  ``blockmol.chem`` now builds adjacency lists once and searches for
-cycles only through the ring bonds; both must give the same rings in the same
-order on every input.
+The ring reference below is the original graph code: neighbors found by
+scanning the whole bond list, and a shortest-cycle Dijkstra from every bond,
+bridges included.  ``blockmol.chem`` now builds adjacency lists once, walks a
+simple ring system's one cycle, and searches a fused or bridged system once
+per shape; both must give the same rings in the same order on every input.
+The fingerprint reference grows every directed walk and keeps the smaller
+direction of each; ``blockmol.chem`` enumerates each undirected path once.
 """
 
 import heapq
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockmol import chem
-from blockmol.chem import ChemError, RingBondError, try_parse
+from blockmol.chem import ChemError, RingBondError, fnv1a64, try_parse
 
 # --- reference: bond-scan graph code --------------------------------------
 
@@ -112,6 +114,33 @@ def ref_perceive_rings(mol):
     return rings
 
 
+# --- reference: fingerprint over directed walks ----------------------------
+
+
+def ref_fingerprint(mol, width):
+    """Bits of every simple path of 0..3 bonds, grown one bond at a time from
+    each atom and canonicalized to its lexicographically smaller direction."""
+    labels = [chem._atom_label(a) for a in mol.atoms]
+    steps = [[(j, chem._BOND_LABEL[b.order]) for j, b in nbrs] for nbrs in mol.adjacency]
+    paths = set()
+    # (labels so far, last atom, atoms visited), extended one bond per round.
+    frontier = [((labels[i],), i, (i,)) for i in range(len(labels))]
+    for depth in range(chem._MAX_PATH_BONDS + 1):
+        grown = []
+        for path, end, visited in frontier:
+            paths.add(min(path, path[::-1]))
+            if depth == chem._MAX_PATH_BONDS:
+                continue
+            for nxt, bond_label in steps[end]:
+                if nxt not in visited:
+                    grown.append((path + (bond_label, labels[nxt]), nxt, visited + (nxt,)))
+        frontier = grown
+    bits = 0
+    for path in paths:
+        bits |= 1 << (fnv1a64("|".join(path).encode()) % width)
+    return bits
+
+
 # --- SMILES-like strings -------------------------------------------------
 
 # Atoms are listed more than once so that drawn strings are mostly atoms.
@@ -178,6 +207,7 @@ def outcome(text):
 @example("C12C3C4C1C5C2C3C45")  # cubane: more short cycles than the rank
 @example("c1ccc2[nH]ccc2c1CCc1ccc2c(c1)OCO2")  # fused systems joined by a bridge
 @example("C1CC1.C1CC1C1CCCC1")  # several components, a bridge between rings
+@example("C12(CC1)CC2")  # spiro: two cycles through one atom, one ring system
 def test_rings_match_bond_scan_reference(text):
     mol, err = try_parse(text)
     if err is None:
@@ -189,6 +219,60 @@ def test_rings_match_bond_scan_reference(text):
     assert outcome(text) == expected
 
 
+@settings(max_examples=1000, deadline=None)
+@given(smiles_like())
+@example("C1CC2CCC1C2")
+@example("C12C3C4C1C5C2C3C45")
+@example("c1ccc2[nH]ccc2c1CCc1ccc2c(c1)OCO2")
+@example("C1CC1.C1CC1C1CCCC1")
+@example("C12(CC1)CC2")
+@example("[NH3+]CC(=O)[O-]")  # charged labels
+@example("C1CN1")  # a 3-bond walk around a triangle returns to its start
+def test_fingerprint_matches_directed_walk_reference(text):
+    mol, err = try_parse(text)
+    if err is None:
+        for width in (256, 2048):
+            assert chem.fingerprint(mol, width).bits == ref_fingerprint(mol, width)
+
+
+# Each scaffold also written so that its fusion bond is the first atom's ring
+# closure; there aromaticity, not atom order, decides which ring that bond
+# finds first, and so the orientation of a ring (tetralin against decalin).
+SCAFFOLDS = (
+    "c1ccc2ccccc2c1", "c12ccccc1cccc2",  # naphthalene
+    "c1ccc2[nH]ccc2c1", "c12ccccc1[nH]cc2",  # indole
+    "c1ccc2CCCCc2c1", "c12CCCCc1cccc2",  # tetralin
+    "C1CCC2CCCCC2C1", "C12CCCCC1CCCC2",  # decalin
+    "C1CC2CCC1C2", "C12CCC(C1)CC2",  # norbornane
+    "c12CCCCc1[nH]cc2", "C12CCCCC1NCC2",  # the indole shape, other flags
+)
+DECORATIONS = ("{}", "CC(=O)N{}", "OC{}C(F)(F)F", "c1ccncc1C{}")
+
+
+def test_ring_system_memo_is_exact_across_atom_indices():
+    """A fused or bridged system perceives the same whether its shape is new
+    to the memo or was seen first at other atom indices, or with other
+    aromatic flags on the same bonds."""
+    texts = [deco.format(scaffold) for scaffold in SCAFFOLDS for deco in DECORATIONS]
+
+    def rings(text):
+        mol, err = try_parse(text)
+        assert err is None, (text, err)
+        assert mol.rings == ref_perceive_rings(mol), text
+        return mol.rings
+
+    for text in texts:
+        chem._system_cycles.cache_clear()
+        cold = rings(text)
+        chem._system_cycles.cache_clear()
+        for other in texts:
+            if other != text:
+                rings(other)
+        hits = chem._system_cycles.cache_info().hits
+        assert rings(text) == cold, text
+        assert chem._system_cycles.cache_info().hits > hits, text
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(st.text(), smiles_soup, smiles_like()))
 @example("C²")  # str.isdigit accepts superscript two; int() does not
@@ -198,6 +282,21 @@ def test_try_parse_raises_only_chem_errors(text):
     mol, err = try_parse(text)
     assert (mol is None) != (err is None)
     assert err is None or isinstance(err, ChemError)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(smiles_like(), smiles_soup))
+@example("CC(CC1)1")  # a ring closing on an atom before the one that opened it
+@example("CC(CCC1)1C")
+@example("CC(C1)1")  # the same, onto an atom already bonded to the opener
+def test_parsed_graph_is_simple_and_ring_flags_follow_the_rings(text):
+    mol, err = try_parse(text)
+    if err is not None:
+        return
+    pairs = [frozenset((b.a, b.b)) for b in mol.bonds]
+    assert all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs)
+    ring_pairs = {frozenset((c[k], c[k - 1])) for c in mol.rings for k in range(len(c))}
+    assert [b.in_ring for b in mol.bonds] == [p in ring_pairs for p in pairs]
 
 
 def test_duplicate_bond_keeps_error_type_and_position():

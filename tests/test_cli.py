@@ -273,6 +273,28 @@ def test_eval_accepts_jsonl_input(checkpoint, tmp_path, capsys):
     assert set(json.loads(out)) >= {"validity", "uniqueness", "diversity"}
 
 
+def test_eval_names_the_line_without_smiles(checkpoint, tmp_path, capsys, caplog):
+    # search stdout ends with a summary record that has no "smiles".
+    code, out, _ = run_cli(["search", "--target", "parp1", "--checkpoint",
+                            checkpoint, "--budget", "5", "--m", "8", "--length",
+                            "32"], capsys)
+    assert code == 0
+    summary = out.splitlines()[-1]
+    assert "smiles" not in json.loads(summary)
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"smiles": "CCO"}\n\n{"smiles": "CCN"}\n')  # a blank line counts
+    assert run_cli(["eval", "--in", str(records), "--target", "parp1"], capsys)[0] == 0
+
+    for tail, problem in ((summary, 'JSON line has no string "smiles" field'),
+                          ('{"smiles": 3}', 'JSON line has no string "smiles" field'),
+                          ('{"smiles": "CC', "not a JSON line")):
+        path = tmp_path / "with_tail.jsonl"
+        path.write_text(records.read_text() + tail + "\n")
+        code, out, _ = run_cli(["eval", "--in", str(path), "--target", "parp1"], capsys)
+        assert code == 2 and out == ""
+        assert f"{path}:4: {problem}" in caplog.text
+
+
 def test_config_file_and_flag_precedence(checkpoint, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sample.temperature": 0.5, "seed": 9}))

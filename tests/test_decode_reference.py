@@ -154,8 +154,8 @@ def test_decode_block_matches_per_row_reference(problem):
             rows = got.ids
             if problem["resume"] == "tile":
                 rows = np.tile(rows[0], (rows.shape[0], 1))
-            got = dec.state_from_rows(rows, protect=1)
-            want = dec.state_from_rows(rows, protect=1)
+            got = dec.state_from_rows(rows)
+            want = dec.state_from_rows(rows)
 
 
 @settings(max_examples=300, deadline=None)

@@ -120,7 +120,8 @@ def test_uniform_predictor_single_mask_nelbo():
 def _block_ce(params, bt, noised, b):
     """Cross-entropy of the true tokens at masked positions of block b, with
     the clean prefix x^{<b} as context, from ``predict`` alone."""
-    sl = bt.config.block_slice(b)
+    K = bt.config.block
+    sl = slice(b * K, (b + 1) * K)
     masked = noised[sl] == Vocab.MASK_ID
     if not masked.any():
         return 0.0, 0

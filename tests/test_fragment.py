@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmol.chem import Vocab, tokenize
+from blockmol.diffusion import build_train_mask
 from blockmol.fragment import (
     BlockTensor,
     ConfigError,
@@ -35,15 +36,13 @@ def test_layout_bos_body_eos_pad():
 def test_block_partition_arithmetic():
     cfg = FragmentConfig(48, 8)
     assert cfg.num_blocks == 6
-    assert cfg.block_slice(0) == slice(0, 8)
-    assert cfg.block_slice(5) == slice(40, 48)
-    # Every position lies in exactly one block: block position // K.
+    # Every position lies in exactly one block, position // K: a noised
+    # position attends exactly the noised positions of its own block.
+    same_block = build_train_mask(cfg)[: cfg.length, : cfg.length]
     for position in range(cfg.length):
-        owners = [b for b in range(cfg.num_blocks)
-                  if position in range(cfg.length)[cfg.block_slice(b)]]
-        assert owners == [position // cfg.block]
-    with pytest.raises(ConfigError):
-        cfg.block_slice(6)
+        b = position // cfg.block
+        assert np.flatnonzero(same_block[position]).tolist() == list(
+            range(b * cfg.block, (b + 1) * cfg.block))
 
 
 def test_indivisible_length_rejected():

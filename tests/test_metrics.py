@@ -76,7 +76,7 @@ def test_hit_gate_and_top_fraction(oracle):
     # the profile's own seed molecule scores ds=-18, far below threshold
     samples = [profile.seed_smiles, "CCCCCCCC", "CC(=O)Nc1ccc(O)cc1"]
     ratio, top, hits = hit_metrics(samples, profile)
-    seed_scores = oracle.score_smiles(profile.seed_smiles)
+    seed_scores = oracle.score_mol(validate_smiles(profile.seed_smiles))
     expect_hit = (seed_scores.ds < profile.threshold_ds
                   and seed_scores.qed > 0.5 and seed_scores.sa < 5.0)
     assert (len(hits) >= 1) == expect_hit

@@ -99,11 +99,11 @@ def test_load_profile_missing():
         load_profile("nosuchtarget")
 
 
-def test_surrogate_oracle_smiles_equals_mol():
+def test_surrogate_oracle_scores_equal_with_given_descriptors():
     oracle = SurrogateOracle(load_profile("jak2"))
-    smiles = "CC(=O)Nc1ccc(O)cc1"
-    a = oracle.score_smiles(smiles)
-    b = oracle.score_mol(validate_smiles(smiles))
+    mol = validate_smiles("CC(=O)Nc1ccc(O)cc1")
+    a = oracle.score_mol(mol)
+    b = oracle.score_mol(mol, descriptors(mol), fingerprint(mol, oracle.profile.fp_width))
     assert (a.qed, a.sa, a.ds) == (b.qed, b.sa, b.ds)
     assert -18.0 <= a.ds <= 0.0 and 0.0 < a.qed <= 1.0 and 1.0 <= a.sa <= 10.0
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from blockmol.chem import Vocab
+from blockmol.chem import Vocab, validate_smiles
 from blockmol.decode import DecodeConfig
 from blockmol.oracle import (
     ChildExited,
@@ -220,7 +220,7 @@ def test_run_gate_soundness_and_tree_invariants(search_setup):
     out = run_search(cfg, params, vocab, oracle)
     assert out.iterations == 200
     for res in out.results:
-        scores = oracle.score_smiles(res.smiles)
+        scores = oracle.score_mol(validate_smiles(res.smiles))
         assert scores.qed >= cfg.gate.tau_qed and scores.sa <= cfg.gate.tau_sa
         assert res.reward == pytest.approx(-scores.ds)
         assert res.reward > cfg.gate.r_pen
