@@ -93,9 +93,6 @@ class Token:
     pos: int = -1
 
 
-TokenSeq = list
-
-
 PAD, BOS, EOS, MASK = "[PAD]", "[BOS]", "[EOS]", "[MASK]"
 CONTROL_TOKENS = (PAD, BOS, EOS, MASK)
 
@@ -239,7 +236,7 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-def detokenize(tokens: TokenSeq) -> str:
+def detokenize(tokens: list[Token]) -> str:
     return "".join(t.text for t in tokens)
 
 
@@ -263,7 +260,6 @@ class Bond:
     b: int
     order: float  # 1, 1.5, 2, or 3
     stereo: str = ""
-    ring_closure: bool = False
     in_ring: bool = False
 
 
@@ -282,9 +278,6 @@ class ParsedMol:
         for b in self.bonds:
             self.adjacency[b.a].append((b.b, b))
             self.adjacency[b.b].append((b.a, b))
-
-    def neighbors(self, i: int) -> list[tuple[int, Bond]]:
-        return self.adjacency[i]
 
 
 _BOND_ORDER = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5, "/": 1.0, "\\": 1.0}
@@ -505,7 +498,7 @@ def _perceive_rings(mol: ParsedMol) -> list[list[int]]:
     return rings
 
 
-def parse_validate(tokens: TokenSeq) -> ParsedMol:
+def parse_validate(tokens: list[Token]) -> ParsedMol:
     """Build a ParsedMol or raise the first violated rule with its position.
 
     Grammar errors discovered at end of input (unclosed rings/branches,
@@ -569,7 +562,7 @@ def parse_validate(tokens: TokenSeq) -> ParsedMol:
                 bonded.add(edge)
                 if order is None:
                     order = 1.5 if atoms[open_idx].aromatic and atoms[prev].aromatic else 1.0
-                bonds.append(Bond(open_idx, prev, order, stereo, True))
+                bonds.append(Bond(open_idx, prev, order, stereo))
             else:
                 ring_open[digit] = (prev, pending[0] if pending else None,
                                     pending[1] if pending else "", tok.pos)
@@ -796,10 +789,6 @@ def fnv1a64(data: bytes, seed: int = _FP_SEED) -> int:
 class Fingerprint:
     bits: int
     width: int
-
-    @property
-    def set_count(self) -> int:
-        return self.bits.bit_count()
 
 
 def _atom_label(atom: Atom) -> str:

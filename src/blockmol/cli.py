@@ -216,11 +216,12 @@ def cmd_train(args) -> int:
         else list(_read_lines(args.infile))
     token_lists = _tokenized_corpus(lines, frag)
     vocab = Vocab.build(token_lists)
-    corpus = [pad_and_partition(t, frag, vocab) for t in token_lists]
+    corpus = np.array([pad_and_partition(t, frag, vocab) for t in token_lists],
+                      dtype=np.int64).reshape(len(token_lists), frag.length)
     params = diffusion.PredictorParams.init(
         len(vocab), cfg["train.dim"], cfg["train.window"], seed=cfg["seed"])
     params, history = diffusion.train(
-        params, corpus, epochs=cfg["train.epochs"], lr=cfg["train.lr"],
+        params, corpus, frag.block, epochs=cfg["train.epochs"], lr=cfg["train.lr"],
         seed=cfg["seed"])
     if not all(math.isfinite(x) for x in history):
         raise ValueError(f"training diverged (NELBO history {history}); "
@@ -320,7 +321,6 @@ def _require(ok: bool, *detail):
 def _selftests():
     from . import decode as dec
     from . import search as srch
-    from .curate import classify
     from .oracle import surrogate_qed
 
     def roundtrip():
@@ -343,10 +343,10 @@ def _selftests():
         vocab = Vocab.build([["C", "N", "O", "F"]])
         frag = FragmentConfig(4, 2)
         params = diffusion.PredictorParams.zeros(len(vocab), 4, 1)
-        bt = pad_and_partition(["C"], frag, vocab)
-        noised = bt.ids.copy()
+        ids = pad_and_partition(["C"], frag, vocab)
+        noised = ids.copy()
         noised[1] = Vocab.MASK_ID
-        report = diffusion.nelbo_loss(params, bt, np.array([0.5, 0.5]), noised)
+        report = diffusion.nelbo_loss(params, ids, np.array([0.5, 0.5]), noised)
         _require(abs(report.nelbo - 2 * math.log(len(vocab))) < 1e-12)
 
     def nelbo_gradient():
@@ -356,8 +356,8 @@ def _selftests():
         frag = FragmentConfig(8, 4)
         params = diffusion.PredictorParams.init(len(vocab), 3, 2, seed=1,
                                                 scale=0.5)
-        pair = [pad_and_partition(list(s), frag, vocab) for s in ("CNO", "FCCNO")]
-        noised = np.stack([bt.ids for bt in pair])
+        pair = np.stack([pad_and_partition(list(s), frag, vocab) for s in ("CNO", "FCCNO")])
+        noised = pair.copy()
         noised[0, [2, 3, 5]] = noised[1, [1, 4, 6, 7]] = Vocab.MASK_ID
         ts = np.array([[0.5, 0.25], [0.5, 0.75]])
         _, grads = diffusion.loss_gradient(params, pair, ts, noised)
@@ -372,8 +372,8 @@ def _selftests():
             losses = []
             for value in (orig + step, orig - step):
                 table[idx] = value
-                losses.append(sum(diffusion.nelbo_loss(params, bt, t, x).nelbo
-                                  for bt, t, x in zip(pair, ts, noised)))
+                losses.append(sum(diffusion.nelbo_loss(params, ids, t, x).nelbo
+                                  for ids, t, x in zip(pair, ts, noised)))
             table[idx] = orig
             numeric = (losses[0] - losses[1]) / (2 * step)
             analytic = getattr(grads, name)[idx]

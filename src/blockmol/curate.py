@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .chem import (ChemError, DescriptorSet, Fingerprint, ParsedMol,
+from .chem import (DescriptorSet, Fingerprint, ParsedMol,
                    descriptors, fingerprint, tanimoto, try_parse)
 from .oracle import surrogate_qed, surrogate_sa
 
@@ -89,7 +89,7 @@ def _phosphorus_ok(mol: ParsedMol) -> bool:
         if atom.element != "P":
             continue
         if not any(b.order == 2.0 and mol.atoms[j].element == "O"
-                   for j, b in mol.neighbors(i)):
+                   for j, b in mol.adjacency[i]):
             return False
     return True
 

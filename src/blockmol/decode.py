@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffusion
-from .chem import _FNV_PRIME, Vocab, fnv1a64, try_parse
-from .fragment import BlockTensor, FragmentConfig, TooLong, reassemble
+from .chem import _FNV_PRIME, UnknownToken, Vocab, fnv1a64, try_parse
+from .fragment import FragmentConfig, TooLong, reassemble
 
 log = logging.getLogger(__name__)
 
@@ -165,7 +165,6 @@ class DecodeState:
     ids: np.ndarray  # (N, L)
     done: np.ndarray  # (N,) bool
     protect: int  # positions below this are never masked, in every row
-    finish_block: np.ndarray  # (N,) block index at EOS, -1 while running
 
 
 @dataclass(frozen=True)
@@ -190,30 +189,27 @@ class Decoder:
     # -- state construction
 
     def fresh_state(self, n: int, prefix: list | None = None) -> DecodeState:
+        """n rows of BOS, the prefix, then PAD; raises UnknownToken on a
+        prefix token that is not a molecule's, such as a control token."""
         L = self.cfg.length
         prefix_ids = self.vocab.encode(prefix) if prefix else []
+        for offset, token_id in enumerate(prefix_ids):
+            if token_id <= Vocab.MASK_ID:  # the four control tokens come first
+                raise UnknownToken(f"prefix token {self.vocab.tokens[token_id]} at "
+                                   f"offset {offset} is a control token")
         if len(prefix_ids) > L - 2:
             raise TooLong(f"prefix of {len(prefix_ids)} tokens exceeds capacity {L - 2}")
         ids = np.full((n, L), Vocab.PAD_ID, dtype=np.int64)
         ids[:, 0] = Vocab.BOS_ID
         if prefix_ids:
             ids[:, 1 : 1 + len(prefix_ids)] = prefix_ids
-        return DecodeState(
-            ids=ids,
-            done=np.zeros(n, dtype=bool),
-            protect=1 + len(prefix_ids),
-            finish_block=np.full(n, -1, dtype=np.int64),
-        )
+        return DecodeState(ids=ids, done=np.zeros(n, dtype=bool),
+                           protect=1 + len(prefix_ids))
 
     def state_from_rows(self, rows: np.ndarray) -> DecodeState:
         """A state over copies of ``rows``; only BOS is protected."""
-        done = (rows == Vocab.EOS_ID).any(axis=1)
-        return DecodeState(
-            ids=rows.copy(),
-            done=done,
-            protect=1,
-            finish_block=np.where(done, 0, -1).astype(np.int64),
-        )
+        return DecodeState(ids=rows.copy(), done=(rows == Vocab.EOS_ID).any(axis=1),
+                           protect=1)
 
     # -- core block step
 
@@ -270,10 +266,10 @@ class Decoder:
             v[conf == 0.0] = Vocab.EOS_ID
             block[rows, j] = v
             for n in rows[v == Vocab.EOS_ID]:
-                self._finish(state, n, b)
+                self._finish(state, n)
 
     @staticmethod
-    def _finish(state: DecodeState, n: int, b: int):
+    def _finish(state: DecodeState, n: int):
         # Freeze the row: leftover masks become EOS, and everything from the
         # first EOS onward is EOS, so reassembly sees a single clean tail.
         row = state.ids[n]
@@ -281,7 +277,6 @@ class Decoder:
         first = int(np.argmax(row == Vocab.EOS_ID))
         row[first:] = Vocab.EOS_ID
         state.done[n] = True
-        state.finish_block[n] = b
 
     # -- whole-sequence decoding
 
@@ -308,11 +303,15 @@ class Decoder:
         return self.records(state)
 
     def records(self, state: DecodeState) -> list[GenRecord]:
+        """One record per row.  A finished row's block count runs to the
+        block of its first EOS, which is the block where it finished: the
+        prefix holds no control token and each block's EOS ends the row."""
         out = []
         frag = self.cfg.fragment
+        ends = np.argmax(state.ids == Vocab.EOS_ID, axis=1) // frag.block + 1
         for n in range(state.ids.shape[0]):
-            tokens = reassemble(BlockTensor(state.ids[n], frag), self.vocab)
-            blocks = int(state.finish_block[n]) + 1 if state.done[n] else frag.num_blocks
+            tokens = reassemble(state.ids[n], self.vocab)
+            blocks = int(ends[n]) if state.done[n] else frag.num_blocks
             out.append(GenRecord(
                 tokens=tuple(tokens),
                 smiles="".join(tokens),

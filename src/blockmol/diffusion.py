@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chem import Vocab
-from .fragment import BlockTensor, FragmentConfig
+from .fragment import ConfigError, FragmentConfig
 
 T_CLIP = 1e-4
 
@@ -54,24 +54,28 @@ def nelbo_weight(t) -> np.ndarray:
     return 1.0 / np.maximum(t, T_CLIP)
 
 
-def draw_block_times(num_blocks: int, rng: np.random.Generator,
-                     antithetic_of: np.ndarray | None = None) -> np.ndarray:
-    """Per-block diffusion times in [T_CLIP, 1].
-
-    When ``antithetic_of`` is given, returns the mirrored draw 1 - t of a
-    previous example's times instead of consuming fresh randomness.
-    """
-    if antithetic_of is not None:
-        return np.clip(1.0 - antithetic_of, T_CLIP, 1.0)
+def draw_block_times(num_blocks: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-block diffusion times in [T_CLIP, 1]."""
     return np.clip(rng.uniform(0.0, 1.0, num_blocks), T_CLIP, 1.0)
 
 
-def draw_noise(bt: BlockTensor, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Forward masking, one diffusion time per block: each position becomes
-    MASK independently with probability 1 - alpha(t_b) = t_b of its block b."""
+def _partition(ids, ts) -> FragmentConfig:
+    """The block partition of (..., L) ids under (..., B) block times."""
+    L, B = np.shape(ids)[-1], np.shape(ts)[-1]
+    if not B or L % B:
+        raise ConfigError(f"{B} block times do not divide length {L}")
+    return FragmentConfig(L, L // B)
+
+
+def draw_noise(ids: np.ndarray, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Forward masking of (..., L) ids under (..., B) block times: each
+    position becomes MASK independently with probability 1 - alpha(t_b) = t_b
+    of its block b.  Rows draw their uniforms in order, so one (n, L) call
+    consumes the stream as n (L,) calls do."""
     _check_times(ts)
-    noised = bt.ids.copy()
-    noised[rng.random(bt.config.length) < np.repeat(ts, bt.config.block)] = Vocab.MASK_ID
+    block = _partition(ids, ts).block
+    noised = ids.copy()
+    noised[rng.random(ids.shape) < np.repeat(ts, block, axis=-1)] = Vocab.MASK_ID
     return noised
 
 
@@ -144,9 +148,12 @@ class PredictorParams:
             np.zeros(vocab_size),
         )
 
+    def tables(self) -> tuple:
+        """The four tables, in the order the constructor takes them."""
+        return self.embeddings, self.gains, self.out, self.bias
+
     def copy(self) -> "PredictorParams":
-        return PredictorParams(self.embeddings.copy(), self.gains.copy(),
-                               self.out.copy(), self.bias.copy())
+        return PredictorParams(*(table.copy() for table in self.tables()))
 
 
 def offset_gains(params: PredictorParams, positions: np.ndarray,
@@ -246,15 +253,6 @@ def predict(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
 class LossReport:
     nelbo: float
     per_block: np.ndarray
-    masked_counts: np.ndarray
-
-
-@dataclass
-class PredictorGrads:
-    embeddings: np.ndarray
-    gains: np.ndarray
-    out: np.ndarray
-    bias: np.ndarray
 
 
 class _TrainLayout(NamedTuple):
@@ -287,22 +285,21 @@ def _train_layout(cfg: FragmentConfig, window: int) -> _TrainLayout:
     return layout
 
 
-def _forward(params: PredictorParams, bts: list[BlockTensor], ts: np.ndarray,
+def _forward(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
              noised: np.ndarray):
     """The forward pass of the blockwise NELBO, for every block of a stack of
     examples at once.
 
-    ``ts`` (n, B) and ``noised`` (n, L) hold one row per example of ``bts``,
-    which share one FragmentConfig.  Every noised row attends, under the
-    training mask, the visible tokens of its own block and the clean tokens
-    of the blocks before it.  Returns one LossReport per example and the
-    intermediates that the backward pass reuses.
+    ``ids`` (n, L), ``ts`` (n, B) and ``noised`` (n, L) hold one row per
+    example.  Every noised row attends, under the training mask, the visible
+    tokens of its own block and the clean tokens of the blocks before it.
+    Returns one LossReport per example and the intermediates that the
+    backward pass reuses.
     """
-    cfg = bts[0].config
-    n, L, B = len(bts), cfg.length, cfg.num_blocks
+    cfg = _partition(ids, ts)
+    (n, L), B = ids.shape, cfg.num_blocks
     layout = _train_layout(cfg, params.window)
     positions = layout.positions
-    ids = np.stack([bt.ids for bt in bts])
     concat = np.concatenate([noised, ids], axis=1)  # (n, 2L)
     # The offset gains under the training mask, laid out (d, L, 2L).
     table = np.vstack([params.gains, np.zeros(params.dim)]).T
@@ -320,38 +317,31 @@ def _forward(params: PredictorParams, bts: list[BlockTensor], ts: np.ndarray,
     picked = np.take_along_axis(probs, ids[:, :, None], axis=2)[:, :, 0]
     logp = np.log(np.where(masked, picked, 1.0)).reshape(n, B, cfg.block)
     per_block = -weights * logp.sum(axis=2)
-    counts = masked.reshape(n, B, cfg.block).sum(axis=2)
-    reports = [LossReport(float(pb.sum()), pb, c) for pb, c in zip(per_block, counts)]
-    return reports, (concat, ids, gain, h, probs, row_weight)
+    reports = [LossReport(float(pb.sum()), pb) for pb in per_block]
+    return reports, (layout, concat, gain, h, probs, row_weight)
 
 
-def nelbo_loss(params: PredictorParams, bt: BlockTensor, ts: np.ndarray,
+def nelbo_loss(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
                noised: np.ndarray) -> LossReport:
-    """Blockwise NELBO: sum_b weight(t_b) * CE(true tokens at masked slots of b),
-    with the clean prefix x^{<b} as each block's context."""
-    return _forward(params, [bt], ts[None], noised[None])[0][0]
+    """Blockwise NELBO of one example, (L,) ids under (B,) times:
+    sum_b weight(t_b) * CE(true tokens at masked slots of b), with the clean
+    prefix x^{<b} as each block's context."""
+    return _forward(params, ids[None], ts[None], noised[None])[0][0]
 
 
-def loss_gradient(params: PredictorParams, bt: BlockTensor | list[BlockTensor],
-                  ts: np.ndarray, noised: np.ndarray
-                  ) -> tuple[LossReport | list[LossReport], PredictorGrads]:
-    """nelbo_loss and its closed-form gradient with respect to every table.
+def loss_gradient(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
+                  noised: np.ndarray) -> tuple[list[LossReport], PredictorParams]:
+    """nelbo_loss of each of n examples and the closed-form gradient of their
+    sum with respect to every table, from one forward and one backward pass.
 
-    ``bt`` is one BlockTensor, with ``ts`` (B,) and ``noised`` (L,), or a
-    list of n of them sharing one config, with ``ts`` (n, B) and ``noised``
-    (n, L).  Returns the LossReport (a list of n for a list) and the gradient
-    of the summed NELBO, from one forward and one backward pass.
-
+    ``ids`` (n, L), ``ts`` (n, B) and ``noised`` (n, L) hold one row per
+    example.  The gradient comes as a PredictorParams of the same shapes.
     For masked position j with weight w and true token y:
       dL/dlogits_j = w * (softmax(logits_j) - onehot(y))
     and the chain rule pushes that through out, bias, gains, embeddings.
     """
-    single = isinstance(bt, BlockTensor)
-    bts = [bt] if single else list(bt)
-    if any(b.config != bts[0].config for b in bts):
-        raise ValueError("a stack of examples must share one FragmentConfig")
-    reports, (concat, ids, gain, h, probs, row_weight) = _forward(
-        params, bts, np.reshape(ts, (len(bts), -1)), np.reshape(noised, (len(bts), -1)))
+    reports, (layout, concat, gain, h, probs, row_weight) = _forward(
+        params, ids, ts, noised)
     n, L = ids.shape
     d, V = params.dim, params.vocab_size
     dlogits = (probs * row_weight[:, :, None]).reshape(n * L, V)
@@ -370,12 +360,10 @@ def loss_gradient(params: PredictorParams, bt: BlockTensor | list[BlockTensor],
     np.add.at(g_emb, concat.ravel(), d_emb.transpose(2, 1, 0).reshape(-1, d))
     g_emb[Vocab.MASK_ID] = 0.0  # MASK columns are invisible
     d_gain = np.matmul(dh, emb.transpose(2, 0, 1)).reshape(d, -1)  # (d, L * 2L)
-    layout = _train_layout(bts[0].config, params.window)
     g_gain = np.zeros_like(params.gains)
     g_gain[layout.present] = np.add.reduceat(d_gain[:, layout.grouped], layout.starts,
                                              axis=1).T
-    grads = PredictorGrads(g_emb, g_gain, g_out, g_bias)
-    return (reports[0] if single else reports), grads
+    return reports, PredictorParams(g_emb, g_gain, g_out, g_bias)
 
 
 # --- training -----------------------------------------------------------------
@@ -384,25 +372,24 @@ def loss_gradient(params: PredictorParams, bt: BlockTensor | list[BlockTensor],
 GRAD_CLIP = 8.0
 
 
-def _apply_update(params: PredictorParams, acc: list[np.ndarray], count: int,
+def _apply_update(params: PredictorParams, grads: PredictorParams, count: int,
                   lr: float, clip: float):
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in acc)) / count
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.tables())) / count
     scale = (lr / count) * min(1.0, clip / norm) if norm > 0 else 0.0
-    params.embeddings -= scale * acc[0]
-    params.gains -= scale * acc[1]
-    params.out -= scale * acc[2]
-    params.bias -= scale * acc[3]
+    for table, g in zip(params.tables(), grads.tables()):
+        table -= scale * g
 
 
-def train(params: PredictorParams, corpus: list[BlockTensor], epochs: int,
+def train(params: PredictorParams, corpus: np.ndarray, block: int, epochs: int,
           lr: float, seed: int, clip: float = GRAD_CLIP) -> tuple[PredictorParams, list[float]]:
     """SGD with constant step size over antithetic-pair NELBO gradients.
 
-    Examples are reshuffled each epoch; consecutive examples share mirrored
-    (antithetic) per-block diffusion times, and each update averages the
-    gradient over one such pair, from one batched ``loss_gradient`` call, so
-    the mirrored 1/t weights actually cancel.  An odd corpus ends each epoch
-    with a one-example update.
+    ``corpus`` holds one framed (L,) example per row, split into blocks of
+    ``block`` tokens.  Examples are reshuffled each epoch; consecutive
+    examples share mirrored (antithetic) per-block diffusion times, and each
+    update averages the gradient over one such pair, from one batched
+    ``loss_gradient`` call, so the mirrored 1/t weights actually cancel.  An
+    odd corpus ends each epoch with a one-example update.
     The averaged gradient is rescaled to global norm <= clip before applying:
     the loss weight can still reach 1e4 near the clip floor, and one such
     draw at full step size is enough to blow up every table.  Both devices
@@ -410,8 +397,9 @@ def train(params: PredictorParams, corpus: list[BlockTensor], epochs: int,
     (trained copy, per-epoch mean NELBO).  Training stops at the first
     non-finite NELBO, whose epoch's non-finite mean then ends the history.
     """
-    if not corpus:
+    if not len(corpus):
         raise EmptyCorpus("no training examples")
+    num_blocks = FragmentConfig(corpus.shape[1], block).num_blocks
     params = params.copy()
     rng = np.random.default_rng(seed)
     history: list[float] = []
@@ -419,19 +407,15 @@ def train(params: PredictorParams, corpus: list[BlockTensor], epochs: int,
         order = rng.permutation(len(corpus))
         total = 0.0
         for start in range(0, len(order), 2):
-            pair = [corpus[i] for i in order[start:start + 2]]
-            ts, noised = [], []
-            for bt in pair:  # the second member mirrors the first's times
-                ts.append(draw_block_times(bt.config.num_blocks, rng,
-                                           antithetic_of=ts[0] if ts else None))
-                noised.append(draw_noise(bt, ts[-1], rng))
-            reports, grads = loss_gradient(params, pair, np.stack(ts), np.stack(noised))
+            ids = corpus[order[start:start + 2]]
+            ts = draw_block_times(num_blocks, rng)  # the second member mirrors it
+            ts = np.stack([ts, np.clip(1.0 - ts, T_CLIP, 1.0)])[:len(ids)]
+            reports, grads = loss_gradient(params, ids, ts, draw_noise(ids, ts, rng))
             for report in reports:
                 total += report.nelbo
             if not math.isfinite(total):  # diverged: stop before the next step
                 return params, history + [total / len(corpus)]
-            _apply_update(params, [grads.embeddings, grads.gains, grads.out, grads.bias],
-                          len(pair), lr, clip)
+            _apply_update(params, grads, len(ids), lr, clip)
         history.append(total / len(corpus))
     return params, history
 

@@ -45,20 +45,8 @@ class FragmentConfig:
         return self.length // self.block
 
 
-@dataclass
-class BlockTensor:
-    """One padded sequence of token ids under its block partition."""
-
-    ids: np.ndarray
-    config: FragmentConfig
-
-    def __post_init__(self):
-        if self.ids.shape != (self.config.length,):
-            raise ConfigError("ids must have shape (length,)")
-
-
-def pad_and_partition(tokens, cfg: FragmentConfig, vocab: Vocab) -> BlockTensor:
-    """Frame a token sequence as BOS + body + EOS + PAD at length L."""
+def pad_and_partition(tokens, cfg: FragmentConfig, vocab: Vocab) -> np.ndarray:
+    """Frame a token sequence as the (L,) ids BOS + body + EOS + PAD."""
     body = [t.text if isinstance(t, Token) else t for t in tokens]
     if len(body) > cfg.length - 2:
         raise TooLong(f"{len(body)} tokens exceed capacity {cfg.length - 2}")
@@ -67,17 +55,18 @@ def pad_and_partition(tokens, cfg: FragmentConfig, vocab: Vocab) -> BlockTensor:
     for i, text in enumerate(body):
         ids[1 + i] = vocab.id(text)
     ids[1 + len(body)] = Vocab.EOS_ID
-    return BlockTensor(ids, cfg)
+    return ids
 
 
-def reassemble(bt: BlockTensor, vocab: Vocab) -> list[str]:
-    """Strip framing: BOS, everything at and after the first EOS, and PAD.
+def reassemble(ids: np.ndarray, vocab: Vocab) -> list[str]:
+    """Strip the framing of one (L,) row: BOS, everything at and after the
+    first EOS, and PAD.
 
     Raises IncompleteSequence while any masked position remains.
     """
-    if (bt.ids == Vocab.MASK_ID).any():
+    if (ids == Vocab.MASK_ID).any():
         raise IncompleteSequence("sequence still contains masked positions")
-    ids = bt.ids.tolist()
+    ids = ids.tolist()
     if Vocab.EOS_ID in ids:
         ids = ids[: ids.index(Vocab.EOS_ID)]
     out = []

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blockmol import diffusion
@@ -40,8 +41,9 @@ def vocab(toy500):
 
 @pytest.fixture(scope="session")
 def corpus(toy500, vocab):
+    """The framed toy corpus, one (TRAIN_L,) row per molecule."""
     cfg = FragmentConfig(TRAIN_L, TRAIN_K)
-    return [pad_and_partition(t, cfg, vocab) for t in toy500]
+    return np.stack([pad_and_partition(t, cfg, vocab) for t in toy500])
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +56,7 @@ def trained(vocab, corpus):
             params = diffusion.PredictorParams.init(
                 len(vocab), dim=TRAIN_DIM, window=TRAIN_WINDOW, seed=seed)
             cache[seed] = diffusion.train(
-                params, corpus, epochs=TRAIN_EPOCHS, lr=TRAIN_LR, seed=seed)
+                params, corpus, TRAIN_K, epochs=TRAIN_EPOCHS, lr=TRAIN_LR, seed=seed)
         return cache[seed]
 
     return build

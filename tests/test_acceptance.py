@@ -40,6 +40,7 @@ from blockmol.search import (
     run_search,
     uct_score,
 )
+from conftest import TRAIN_K
 from test_diffusion import nelbo_loop
 
 
@@ -142,23 +143,24 @@ def test_criterion_03_loss_and_gradient(capsys, corpus, vocab):
     with criterion(capsys, 3, "loss equivalence and gradient check", 30.0):
         params = diffusion.PredictorParams.init(len(vocab), dim=6, window=3,
                                                 seed=9, scale=0.05)
-        for i, bt in enumerate(corpus[:100]):
+        num_blocks = corpus.shape[1] // TRAIN_K
+        for i, ids in enumerate(corpus[:100]):
             rng = np.random.default_rng(1000 + i)
-            ts = diffusion.draw_block_times(bt.config.num_blocks, rng)
-            noised = diffusion.draw_noise(bt, ts, rng)
-            fast = diffusion.nelbo_loss(params, bt, ts, noised)
-            slow_nelbo, slow_per_block, _ = nelbo_loop(params, bt, ts, noised)
+            ts = diffusion.draw_block_times(num_blocks, rng)
+            noised = diffusion.draw_noise(ids, ts, rng)
+            fast = diffusion.nelbo_loss(params, ids, ts, noised)
+            slow_nelbo, slow_per_block = nelbo_loop(params, ids, ts, noised)
             assert abs(fast.nelbo - slow_nelbo) <= 1e-9, i
             assert np.abs(fast.per_block - slow_per_block).max() <= 1e-9, i
 
-        bt = corpus[0]
+        ids = corpus[0]
         rng = np.random.default_rng(77)
-        ts = diffusion.draw_block_times(bt.config.num_blocks, rng)
-        noised = diffusion.draw_noise(bt, ts, rng)
-        _, grads = diffusion.loss_gradient(params, bt, ts, noised)
+        ts = diffusion.draw_block_times(num_blocks, rng)
+        noised = diffusion.draw_noise(ids, ts, rng)
+        _, grads = diffusion.loss_gradient(params, ids[None], ts[None], noised[None])
         # 50 coordinates spread over every table; embedding rows restricted to
         # tokens that actually occur, since absent rows have zero gradient
-        present = np.unique(np.concatenate([noised, bt.ids]))
+        present = np.unique(np.concatenate([noised, ids]))
         coords = [("embeddings", (int(rng.choice(present)),
                                   int(rng.integers(params.dim))))
                   for _ in range(15)]
@@ -177,9 +179,9 @@ def test_criterion_03_loss_and_gradient(capsys, corpus, vocab):
             analytic = float(getattr(grads, field)[idx])
             orig = float(table[idx])
             table[idx] = orig + h
-            up = diffusion.nelbo_loss(params, bt, ts, noised).nelbo
+            up = diffusion.nelbo_loss(params, ids, ts, noised).nelbo
             table[idx] = orig - h
-            down = diffusion.nelbo_loss(params, bt, ts, noised).nelbo
+            down = diffusion.nelbo_loss(params, ids, ts, noised).nelbo
             table[idx] = orig
             numeric = (up - down) / (2 * h)
             denom = max(abs(analytic), abs(numeric), 1e-6)
@@ -340,7 +342,7 @@ def test_criterion_09_search_beats_sampling(capsys, vocab, corpus):
         # the regime where reward guidance should outrun blind sampling
         params = diffusion.PredictorParams.init(len(vocab), dim=24, window=12,
                                                 seed=42)
-        params, _ = diffusion.train(params, corpus, epochs=2, lr=0.1, seed=42)
+        params, _ = diffusion.train(params, corpus, TRAIN_K, epochs=2, lr=0.1, seed=42)
         oracle = SurrogateOracle(load_profile("parp1"))
         gate = GateConfig()
         relaxed = GateConfig(tau_qed=0.0, tau_sa=math.inf, r_pen=-1.0)

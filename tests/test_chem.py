@@ -164,5 +164,5 @@ def test_vocab_specials_and_roundtrip():
 def test_fingerprint_respects_width():
     mol = validate_smiles("CCO")
     fp = fingerprint(mol, 512)
-    assert fp.width == 512 and fp.set_count > 0
+    assert fp.width == 512 and fp.bits > 0
     assert fp.bits < (1 << 512)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from blockmol.cli import DEFAULTS, main
+from blockmol.data import toy_candidates
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -28,6 +29,28 @@ def checkpoint(tmp_path_factory):
                  "--window", "4", "--out", str(path)])
     assert code == 0
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def grid_checkpoint(tmp_path_factory):
+    """The benchmark's predictor, 2 epochs on every 62nd grid candidate.
+    Unlike ``checkpoint`` it decodes valid molecules, so a search logs rollouts."""
+    work = tmp_path_factory.mktemp("grid")
+    corpus = work / "corpus.smi"
+    corpus.write_text("\n".join(toy_candidates.__wrapped__(3)[::62]) + "\n")
+    path = work / "grid.ckpt"
+    assert main(["train", "--in", str(corpus), "--out", str(path),
+                 "--epochs", "2", "--seed", "0"]) == 0
+    return str(path)
+
+
+def test_train_with_no_example_fails(tmp_path, capsys, caplog):
+    infile = tmp_path / "in.smi"
+    infile.write_text("C" * 47 + "\n")  # over the L - 2 = 46 body tokens
+    out_path = tmp_path / "x.ckpt"
+    code, out, _ = run_cli(["train", "--in", str(infile), "--out", str(out_path)], capsys)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert "no training examples" in caplog.text
 
 
 def test_no_command_prints_help_and_fails(capsys):
@@ -344,16 +367,17 @@ def test_confidence_mode_warns_that_seed_changes_nothing(blockmol_cli, checkpoin
     assert len(rows) == 3 and {row["seed"] for row in rows} == {7}
 
 
-def test_search_rerun_is_byte_identical(blockmol_cli, checkpoint, tmp_path):
+def test_search_rerun_is_byte_identical(blockmol_cli, grid_checkpoint, tmp_path):
     manifest = tmp_path / "m.json"
-    rollouts = tmp_path / "r.jsonl"
-    argv = ["search", "--target", "parp1", "--checkpoint",
-            checkpoint, "--budget", "15", "--m", "8", "--length", "32",
-            "--steps", "64", "--seed", "3", "--manifest", str(manifest),
-            "--rollouts", str(rollouts)]
-    first = blockmol_cli(argv).stdout
-    second = blockmol_cli(argv, hashseed=1).stdout
+    rollouts = [tmp_path / "r0.jsonl", tmp_path / "r1.jsonl"]
+    argv = ["search", "--target", "parp1", "--checkpoint", grid_checkpoint,
+            "--budget", "15", "--n-sim", "8", "--nucleus", "0.95", "--temp", "1.0",
+            "--length", "48", "--steps", "130", "--seed", "3",
+            "--manifest", str(manifest)]
+    first = blockmol_cli(argv + ["--rollouts", str(rollouts[0])]).stdout
+    second = blockmol_cli(argv + ["--rollouts", str(rollouts[1])], hashseed=1).stdout
     assert first == second
+    assert rollouts[0].read_bytes() == rollouts[1].read_bytes()
     # stream ends with a one-line run summary
     tail = json.loads(first.decode().splitlines()[-1])
     assert {"best_smiles", "best_reward", "unique_count",
@@ -361,8 +385,21 @@ def test_search_rerun_is_byte_identical(blockmol_cli, checkpoint, tmp_path):
     recorded = json.loads(manifest.read_text())
     assert recorded["command"] == "search"
     assert recorded["iterations"] == 15 and recorded["aborted"] is False
-    for line in rollouts.read_text().splitlines():
+    lines = rollouts[0].read_text().splitlines()
+    assert lines
+    for line in lines:
         assert "smiles" in json.loads(line)
+
+
+@pytest.mark.parametrize("prefix,token,offset", [
+    ("[BOS]C", "[BOS]", 0), ("C[EOS]", "[EOS]", 1), ("CC[PAD]", "[PAD]", 2),
+    ("C[MASK]C", "[MASK]", 1)])
+def test_sample_prefix_rejects_control_tokens(checkpoint, capsys, caplog, prefix, token,
+                                              offset):
+    code, out, _ = run_cli(["sample", "--checkpoint", checkpoint, "--n", "2",
+                            "--length", "48", "--prefix", prefix], capsys)
+    assert code == 2 and out == ""
+    assert f"prefix token {token} at offset {offset} is a control token" in caplog.text
 
 
 def test_curate_has_no_config_flag(tmp_path, capsys):

@@ -11,6 +11,7 @@ are; one that moves a random stream updates them and says so.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from blockmol import data, diffusion
@@ -38,9 +39,9 @@ def predictor():
     tokens = [t for t in (tokenize(s) for s in data.toy_candidates(3)[::62])
               if len(t) <= LENGTH - 2]
     vocab = Vocab.build(tokens)
-    corpus = [pad_and_partition(t, frag, vocab) for t in tokens]
+    corpus = np.stack([pad_and_partition(t, frag, vocab) for t in tokens])
     params = diffusion.PredictorParams.init(len(vocab), dim=24, window=12, seed=0)
-    params, _ = diffusion.train(params, corpus, epochs=2, lr=0.1, seed=0)
+    params, _ = diffusion.train(params, corpus, BLOCK, epochs=2, lr=0.1, seed=0)
     return params, vocab, tokens
 
 

@@ -5,7 +5,8 @@ walks the rows that still hold a MASK one by one, draws that row's uniforms
 with the scalar ``key_uniform``, picks its position and token, and commits
 it.  ``Decoder.decode_block`` now commits every row in one batched step with
 uniforms computed in numpy; both must commit the same tokens and finish the
-same rows in the same blocks.
+same rows.  The reference records the block in which each row finished;
+``Decoder.records`` must derive the same block count from the first EOS.
 """
 
 import copy
@@ -37,16 +38,16 @@ def ref_draw_token(cfg, row, lane, b, step):
     return min(int(np.searchsorted(csum, u, side="right")), row.shape[0] - 1)
 
 
-def ref_finish(state, n, b):
+def ref_finish(state, n):
     row = state.ids[n]
     row[row == Vocab.MASK_ID] = Vocab.EOS_ID
     first = int(np.argmax(row == Vocab.EOS_ID))
     row[first:] = Vocab.EOS_ID
     state.done[n] = True
-    state.finish_block[n] = b
 
 
-def ref_decode_block(dec, state, b, row_offset=0):
+def ref_decode_block(dec, state, finish, b, row_offset=0):
+    """The per-row step; ``finish[n]`` becomes the block in which row n ends."""
     cfg = dec.cfg
     K = cfg.block
     hi = (b + 1) * K
@@ -78,7 +79,8 @@ def ref_decode_block(dec, state, b, row_offset=0):
                 v = ref_draw_token(cfg, probs[r, j], row_offset + n, b, step)
             state.ids[n, b * K + j] = v
             if v == Vocab.EOS_ID:
-                ref_finish(state, n, b)
+                ref_finish(state, n)
+                finish[n] = b
 
 
 # --- drawn decode problems ---------------------------------------------------
@@ -119,11 +121,12 @@ def decode_problems(draw):
         resume=draw(st.sampled_from([None, "rows", "tile"])))
 
 
-def assert_same_state(got, want):
+def assert_same_state(dec, got, want, finish):
     assert np.array_equal(got.ids, want.ids)
     assert np.array_equal(got.done, want.done)
-    assert np.array_equal(got.finish_block, want.finish_block)
     assert got.protect == want.protect
+    blocks = np.where(want.done, finish + 1, dec.cfg.fragment.num_blocks)
+    assert [rec.block_count for rec in dec.records(got)] == blocks.tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,22 +141,24 @@ def test_decode_block_matches_per_row_reference(problem):
     dec, row_offset = problem["dec"], problem["row_offset"]
     got = dec.fresh_state(problem["rows"], problem["prefix"])
     want = copy.deepcopy(got)
+    finish = np.full(problem["rows"], -1)
     b0 = got.protect // dec.cfg.block
     for b in range(b0, dec.cfg.fragment.num_blocks):
         try:
-            ref_decode_block(dec, want, b, row_offset)
+            ref_decode_block(dec, want, finish, b, row_offset)
         except BudgetExhausted as err:
             with pytest.raises(BudgetExhausted) as raised:
                 dec.decode_block(got, b, row_offset)
             assert (raised.value.needed, raised.value.block) == (err.needed, err.block)
-            assert_same_state(got, want)
+            assert_same_state(dec, got, want, finish)
             return
         dec.decode_block(got, b, row_offset)
-        assert_same_state(got, want)
+        assert_same_state(dec, got, want, finish)
         if b == b0 and problem["resume"]:
             rows = got.ids
             if problem["resume"] == "tile":
                 rows = np.tile(rows[0], (rows.shape[0], 1))
+                finish = np.full_like(finish, finish[0])
             got = dec.state_from_rows(rows)
             want = dec.state_from_rows(rows)
 

@@ -30,7 +30,8 @@ from blockmol.diffusion import (
     save_checkpoint,
     train,
 )
-from blockmol.fragment import BlockTensor, FragmentConfig, pad_and_partition
+from blockmol.fragment import ConfigError, FragmentConfig, pad_and_partition
+from conftest import TRAIN_K
 
 
 def test_schedule_values():
@@ -39,21 +40,21 @@ def test_schedule_values():
     assert nelbo_weight(T_CLIP / 10) == 1.0 / T_CLIP  # clip floor
     assert nelbo_weight(np.array([1.0, 0.5, T_CLIP / 10])).tolist() == [1.0, 2.0, 1.0 / T_CLIP]
     rng = np.random.default_rng(0)
-    bt = BlockTensor(np.zeros(4, dtype=np.int64), FragmentConfig(4, 2))
+    ids = np.zeros(4, dtype=np.int64)
     for bad in (0.0, -0.1, 1.5, math.nan):
         with pytest.raises(OutOfRange):
             nelbo_weight(bad)
         with pytest.raises(OutOfRange):
             nelbo_weight(np.array([0.5, bad]))
         with pytest.raises(OutOfRange):
-            draw_noise(bt, np.array([0.5, bad]), rng)
+            draw_noise(ids, np.array([0.5, bad]), rng)
 
 
 def test_forward_mask_fraction():
     # Each block is masked at its own time's rate.
     rng = np.random.default_rng(7)
-    bt = BlockTensor(np.full(100_000, 5, dtype=np.int64), FragmentConfig(100_000, 50_000))
-    noised = draw_noise(bt, np.array([0.3, 0.8]), rng)
+    ids = np.full(100_000, 5, dtype=np.int64)
+    noised = draw_noise(ids, np.array([0.3, 0.8]), rng)
     frac = (noised == Vocab.MASK_ID).reshape(2, -1).mean(axis=1)
     assert np.abs(frac - [0.3, 0.8]).max() < 0.01
     assert (noised[noised != Vocab.MASK_ID] == 5).all()
@@ -107,76 +108,74 @@ def test_uniform_predictor_single_mask_nelbo():
     vocab = Vocab.build([])
     assert len(vocab) == 4
     cfg = FragmentConfig(4, 2)
-    bt = pad_and_partition([], cfg, vocab)  # [BOS, EOS, PAD, PAD]
-    noised = bt.ids.copy()
+    ids = pad_and_partition([], cfg, vocab)  # [BOS, EOS, PAD, PAD]
+    noised = ids.copy()
     noised[1] = Vocab.MASK_ID
     params = PredictorParams.zeros(4, dim=3, window=2)
     ts = np.array([0.5, 0.5])
-    report = nelbo_loss(params, bt, ts, noised)
+    report = nelbo_loss(params, ids, ts, noised)
     assert report.nelbo == pytest.approx(2.0 * math.log(4.0), abs=1e-12)
-    assert report.masked_counts.tolist() == [1, 0]
+    assert report.per_block[1] == 0.0  # the second block holds no MASK
 
 
-def _block_ce(params, bt, noised, b):
-    """Cross-entropy of the true tokens at masked positions of block b, with
-    the clean prefix x^{<b} as context, from ``predict`` alone."""
-    K = bt.config.block
+def _block_ce(params, ids, noised, b, K):
+    """Cross-entropy of the true tokens at masked positions of block b (of K
+    tokens), with the clean prefix x^{<b} as context, from ``predict`` alone."""
     sl = slice(b * K, (b + 1) * K)
     masked = noised[sl] == Vocab.MASK_ID
     if not masked.any():
-        return 0.0, 0
-    window = np.concatenate([bt.ids[: sl.start], noised[sl]])
+        return 0.0
+    window = np.concatenate([ids[: sl.start], noised[sl]])
     probs = predict(params, window, np.arange(sl.stop), np.arange(sl.start, sl.stop))[0]
-    true_ids = bt.ids[sl][masked]
+    true_ids = ids[sl][masked]
     picked = probs[masked, :][np.arange(true_ids.shape[0]), true_ids]
-    return float(-np.log(picked).sum()), int(masked.sum())
+    return float(-np.log(picked).sum())
 
 
-def nelbo_loop(params, bt, ts, noised):
-    """Block-by-block reference for nelbo_loss: (nelbo, per_block, masked_counts)."""
+def nelbo_loop(params, ids, ts, noised):
+    """Block-by-block reference for nelbo_loss of one (L,) example under (B,)
+    times: (nelbo, per_block)."""
     weights = nelbo_weight(ts)
-    per_block = np.zeros(bt.config.num_blocks)
-    counts = np.zeros(bt.config.num_blocks, dtype=np.int64)
-    for b in range(bt.config.num_blocks):
-        ce, counts[b] = _block_ce(params, bt, noised, b)
-        per_block[b] = weights[b] * ce
-    return float(per_block.sum()), per_block, counts
+    per_block = np.zeros(len(ts))
+    for b in range(len(ts)):
+        per_block[b] = weights[b] * _block_ce(params, ids, noised, b, len(ids) // len(ts))
+    return float(per_block.sum()), per_block
 
 
 def test_nelbo_loop_equals_vectorized(corpus, vocab):
     rng = np.random.default_rng(11)
     params = PredictorParams.init(len(vocab), dim=8, window=4, seed=3)
     worst = 0.0
-    for bt in corpus[:10]:
-        ts = draw_block_times(bt.config.num_blocks, rng)
-        noised = draw_noise(bt, ts, rng)
-        report = nelbo_loss(params, bt, ts, noised)
-        nelbo, _, counts = nelbo_loop(params, bt, ts, noised)
-        assert (report.masked_counts == counts).all()
-        worst = max(worst, abs(report.nelbo - nelbo))
+    for ids in corpus[:10]:
+        ts = draw_block_times(len(ids) // TRAIN_K, rng)
+        noised = draw_noise(ids, ts, rng)
+        report = nelbo_loss(params, ids, ts, noised)
+        nelbo, per_block = nelbo_loop(params, ids, ts, noised)
+        worst = max(worst, abs(report.nelbo - nelbo),
+                    np.abs(report.per_block - per_block).max())
     assert worst <= 1e-9
 
 
 def test_loss_gradient_reports_nelbo_loss(corpus, vocab):
     rng = np.random.default_rng(12)
     params = PredictorParams.init(len(vocab), dim=8, window=4, seed=3)
-    for bt in corpus[:5]:
-        ts = draw_block_times(bt.config.num_blocks, rng)
-        noised = draw_noise(bt, ts, rng)
-        report, _ = loss_gradient(params, bt, ts, noised)
-        loss = nelbo_loss(params, bt, ts, noised)
-        assert report.nelbo == loss.nelbo
-        assert np.array_equal(report.per_block, loss.per_block)
-        assert np.array_equal(report.masked_counts, loss.masked_counts)
+    for ids in corpus[:5]:
+        ts = draw_block_times(len(ids) // TRAIN_K, rng)
+        noised = draw_noise(ids, ts, rng)
+        reports, _ = loss_gradient(params, ids[None], ts[None], noised[None])
+        loss = nelbo_loss(params, ids, ts, noised)
+        assert len(reports) == 1
+        assert reports[0].nelbo == loss.nelbo
+        assert np.array_equal(reports[0].per_block, loss.per_block)
 
 
-def ref_loss_gradient(params, bt, ts, noised):
+def ref_loss_gradient(params, ids, ts, noised):
     """One example's NELBO gradient as two np.add.at scatters over every
     (target row, window column) pair: the reference for loss_gradient."""
-    cfg = bt.config
+    cfg = FragmentConfig(len(ids), len(ids) // len(ts))
     L, W = cfg.length, params.window
     mask = build_train_mask(cfg).astype(np.float64)[:L, :]
-    concat = np.concatenate([noised, bt.ids])
+    concat = np.concatenate([noised, ids])
     vis = np.ones(2 * L)
     vis[:L] = (noised != Vocab.MASK_ID).astype(np.float64)
     positions = np.concatenate([np.arange(L), np.arange(L)])
@@ -193,7 +192,7 @@ def ref_loss_gradient(params, bt, ts, noised):
 
     dlogits = np.zeros_like(probs)
     dlogits[rows] = probs[rows] * w[:, None]
-    dlogits[rows, bt.ids[rows]] -= w
+    dlogits[rows, ids[rows]] -= w
     g_out = h.T @ dlogits
     g_bias = dlogits.sum(axis=0)
     dh = dlogits @ params.out.T  # (L, d)
@@ -206,9 +205,11 @@ def ref_loss_gradient(params, bt, ts, noised):
     return {"embeddings": g_emb, "gains": g_gain, "out": g_out, "bias": g_bias}
 
 
-def ref_train(params, corpus, epochs, lr, seed, clip=diffusion.GRAD_CLIP):
+def ref_train(params, corpus, block, epochs, lr, seed, clip=diffusion.GRAD_CLIP):
     """The training loop one example per step, each update summing the
-    reference gradients of an antithetic pair: the reference for train."""
+    reference gradients of an antithetic pair, whose second member mirrors
+    the first's times: the reference for train."""
+    num_blocks = corpus.shape[1] // block
     params = params.copy()
     rng = np.random.default_rng(seed)
     history = []
@@ -219,15 +220,15 @@ def ref_train(params, corpus, epochs, lr, seed, clip=diffusion.GRAD_CLIP):
         acc = None
         count = 0
         for step, idx in enumerate(order):
-            bt = corpus[idx]
+            ids = corpus[idx]
             if step % 2 == 0:
-                ts = draw_block_times(bt.config.num_blocks, rng)
+                ts = draw_block_times(num_blocks, rng)
                 prev_ts = ts
             else:
-                ts = draw_block_times(bt.config.num_blocks, rng, antithetic_of=prev_ts)
-            noised = draw_noise(bt, ts, rng)
-            total += nelbo_loss(params, bt, ts, noised).nelbo
-            grads = ref_loss_gradient(params, bt, ts, noised)
+                ts = np.clip(1.0 - prev_ts, T_CLIP, 1.0)
+            noised = draw_noise(ids, ts, rng)
+            total += nelbo_loss(params, ids, ts, noised).nelbo
+            grads = ref_loss_gradient(params, ids, ts, noised)
             grads = [grads[f] for f in ("embeddings", "gains", "out", "bias")]
             if acc is None:
                 acc = grads
@@ -236,7 +237,7 @@ def ref_train(params, corpus, epochs, lr, seed, clip=diffusion.GRAD_CLIP):
                     a += g
             count += 1
             if count == 2 or step == len(order) - 1:
-                diffusion._apply_update(params, acc, count, lr, clip)
+                diffusion._apply_update(params, PredictorParams(*acc), count, lr, clip)
                 acc = None
                 count = 0
         history.append(total / len(corpus))
@@ -252,7 +253,6 @@ def gradient_problems(draw):
         B = 2
     L = K * B
     V = draw(st.integers(5, 9))
-    cfg = FragmentConfig(L, K)
     params = PredictorParams.init(V, dim=draw(st.integers(1, 4)),
                                   window=draw(st.integers(0, L)),
                                   seed=draw(st.integers(0, 2**16)), scale=0.5)
@@ -268,7 +268,7 @@ def gradient_problems(draw):
                 hide = [kind == "all" or draw(st.booleans()) for _ in range(K)]
                 noised[b * K:(b + 1) * K][np.array(hide)] = Vocab.MASK_ID
         ts = np.array(draw(st.lists(st.floats(T_CLIP, 1.0), min_size=B, max_size=B)))
-        examples.append((BlockTensor(ids, cfg), ts, noised))
+        examples.append((ids, ts, noised))
     return params, examples
 
 
@@ -286,53 +286,49 @@ def test_batched_gradient_matches_per_example_reference(problem):
     refs = [ref_loss_gradient(params, *ex) for ex in examples]
     losses = [nelbo_loss(params, *ex) for ex in examples]
 
-    report, grads = loss_gradient(params, *examples[0])
+    reports, grads = loss_gradient(params, *(x[None] for x in examples[0]))
     _close_to(grads, refs[0])
-    reports = [report]
 
-    bts, ts, noised = zip(*examples)
-    pair_reports, grads = loss_gradient(params, list(bts), np.stack(ts), np.stack(noised))
+    pair_reports, grads = loss_gradient(params, *(np.stack(x) for x in zip(*examples)))
     _close_to(grads, {f: refs[0][f] + refs[1][f] for f in refs[0]})
-    assert len(pair_reports) == 2
+    assert len(reports) == 1 and len(pair_reports) == 2
     for got, want in zip(reports + pair_reports, losses[:1] + losses):
         assert got.nelbo == want.nelbo
         assert np.array_equal(got.per_block, want.per_block)
-        assert np.array_equal(got.masked_counts, want.masked_counts)
 
 
-def test_loss_gradient_rejects_mixed_layouts(corpus, vocab):
-    params = PredictorParams.init(len(vocab), dim=4, window=2, seed=0)
-    other = BlockTensor(corpus[1].ids[:16], FragmentConfig(16, 8))
-    ts = [np.full(6, 0.5), np.full(2, 0.5)]
-    with pytest.raises(ValueError, match="FragmentConfig"):
-        loss_gradient(params, [corpus[0], other], ts, [corpus[0].ids, other.ids])
+@pytest.mark.parametrize("blocks", [5, 7, 96])
+def test_block_times_that_do_not_divide_the_length_raise(blocks):
+    # 48 // 7 = 6 divides 48, so the block size alone would not catch B = 7.
+    params = PredictorParams.init(8, dim=4, window=2, seed=0)
+    ids = np.full((2, 48), 5, dtype=np.int64)
+    ts = np.full((2, blocks), 0.5)
+    with pytest.raises(ConfigError, match=f"{blocks} block times"):
+        draw_noise(ids, ts, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=f"{blocks} block times"):
+        loss_gradient(params, ids, ts, ids)
+    with pytest.raises(ConfigError, match=f"{blocks} block times"):
+        nelbo_loss(params, ids[0], ts[0], ids[0])
 
 
 def test_train_matches_one_example_per_step_reference(corpus, vocab):
     # An odd corpus: each epoch ends with a one-member update.
     params = PredictorParams.init(len(vocab), dim=8, window=4, seed=7)
-    got, history = train(params, corpus[:41], epochs=2, lr=0.1, seed=7)
-    want, ref_history = ref_train(params, corpus[:41], epochs=2, lr=0.1, seed=7)
+    got, history = train(params, corpus[:41], TRAIN_K, epochs=2, lr=0.1, seed=7)
+    want, ref_history = ref_train(params, corpus[:41], TRAIN_K, epochs=2, lr=0.1, seed=7)
     assert len(history) == len(ref_history) == 2
     assert np.allclose(history, ref_history, rtol=0, atol=1e-9)
     for field in ("embeddings", "gains", "out", "bias"):
         assert np.abs(getattr(got, field) - getattr(want, field)).max() <= 1e-9, field
 
 
-def test_antithetic_times_mirror():
-    rng = np.random.default_rng(0)
-    ts = draw_block_times(6, rng)
-    anti = draw_block_times(6, rng, antithetic_of=ts)
-    assert np.allclose(anti, np.clip(1.0 - ts, T_CLIP, 1.0))
-
-
 def test_gradient_matches_finite_differences(corpus, vocab):
-    bt = corpus[0]
+    ids = corpus[0]
     rng = np.random.default_rng(5)
     params = PredictorParams.init(len(vocab), dim=6, window=3, seed=9, scale=0.05)
-    ts = draw_block_times(bt.config.num_blocks, rng)
-    noised = draw_noise(bt, ts, rng)
-    _, grads = loss_gradient(params, bt, ts, noised)
+    ts = draw_block_times(len(ids) // TRAIN_K, rng)
+    noised = draw_noise(ids, ts, rng)
+    _, grads = loss_gradient(params, ids[None], ts[None], noised[None])
     h = 1e-5
     checks = [("embeddings", (4, 2)), ("embeddings", (7, 5)), ("gains", (3, 1)),
               ("gains", (0, 0)), ("out", (2, 8)), ("out", (5, 0)), ("bias", (6,))]
@@ -341,9 +337,9 @@ def test_gradient_matches_finite_differences(corpus, vocab):
         analytic = getattr(grads, field)[idx]
         orig = table[idx]
         table[idx] = orig + h
-        up = nelbo_loss(params, bt, ts, noised).nelbo
+        up = nelbo_loss(params, ids, ts, noised).nelbo
         table[idx] = orig - h
-        down = nelbo_loss(params, bt, ts, noised).nelbo
+        down = nelbo_loss(params, ids, ts, noised).nelbo
         table[idx] = orig
         numeric = (up - down) / (2 * h)
         denom = max(abs(analytic), 1e-8)
@@ -446,7 +442,7 @@ def test_nucleus_truncate_keeps_the_shortest_stable_prefix(probs, p):
 
 def test_train_zero_epochs_leaves_params(corpus, vocab):
     params = PredictorParams.init(len(vocab), dim=8, window=4, seed=1)
-    out, history = train(params, corpus[:8], epochs=0, lr=0.1, seed=1)
+    out, history = train(params, corpus[:8], TRAIN_K, epochs=0, lr=0.1, seed=1)
     assert history == []
     assert (out.embeddings == params.embeddings).all()
     assert (out.out == params.out).all()
@@ -455,13 +451,13 @@ def test_train_zero_epochs_leaves_params(corpus, vocab):
 def test_train_empty_corpus():
     params = PredictorParams.init(8, dim=4, window=2, seed=0)
     with pytest.raises(EmptyCorpus):
-        train(params, [], epochs=1, lr=0.1, seed=0)
+        train(params, np.zeros((0, 8), dtype=np.int64), 4, epochs=1, lr=0.1, seed=0)
 
 
 def test_train_loss_decreases_and_is_deterministic(corpus, vocab):
     params = PredictorParams.init(len(vocab), dim=12, window=6, seed=2)
-    a, hist_a = train(params, corpus[:80], epochs=3, lr=0.1, seed=2)
-    b, hist_b = train(params, corpus[:80], epochs=3, lr=0.1, seed=2)
+    a, hist_a = train(params, corpus[:80], TRAIN_K, epochs=3, lr=0.1, seed=2)
+    b, hist_b = train(params, corpus[:80], TRAIN_K, epochs=3, lr=0.1, seed=2)
     assert hist_a[-1] < hist_a[0]
     assert all(math.isfinite(v) for v in hist_a)
     assert hist_a == hist_b
@@ -481,7 +477,7 @@ def test_train_stops_at_the_first_non_finite_nelbo(corpus, vocab, monkeypatch):
     params = PredictorParams.init(len(vocab), dim=8, window=4, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # lr 1e300 overflows
-        _, history = train(params, corpus[:30], epochs=3, lr=1e300, seed=0)
+        _, history = train(params, corpus[:30], TRAIN_K, epochs=3, lr=1e300, seed=0)
     assert calls[-1] is False and all(calls[:-1])  # no call after the first NaN
     assert len(history) == 1 and not math.isfinite(history[0])
 
@@ -494,7 +490,7 @@ TRAIN_DIGEST = "7c8254df93c46368ae143785d44031e37c492db89c7c25db6ccf8eeb4c0f8c8a
 
 def test_train_is_pinned_to_a_golden_digest(corpus, vocab):
     params = PredictorParams.init(len(vocab), dim=8, window=4, seed=5)
-    out, history = train(params, corpus[:40], epochs=2, lr=0.1, seed=5)
+    out, history = train(params, corpus[:40], TRAIN_K, epochs=2, lr=0.1, seed=5)
     digest = hashlib.sha256()
     for table in (out.embeddings, out.gains, out.out, out.bias, np.asarray(history)):
         digest.update(table.tobytes())

@@ -1,5 +1,6 @@
-"""numpy is the only runtime requirement: the package imports nothing else
-outside the standard library."""
+"""Static guards over the package source: numpy is the only runtime
+requirement, so the package imports nothing else outside the standard
+library; and no invariant rests on an ``assert``, which ``python -O`` strips."""
 
 import ast
 import sys
@@ -35,3 +36,24 @@ def test_the_guard_sees_nested_and_dotted_imports():
     tree = ast.parse("import os.path\nfrom . import chem\n"
                      "def f():\n    import scipy.stats\n    from pandas import DataFrame\n")
     assert imported_roots(tree) - ALLOWED == {"scipy", "pandas"}
+
+
+def assert_lines(tree: ast.Module) -> list[int]:
+    """Line of every ``assert`` statement anywhere in the module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_package_has_no_assert_statements():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = assert_lines(ast.parse(path.read_text(), str(path)))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_the_guard_sees_nested_asserts():
+    tree = ast.parse("assert x\n"
+                     "class A:\n    def f(self):\n        if y:\n"
+                     "            assert y, 'nested'\n")
+    assert assert_lines(tree) == [1, 5]
