@@ -285,8 +285,7 @@ def cmd_search(args) -> int:
         c_max=cfg["search.C_max"], m=cfg["search.M"], n_sim=cfg["search.n_sim"],
         d_max=cfg["search.D_max"], decode=_decode_config(cfg),
         gate=GateConfig(cfg["gate.tau_qed"], cfg["gate.tau_sa"],
-                        cfg["gate.R_pen"]),
-        seed=cfg["seed"])
+                        cfg["gate.R_pen"]))
     outcome = run_search(search_cfg, params, vocab, SurrogateOracle(profile))
     for result in outcome.results:
         sys.stdout.write(result.to_json_line() + "\n")

@@ -63,6 +63,8 @@ def _curated(stride: int) -> tuple:
 
 def toy_corpus(n: int = 500) -> list[str]:
     """First ``n`` curation survivors of the candidate grid."""
+    if n < 1:
+        raise ValueError(f"toy corpus size must be >= 1, got {n}")
     smiles = _curated(3)
     if len(smiles) < n:
         raise ValueError(f"toy grid yields only {len(smiles)} curated molecules")

@@ -5,9 +5,11 @@ commits the most confident position-token pair of every row that still
 holds a MASK.  The decoder keeps no diffusion clock: the predictor is
 time-independent, and such a model's output depends only on the order in
 which tokens are unmasked, never on when (Zheng et al. 2024), so nothing
-would read the time that ``first_hitting_step`` advances.  Sample mode's
-token draws are keyed by (seed, sequence index, block, step), so
-trajectories do not depend on how sequences are batched.
+would read the time that ``first_hitting_step`` advances.  Sequences are
+(n, L) id arrays, and a row is finished once it holds an EOS.  Sample
+mode's token draws are keyed by (seed, lane, block, step), each row
+carrying its own lane key, so trajectories do not depend on how sequences
+are batched.
 """
 
 from __future__ import annotations
@@ -145,26 +147,23 @@ class DecodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.block < 1:
+            raise diffusion.OutOfRange(f"block must be >= 1, got {self.block}")
         if self.length % self.block:
             raise diffusion.OutOfRange(
                 f"length {self.length} not divisible by block {self.block}")
         if self.budget < 1:
             raise diffusion.OutOfRange("budget must be >= 1")
-        if self.temperature <= 0.0 or not 0.0 < self.nucleus_p <= 1.0:
-            raise diffusion.OutOfRange("need temperature > 0 and nucleus_p in (0, 1]")
+        if not self.temperature > 0.0:
+            raise diffusion.OutOfRange(f"temperature must be > 0, got {self.temperature}")
+        if not 0.0 < self.nucleus_p <= 1.0:
+            raise diffusion.OutOfRange(f"nucleus_p must lie in (0, 1], got {self.nucleus_p}")
         if self.mode not in ("confidence", "sample"):
             raise diffusion.OutOfRange(f"unknown mode {self.mode!r}")
 
     @property
     def fragment(self) -> FragmentConfig:
         return FragmentConfig(self.length, self.block)
-
-
-@dataclass
-class DecodeState:
-    ids: np.ndarray  # (N, L)
-    done: np.ndarray  # (N,) bool
-    protect: int  # positions below this are never masked, in every row
 
 
 @dataclass(frozen=True)
@@ -186,9 +185,9 @@ class Decoder:
         self.cfg = cfg
         self.vocab = vocab
 
-    # -- state construction
+    # -- framing
 
-    def fresh_state(self, n: int, prefix: list | None = None) -> DecodeState:
+    def frame(self, n: int, prefix: list | None = None) -> np.ndarray:
         """n rows of BOS, the prefix, then PAD; raises UnknownToken on a
         prefix token that is not a molecule's, such as a control token."""
         L = self.cfg.length
@@ -203,42 +202,36 @@ class Decoder:
         ids[:, 0] = Vocab.BOS_ID
         if prefix_ids:
             ids[:, 1 : 1 + len(prefix_ids)] = prefix_ids
-        return DecodeState(ids=ids, done=np.zeros(n, dtype=bool),
-                           protect=1 + len(prefix_ids))
-
-    def state_from_rows(self, rows: np.ndarray) -> DecodeState:
-        """A state over copies of ``rows``; only BOS is protected."""
-        return DecodeState(ids=rows.copy(), done=(rows == Vocab.EOS_ID).any(axis=1),
-                           protect=1)
+        return ids
 
     # -- core block step
 
-    def decode_block(self, state: DecodeState, b: int, row_offset: int = 0):
-        """Resolve every masked position of block b across the batch.
+    def decode_block(self, ids: np.ndarray, b: int, keys: np.ndarray, start: int = 1):
+        """Resolve every masked position of block b in the rows of ``ids``, in
+        place, never masking a position below ``start``.  ``keys`` holds each
+        row's ``lane_keys`` state, which keys its sample-mode draws.
 
-        Raises BudgetExhausted before touching the state when any live
-        sequence would need more predictor calls than the per-block budget.
-        ``row_offset`` shifts the rng key so different batches never share
-        lanes accidentally.
+        Raises BudgetExhausted before touching ``ids`` when any unfinished row
+        would need more predictor calls than the per-block budget.
         """
         cfg = self.cfg
         K = cfg.block
         hi = (b + 1) * K
-        start = max(1, b * K, state.protect)
+        start = max(start, b * K)
         steps = hi - start
-        if steps <= 0 or state.done.all():
+        live = ~(ids == Vocab.EOS_ID).any(axis=1)
+        if steps <= 0 or not live.any():
             return
         if steps > cfg.budget:
             raise BudgetExhausted(steps, cfg.budget, b)
-        block = state.ids[:, b * K : hi]  # a view: commits land in state.ids
-        state.ids[~state.done, start:hi] = Vocab.MASK_ID
+        block = ids[:, b * K : hi]  # a view: commits land in ids
+        ids[live, start:hi] = Vocab.MASK_ID
         # Built once per block: the offset gains of the block's positions over
         # the whole prefix and, in sample mode, every step's draw uniforms.
         if cfg.mode == "sample":
             pending = np.nonzero((block == Vocab.MASK_ID).any(axis=1))[0]
             u_draw = np.zeros((block.shape[0], steps))
-            u_draw[pending] = lane_uniforms(
-                step_keys(lane_keys(cfg.seed, row_offset + pending), b, steps), 0xD0)
+            u_draw[pending] = lane_uniforms(step_keys(keys[pending], b, steps), 0xD0)
         positions = np.arange(hi)
         active = np.arange(b * K, hi)
         gain = diffusion.offset_gains(self.params, positions, active)
@@ -248,7 +241,7 @@ class Decoder:
             if rows.shape[0] == 0:
                 break
             probs = diffusion.predict(
-                self.params, state.ids[rows, :hi], positions, active,
+                self.params, ids[rows, :hi], positions, active,
                 temperature=cfg.temperature, nucleus_p=cfg.nucleus_p, gain=gain)
             # Absorbing-state convention: the decoder never commits MASK itself,
             # otherwise a masked slot could survive its own reveal step.
@@ -265,59 +258,52 @@ class Decoder:
             # A row whose nucleus kept only MASK has nothing to commit: it ends.
             v[conf == 0.0] = Vocab.EOS_ID
             block[rows, j] = v
-            for n in rows[v == Vocab.EOS_ID]:
-                self._finish(state, n)
-
-    @staticmethod
-    def _finish(state: DecodeState, n: int):
-        # Freeze the row: leftover masks become EOS, and everything from the
-        # first EOS onward is EOS, so reassembly sees a single clean tail.
-        row = state.ids[n]
-        row[row == Vocab.MASK_ID] = Vocab.EOS_ID
-        first = int(np.argmax(row == Vocab.EOS_ID))
-        row[first:] = Vocab.EOS_ID
-        state.done[n] = True
+            ended = rows[v == Vocab.EOS_ID]
+            if ended.shape[0]:  # EOS from the first MASK or EOS on: one clean tail
+                tail = ids[ended]
+                over = np.logical_or.accumulate(
+                    (tail == Vocab.MASK_ID) | (tail == Vocab.EOS_ID), axis=1)
+                ids[ended] = np.where(over, Vocab.EOS_ID, tail)
 
     # -- whole-sequence decoding
 
-    def run_blocks(self, state: DecodeState, first_block: int, last_block: int,
-                   row_offset: int = 0):
+    def run_blocks(self, ids: np.ndarray, first_block: int, last_block: int,
+                   keys: np.ndarray, start: int = 1):
         for b in range(first_block, last_block):
-            if state.done.all():
+            if (ids == Vocab.EOS_ID).any(axis=1).all():
                 break
-            self.decode_block(state, b, row_offset=row_offset)
+            self.decode_block(ids, b, keys, start)
 
     def generate(self, n: int, prefix: list | None = None) -> list[GenRecord]:
         """Decode n sequences; returns [] when the block budget is exhausted.
 
         With a prefix, decoding starts at the first block containing a masked
-        position and the prefix tokens are never altered.
+        position and the prefix tokens are never altered.  Row i draws with
+        lane i of the configured seed.
         """
-        state = self.fresh_state(n, prefix)
-        b0 = state.protect // self.cfg.block
+        ids = self.frame(n, prefix)
+        start = 1 + len(prefix or ())
         try:
-            self.run_blocks(state, b0, self.cfg.fragment.num_blocks)
+            self.run_blocks(ids, start // self.cfg.block, self.cfg.fragment.num_blocks,
+                            lane_keys(self.cfg.seed, np.arange(n)), start)
         except BudgetExhausted as err:
             log.warning("decode aborted: %s", err)
             return []
-        return self.records(state)
+        return self.records(ids)
 
-    def records(self, state: DecodeState) -> list[GenRecord]:
-        """One record per row.  A finished row's block count runs to the
-        block of its first EOS, which is the block where it finished: the
-        prefix holds no control token and each block's EOS ends the row."""
+    def records(self, ids: np.ndarray) -> list[GenRecord]:
+        """One record per row; a row is completed when it holds an EOS, and its
+        block count then runs to the block of its first EOS, which is the block
+        where it finished: the prefix holds no control token."""
         out = []
         frag = self.cfg.fragment
-        ends = np.argmax(state.ids == Vocab.EOS_ID, axis=1) // frag.block + 1
-        for n in range(state.ids.shape[0]):
-            tokens = reassemble(state.ids[n], self.vocab)
-            blocks = int(ends[n]) if state.done[n] else frag.num_blocks
-            out.append(GenRecord(
-                tokens=tuple(tokens),
-                smiles="".join(tokens),
-                completed=bool(state.done[n]),
-                block_count=blocks,
-            ))
+        eos = ids == Vocab.EOS_ID
+        done = eos.any(axis=1)
+        ends = np.argmax(eos, axis=1) // frag.block + 1
+        for n in range(ids.shape[0]):
+            tokens = reassemble(ids[n], self.vocab)
+            out.append(GenRecord(tuple(tokens), "".join(tokens), bool(done[n]),
+                                 int(ends[n]) if done[n] else frag.num_blocks))
         return out
 
 

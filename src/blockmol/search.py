@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chem import Vocab, try_parse
-from .decode import DecodeConfig, Decoder, key_uniform
+from .decode import DecodeConfig, Decoder, key_uniform, lane_keys
 from .oracle import ChildExited, OracleError, OracleScores, Timeout
 
 log = logging.getLogger(__name__)
@@ -49,8 +49,11 @@ class GateConfig:
     def __post_init__(self):
         # Gated rewards are -ds >= 0, so any negative penalty sits strictly
         # below every achievable gated reward.
-        if self.r_pen >= 0.0:
+        if not self.r_pen < 0.0:
             raise ValueError(f"penalty reward must be negative: {self.r_pen}")
+        for name in ("tau_qed", "tau_sa"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
 
     def passes(self, scores: OracleScores) -> bool:
         return scores.qed >= self.tau_qed and scores.sa <= self.tau_sa
@@ -69,11 +72,15 @@ class SearchConfig:
     m: int = 64  # expansion batch size
     n_sim: int = 1  # rollouts per simulation
     d_max: int = 100  # depth cap in blocks
-    decode: DecodeConfig = DecodeConfig()
+    decode: DecodeConfig = DecodeConfig()  # its seed keys every search draw
     gate: GateConfig = GateConfig()
-    seed: int = 42
 
     def __post_init__(self):
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0: {self.n_max}")
+        for name in ("c", "beta"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0,1]: {self.lam}")
         if self.c_min > self.c_max:
@@ -169,24 +176,17 @@ class SearchOutcome:
 
 
 class TreeSearch:
-    """One search run: owns the tree, the decoders, and the rng keying."""
+    """One search run: owns the tree, the decoder, and the rng keying."""
 
     def __init__(self, cfg: SearchConfig, params, vocab: Vocab, oracle):
         self.cfg = cfg
-        self.vocab = vocab
         self.oracle = oracle
-        sample_cfg = replace(cfg.decode, mode="sample")
-        self._expander = Decoder(params, sample_cfg, vocab)
-        # Disjoint rng stream for rollouts so expansion lanes never alias.
-        self._roller = Decoder(
-            params, replace(sample_cfg, seed=sample_cfg.seed ^ 0x517C0DE), vocab)
+        self._decoder = Decoder(params, replace(cfg.decode, mode="sample"), vocab)
         self._frag = cfg.decode.fragment
         self._last_block = min(self._frag.num_blocks, cfg.d_max)
 
     def make_root(self) -> SearchNode:
-        row = np.full(self._frag.length, Vocab.PAD_ID, dtype=np.int64)
-        row[0] = Vocab.BOS_ID
-        return SearchNode(partial=row, depth=0, cap=self.cfg.c_init)
+        return SearchNode(partial=self._decoder.frame(1)[0], depth=0, cap=self.cfg.c_init)
 
     # -- phase 1
 
@@ -203,85 +203,74 @@ class TreeSearch:
             unvisited = [ch for ch in node.children if ch.n == 0]
             if unvisited:
                 node = unvisited[0]
-            else:
-                best, best_score = None, -math.inf
-                for ch in node.children:
-                    score = uct_score(ch, node.n, self.cfg.lam, self.cfg.c)
-                    if score > best_score:
-                        best, best_score = ch, score
-                node = best
+            else:  # the first child of highest score
+                parent_n = node.n
+                node = max(node.children, key=lambda ch: uct_score(
+                    ch, parent_n, self.cfg.lam, self.cfg.c))
             path.append(node)
 
     # -- phase 2
 
     def expand(self, node: SearchNode, iteration: int) -> SearchNode:
         cfg = self.cfg
-        rows = np.tile(node.partial, (cfg.m, 1))
-        state = self._expander.state_from_rows(rows)
-        self._expander.decode_block(state, node.depth,
-                                    row_offset=iteration * cfg.m)
+        ids = np.tile(node.partial, (cfg.m, 1))
+        lanes = iteration * cfg.m + np.arange(cfg.m)
+        self._decoder.decode_block(ids, node.depth, lane_keys(cfg.decode.seed, lanes))
         K = self._frag.block
         lo = node.depth * K
         taken = {ch.block_key for ch in node.children}
-        keys = [tuple(int(v) for v in state.ids[lane, lo:lo + K])
-                for lane in range(cfg.m)]
+        keys = [tuple(int(v) for v in ids[lane, lo:lo + K]) for lane in range(cfg.m)]
         survivors = [lane for lane in range(cfg.m) if keys[lane] not in taken]
         if not survivors:
             node.exhausted = True
             raise NoNovelCandidate(f"{cfg.m} candidates, all known siblings")
-        u = key_uniform(cfg.seed, iteration, 0xCA)
+        u = key_uniform(cfg.decode.seed, iteration, 0xCA)
         lane = survivors[min(int(u * len(survivors)), len(survivors) - 1)]
         depth = node.depth + 1
         child = SearchNode(
-            partial=state.ids[lane].copy(),
+            partial=ids[lane].copy(),
             depth=depth,
             cap=cfg.c_base,
             block_key=keys[lane],
-            terminal=bool(state.done[lane]) or depth >= self._last_block,
+            terminal=bool((ids[lane] == Vocab.EOS_ID).any()) or depth >= self._last_block,
         )
         node.children.append(child)
         return child
 
     # -- phase 3
 
-    def _score(self, smiles: str):
-        """(scores, valid) with channel loss escalated, per-item errors None."""
-        mol, err = try_parse(smiles)
-        if err is not None:
-            return None, False
+    def _score(self, smiles: str) -> OracleScores | None:
+        """None for an invalid molecule; NaN scores, which no gate passes, when
+        the oracle fails on a valid one; channel loss is escalated."""
+        mol = try_parse(smiles)[0]  # a bound error's traceback would cycle via this frame
+        if mol is None:
+            return None
         try:
-            return self.oracle.score_mol(mol), True
+            return self.oracle.score_mol(mol)
         except (ChildExited, Timeout) as failure:
             raise OracleUnavailable(str(failure)) from failure
         except OracleError:
-            return None, True
+            return OracleScores(math.nan, math.nan, math.nan)
 
     def simulate(self, node: SearchNode, iteration: int):
         """(best reward over rollouts, per-rollout SearchResults)."""
         cfg = self.cfg
         if node.terminal:
-            recs = [self._roller.records(
-                self._roller.state_from_rows(node.partial[None, :]))[0]]
+            ids = node.partial[None, :]
         else:
-            rows = np.tile(node.partial, (cfg.n_sim, 1))
-            state = self._roller.state_from_rows(rows)
-            self._roller.run_blocks(state, node.depth, self._last_block,
-                                    row_offset=iteration * cfg.n_sim)
-            recs = self._roller.records(state)
+            ids = np.tile(node.partial, (cfg.n_sim, 1))
+            # Rollouts draw from a stream disjoint from expansion's.
+            lanes = iteration * cfg.n_sim + np.arange(cfg.n_sim)
+            self._decoder.run_blocks(ids, node.depth, self._last_block,
+                                     lane_keys(cfg.decode.seed ^ 0x517C0DE, lanes))
         best, results = cfg.gate.r_pen, []
-        for rec in recs:
-            scores, valid = self._score(rec.smiles)
-            if scores is None:
-                reward = cfg.gate.r_pen
-                if valid:  # scored as failure, still a real molecule
-                    results.append(SearchResult(rec.smiles, reward, math.nan,
-                                                math.nan, math.nan,
-                                                node.depth, iteration))
-            else:
-                reward = -scores.ds if cfg.gate.passes(scores) else cfg.gate.r_pen
-                results.append(SearchResult(rec.smiles, reward, scores.ds,
-                                            scores.qed, scores.sa,
-                                            node.depth, iteration))
+        for rec in self._decoder.records(ids):
+            scores = self._score(rec.smiles)
+            if scores is None:  # an invalid molecule earns the penalty
+                continue
+            reward = -scores.ds if cfg.gate.passes(scores) else cfg.gate.r_pen
+            results.append(SearchResult(rec.smiles, reward, scores.ds, scores.qed,
+                                        scores.sa, node.depth, iteration))
             best = max(best, reward)
         node.cached_reward = best
         return best, results
@@ -301,13 +290,8 @@ class TreeSearch:
                 log.warning("search tree exhausted at iteration %d", iteration)
                 break
             try:
-                if leaf.terminal or leaf.fully_expanded:
-                    if leaf.cached_reward is None:
-                        reward, results = self.simulate(leaf, iteration)
-                        rollouts.extend(results)
-                    else:
-                        reward = leaf.cached_reward
-                    backpropagate(path, reward)
+                if leaf.terminal:  # scored once, when expansion created it
+                    backpropagate(path, leaf.cached_reward)
                     continue
                 try:
                     child = self.expand(leaf, iteration)

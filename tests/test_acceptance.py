@@ -294,7 +294,7 @@ def test_criterion_07_search_arithmetic(capsys, trained, vocab):
         oracle = SurrogateOracle(load_profile("parp1"))
         decode = DecodeConfig(block=8, length=32, budget=64, temperature=1.1,
                               nucleus_p=1.0, seed=42)
-        out = run_search(SearchConfig(n_max=200, m=8, decode=decode, seed=42),
+        out = run_search(SearchConfig(n_max=200, m=8, decode=decode),
                          params, vocab, oracle)
         assert out.iterations == 200
         seen = 0
@@ -319,8 +319,7 @@ def test_criterion_08_gate_soundness(capsys, trained, vocab):
         oracle = SurrogateOracle(load_profile("parp1"))
         decode = DecodeConfig(block=8, length=48, budget=130, temperature=1.0,
                               nucleus_p=0.95, seed=7)
-        cfg = SearchConfig(n_max=1000, m=8, c=3.0, n_sim=2, decode=decode,
-                           seed=7)
+        cfg = SearchConfig(n_max=1000, m=8, c=3.0, n_sim=2, decode=decode)
         out = run_search(cfg, params, vocab, oracle)
         assert out.iterations == 1000 and not out.aborted
         assert out.results, "search returned no hits to audit"
@@ -351,7 +350,7 @@ def test_criterion_09_search_beats_sampling(capsys, vocab, corpus):
             decode = DecodeConfig(block=8, length=48, budget=130,
                                   temperature=1.0, nucleus_p=0.95, seed=seed)
             kw = dict(n_max=1000, m=8, c=3.0, n_sim=8, c_init=100, beta=8.0,
-                      c_max=64, decode=decode, seed=seed)
+                      c_max=64, decode=decode)
             con = run_search(SearchConfig(**kw), params, vocab, oracle)
             unc = run_search(SearchConfig(**kw, gate=relaxed), params, vocab,
                              oracle)

@@ -402,6 +402,34 @@ def test_sample_prefix_rejects_control_tokens(checkpoint, capsys, caplog, prefix
     assert f"prefix token {token} at offset {offset} is a control token" in caplog.text
 
 
+@pytest.mark.parametrize("command,flags,field", [
+    ("sample", ["--k-sample", "0"], "block"),
+    ("search", ["--k-sample", "0"], "block"),
+    ("sample", ["--temp", "nan"], "temperature"),
+    ("search", ["--budget", "-1"], "n_max"),
+    ("search", ["--c", "nan"], "c"),
+    ("search", ["--beta", "nan"], "beta"),
+    ("search", ["--qed", "nan"], "tau_qed"),
+    ("search", ["--sa", "nan"], "tau_sa"),
+    ("train", ["--toy", "-1"], "toy corpus size"),
+])
+def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, caplog,
+                                                  command, flags, field):
+    # Before, these raised ZeroDivisionError or AttributeError, or ran anyway:
+    # "--temp nan" wrote empty molecules, "--budget -1" reported one iteration
+    # and "train --toy -1" trained on 600 molecules.
+    out = tmp_path / "t.ckpt"
+    argv = {"sample": ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"],
+            "search": ["search", "--target", "parp1", "--checkpoint", checkpoint,
+                       "--budget", "50", "--m", "8", "--length", "32"],
+            "train": ["train", "--out", str(out)]}[command]
+    code, stdout, _ = run_cli(argv + flags, capsys)  # a later flag wins
+    assert code == 2 and stdout == ""
+    assert not out.exists()
+    assert any(r.getMessage().startswith(f"{field} must") for r in caplog.records), \
+        caplog.text
+
+
 def test_curate_has_no_config_flag(tmp_path, capsys):
     # Curation has no config keys; a --config that was read by nothing let a
     # missing file and an unknown key both exit 0.

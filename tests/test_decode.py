@@ -117,6 +117,11 @@ def test_decode_config_validation():
         DecodeConfig(temperature=0.0)
     with pytest.raises(OutOfRange):
         DecodeConfig(mode="greedy")
+    for field, bad in (("block", dict(block=0)), ("block", dict(block=-8)),
+                       ("temperature", dict(temperature=math.nan)),
+                       ("nucleus_p", dict(nucleus_p=math.nan))):
+        with pytest.raises(OutOfRange, match=field):
+            DecodeConfig(**bad)
 
 
 @pytest.fixture(scope="module")
@@ -169,16 +174,16 @@ def test_prefix_preserved(trained42, vocab, toy500):
 def test_resolved_positions_never_remasked(trained42, vocab):
     cfg = DecodeConfig(block=8, length=48, budget=64, mode="sample", seed=9)
     dec = Decoder(trained42, cfg, vocab)
-    state = dec.fresh_state(3)
+    ids, keys = dec.frame(3), lane_keys(cfg.seed, np.arange(3))
     resolved = {}
     for b in range(cfg.fragment.num_blocks):
-        dec.decode_block(state, b)
-        assert (state.ids[:, : (b + 1) * 8] != Vocab.MASK_ID).all()
+        dec.decode_block(ids, b, keys)
+        assert (ids[:, : (b + 1) * 8] != Vocab.MASK_ID).all()
         for (n, j), v in resolved.items():
-            assert state.ids[n, j] == v
+            assert ids[n, j] == v
         for n in range(3):
             for j in range((b + 1) * 8):
-                resolved[(n, j)] = int(state.ids[n, j])
+                resolved[(n, j)] = int(ids[n, j])
 
 
 def test_sampling_block_size_decoupled_from_training(trained42, vocab):

@@ -80,7 +80,7 @@ def test_confidence_mode_digest(predictor):
 def test_search_rollouts_digest(predictor):
     params, vocab, _ = predictor
     cfg = SearchConfig(n_max=150, c=3.0, beta=8.0, c_init=100, c_max=64, m=8, n_sim=8,
-                       decode=decode_config(nucleus_p=0.95, seed=42), seed=42)
+                       decode=decode_config(nucleus_p=0.95, seed=42))
     outcome = run_search(cfg, params, vocab, SurrogateOracle(load_profile("parp1")))
     assert outcome.iterations == 150
     lines = [r.to_json_line() for r in outcome.rollouts]

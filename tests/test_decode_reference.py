@@ -2,14 +2,14 @@
 
 The reference below is the original decode step: after each predictor call it
 walks the rows that still hold a MASK one by one, draws that row's uniforms
-with the scalar ``key_uniform``, picks its position and token, and commits
-it.  ``Decoder.decode_block`` now commits every row in one batched step with
-uniforms computed in numpy; both must commit the same tokens and finish the
-same rows.  The reference records the block in which each row finished;
-``Decoder.records`` must derive the same block count from the first EOS.
+with the scalar ``key_uniform`` keyed by the row's own lane, picks its
+position and token, and commits it.  ``Decoder.decode_block`` now commits
+every row in one batched step with uniforms computed in numpy from each row's
+lane key; both must commit the same tokens and finish the same rows.  The
+reference records the block in which each row finished; ``Decoder.records``
+must call a row completed exactly when it holds an EOS and derive the same
+block count from the first EOS.
 """
-
-import copy
 
 import numpy as np
 import pytest
@@ -38,48 +38,48 @@ def ref_draw_token(cfg, row, lane, b, step):
     return min(int(np.searchsorted(csum, u, side="right")), row.shape[0] - 1)
 
 
-def ref_finish(state, n):
-    row = state.ids[n]
+def ref_finish(ids, n):
+    row = ids[n]
     row[row == Vocab.MASK_ID] = Vocab.EOS_ID
     first = int(np.argmax(row == Vocab.EOS_ID))
     row[first:] = Vocab.EOS_ID
-    state.done[n] = True
 
 
-def ref_decode_block(dec, state, finish, b, row_offset=0):
-    """The per-row step; ``finish[n]`` becomes the block in which row n ends."""
+def ref_decode_block(dec, ids, finish, b, lanes, start):
+    """The per-row step; ``finish[n]`` becomes the block in which row n ends,
+    and row n draws with lane ``lanes[n]``."""
     cfg = dec.cfg
     K = cfg.block
     hi = (b + 1) * K
-    start = max(1, b * K, state.protect)
-    live = np.nonzero(~state.done)[0]
-    if start >= hi or live.shape[0] == 0:
+    start = max(start, b * K)
+    live = [n for n in range(ids.shape[0]) if finish[n] < 0]
+    if start >= hi or not live:
         return
     if hi - start > cfg.budget:
         raise BudgetExhausted(hi - start, cfg.budget, b)
     for n in live:
-        state.ids[n, start:hi] = Vocab.MASK_ID
+        ids[n, start:hi] = Vocab.MASK_ID
 
     positions = np.arange(hi)
     active = np.arange(b * K, hi)
     for step in range(hi - start):
-        rows = np.nonzero((state.ids[:, b * K : hi] == Vocab.MASK_ID).any(axis=1))[0]
+        rows = np.nonzero((ids[:, b * K : hi] == Vocab.MASK_ID).any(axis=1))[0]
         if rows.shape[0] == 0:
             break
         probs = diffusion.predict(
-            dec.params, state.ids[rows, :hi], positions, active,
+            dec.params, ids[rows, :hi], positions, active,
             temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
         probs[:, :, Vocab.MASK_ID] = 0.0
         for r, n in enumerate(rows):
-            masked = state.ids[n, b * K : hi] == Vocab.MASK_ID
+            masked = ids[n, b * K : hi] == Vocab.MASK_ID
             j, v = ref_gcd_select(probs[r], masked)
             if probs[r, j].max() == 0.0:  # the nucleus kept only MASK
                 v = Vocab.EOS_ID
             elif cfg.mode == "sample":
-                v = ref_draw_token(cfg, probs[r, j], row_offset + n, b, step)
-            state.ids[n, b * K + j] = v
+                v = ref_draw_token(cfg, probs[r, j], lanes[n], b, step)
+            ids[n, b * K + j] = v
             if v == Vocab.EOS_ID:
-                ref_finish(state, n)
+                ref_finish(ids, n)
                 finish[n] = b
 
 
@@ -89,10 +89,10 @@ VOCAB = Vocab.build(tokenize(s) for s in (
     "CC(=O)Nc1ccc(O)cc1", "C1CCN(CC1)C(=O)O", "c1ccncc1Cl", "CCS(=O)(=O)N",
     "C=CC#N", "Brc1cc[nH]c1", "C[C@@H](F)[O-]"))
 BODY = VOCAB.tokens[4:]
-# Lanes are keyed by their decimal text, so offsets near 9 and 99 make the
+# Lanes are keyed by their decimal text, so lanes near 9 and 99 make the
 # batch cross a change in key length.
-OFFSETS = st.one_of(st.sampled_from([0, 3, 9, 62, 81, 95, 99]),
-                    st.integers(0, 10**6))
+LANES = st.one_of(st.sampled_from([0, 3, 8, 9, 10, 62, 81, 95, 98, 99, 100, 101]),
+                  st.integers(0, 10**6))
 
 
 @st.composite
@@ -110,57 +110,61 @@ def decode_problems(draw):
     params = PredictorParams.init(
         len(VOCAB), dim=draw(st.integers(2, 12)), window=draw(st.integers(1, 8)),
         seed=draw(st.integers(0, 2**16)), scale=draw(st.sampled_from([0.1, 1.0, 3.0])))
+    rows = draw(st.integers(1, 40))
     return dict(
         dec=Decoder(params, cfg, VOCAB),
-        rows=draw(st.integers(1, 40)),
         prefix=draw(st.lists(st.sampled_from(BODY), min_size=prefix_len,
                              max_size=prefix_len)),
-        row_offset=draw(OFFSETS),
+        # Any distinct lanes, in any order, as search's rows carry.
+        lanes=draw(st.lists(LANES, min_size=rows, max_size=rows, unique=True)),
         # After the first block, restart from the decoded rows as search does:
-        # None keeps the state, "rows" rebuilds it, "tile" repeats row 0.
+        # None keeps the rows, "rows" copies them, "tile" repeats row 0.
         resume=draw(st.sampled_from([None, "rows", "tile"])))
 
 
-def assert_same_state(dec, got, want, finish):
-    assert np.array_equal(got.ids, want.ids)
-    assert np.array_equal(got.done, want.done)
-    assert got.protect == want.protect
-    blocks = np.where(want.done, finish + 1, dec.cfg.fragment.num_blocks)
-    assert [rec.block_count for rec in dec.records(got)] == blocks.tolist()
+def assert_same_rows(dec, got, want, finish):
+    assert np.array_equal(got, want)
+    ended = (want == Vocab.EOS_ID).any(axis=1)
+    assert np.array_equal(ended, finish >= 0)  # a row ends exactly at its EOS
+    records = dec.records(got)
+    assert [rec.completed for rec in records] == ended.tolist()
+    blocks = np.where(ended, finish + 1, dec.cfg.fragment.num_blocks)
+    assert [rec.block_count for rec in records] == blocks.tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(decode_problems())
-@example(dict(  # sample mode, lanes 95..134, a prefix ending mid-block
+@example(dict(  # sample mode, lanes crossing 99/100, a prefix ending mid-block
     dec=Decoder(PredictorParams.init(len(VOCAB), 6, 3, seed=7, scale=3.0),
                 DecodeConfig(block=8, length=32, budget=8,
                              temperature=0.7, nucleus_p=0.9, mode="sample",
                              seed=-12), VOCAB),
-    rows=40, prefix=["C", "C", "(", "=", "O"], row_offset=95, resume="tile"))
+    prefix=["C", "C", "(", "=", "O"], lanes=[95 + 3 * i for i in range(40)][::-1],
+    resume="tile"))
 def test_decode_block_matches_per_row_reference(problem):
-    dec, row_offset = problem["dec"], problem["row_offset"]
-    got = dec.fresh_state(problem["rows"], problem["prefix"])
-    want = copy.deepcopy(got)
-    finish = np.full(problem["rows"], -1)
-    b0 = got.protect // dec.cfg.block
+    dec, lanes = problem["dec"], problem["lanes"]
+    keys = lane_keys(dec.cfg.seed, np.array(lanes))
+    got = dec.frame(len(lanes), problem["prefix"])
+    want = got.copy()
+    finish = np.full(len(lanes), -1)
+    start = 1 + len(problem["prefix"])
+    b0 = start // dec.cfg.block
     for b in range(b0, dec.cfg.fragment.num_blocks):
         try:
-            ref_decode_block(dec, want, finish, b, row_offset)
+            ref_decode_block(dec, want, finish, b, lanes, start)
         except BudgetExhausted as err:
             with pytest.raises(BudgetExhausted) as raised:
-                dec.decode_block(got, b, row_offset)
+                dec.decode_block(got, b, keys, start)
             assert (raised.value.needed, raised.value.block) == (err.needed, err.block)
-            assert_same_state(dec, got, want, finish)
+            assert_same_rows(dec, got, want, finish)
             return
-        dec.decode_block(got, b, row_offset)
-        assert_same_state(dec, got, want, finish)
+        dec.decode_block(got, b, keys, start)
+        assert_same_rows(dec, got, want, finish)
         if b == b0 and problem["resume"]:
-            rows = got.ids
             if problem["resume"] == "tile":
-                rows = np.tile(rows[0], (rows.shape[0], 1))
+                got = np.tile(got[0], (got.shape[0], 1))
                 finish = np.full_like(finish, finish[0])
-            got = dec.state_from_rows(rows)
-            want = dec.state_from_rows(rows)
+            got, want, start = got.copy(), got.copy(), 1
 
 
 @settings(max_examples=300, deadline=None)
