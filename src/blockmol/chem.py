@@ -651,8 +651,8 @@ def try_parse(text: str):
     """(mol, None) on success, (None, error) on any tokenizer/validator failure."""
     try:
         return validate_smiles(text), None
-    except ChemError as err:
-        return None, err
+    except ChemError as err:  # its traceback would hold the parse frames in cycles
+        return None, err.with_traceback(None)
 
 
 # --- descriptors -------------------------------------------------------------

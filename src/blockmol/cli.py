@@ -1,10 +1,14 @@
 """Command line interface for the whole pipeline.
 
 Data goes to stdout, diagnostics to stderr, so streams can be piped and
-compared byte for byte.  Config resolution order: built-in defaults, then
-a JSON config file with flat namespaced keys (e.g. "search.C"), then
-explicit command line flags.  Exit codes: 0 success, 1 usage error, 2
-runtime error.
+compared byte for byte.  Exit codes: 0 success, 1 usage error, 2 runtime
+error.  Each setting is declared once, in ``SETTINGS``; its flag's --help
+names its config key and default.  A command resolves the keys it reads
+from the defaults, then a JSON config file of flat namespaced keys (e.g.
+"search.C"), then explicit flags.  An unknown key is a usage error and a
+value of the wrong type exits 2 naming its key; keys that only other
+commands read are checked, then ignored.  A --manifest records only the
+settings the command read.
 """
 
 from __future__ import annotations
@@ -20,43 +24,56 @@ from dataclasses import replace
 import numpy as np
 
 from . import chem, data, diffusion, metrics
-from .chem import ChemError, Vocab, tokenize, try_parse
+from .chem import Vocab, tokenize, try_parse
 from .curate import CurationConfig, curate_stream
 from .decode import DecodeConfig, Decoder, write_jsonl
-from .fragment import FragmentConfig, TooLong, pad_and_partition
-from .oracle import OracleError, SurrogateOracle, list_profiles, load_profile
+from .fragment import FragmentConfig, pad_and_partition
+from .oracle import SurrogateOracle, list_profiles, load_profile
 from .search import GateConfig, SearchConfig, run_search
 
 log = logging.getLogger("blockmol")
 
-DEFAULTS = {
-    "seed": 42,
-    "search.N_max": 10000,
-    "search.C": 2.1,
-    "search.lambda": 0.5,
-    "search.beta": 2.0,
-    "search.C_init": 20,
-    "search.C_base": 8,
-    "search.C_min": 8,
-    "search.C_max": 10,
-    "search.M": 64,
-    "search.n_sim": 1,
-    "search.D_max": 100,
-    "gate.tau_qed": 0.5,
-    "gate.tau_sa": 5.0,
-    "gate.R_pen": -1.0,
-    "sample.temperature": 1.1,
-    "sample.nucleus": 1.0,
-    "sample.K": 8,
-    "sample.L": 512,
-    "sample.T": 128,
-    "sample.mode": "confidence",
-    "train.epochs": 5,
-    "train.lr": 0.1,
-    "train.dim": 24,
-    "train.window": 12,
-    "train.K": 8,
-    "train.L": 48,
+# config key -> (flag, or None if only a config file sets it, type or choices, default)
+SETTINGS = {
+    "seed": ("--seed", int, 42),
+    "search.N_max": ("--budget", int, 10000),
+    "search.C": ("--c", float, 2.1),
+    "search.lambda": ("--lam", float, 0.5),
+    "search.beta": ("--beta", float, 2.0),
+    "search.C_init": ("--c-init", int, 20),
+    "search.C_base": ("--c-base", int, 8),
+    "search.C_min": ("--c-min", int, 8),
+    "search.C_max": ("--c-max", int, 10),
+    "search.M": ("--m", int, 64),
+    "search.n_sim": ("--n-sim", int, 1),
+    "search.D_max": ("--d-max", int, 100),
+    "gate.tau_qed": ("--qed", float, 0.5),
+    "gate.tau_sa": ("--sa", float, 5.0),
+    "gate.R_pen": (None, float, -1.0),
+    "sample.temperature": ("--temp", float, 1.1),
+    "sample.nucleus": ("--nucleus", float, 1.0),
+    "sample.K": ("--k-sample", int, 8),
+    "sample.L": ("--length", int, 512),
+    "sample.T": ("--steps", int, 128),
+    "sample.mode": ("--mode", ("confidence", "sample"), "confidence"),
+    "train.epochs": ("--epochs", int, 5),
+    "train.lr": ("--lr", float, 0.1),
+    "train.dim": ("--dim", int, 24),
+    "train.window": ("--window", int, 12),
+    "train.K": ("--block", int, 8),
+    "train.L": ("--length", int, 48),
+}
+DEFAULTS = {key: default for key, (_, _, default) in SETTINGS.items()}
+
+# The keys each command reads; its setting flags, settings and manifest hold no other,
+# and search, which always draws, reads no sample.mode.
+_DECODE_KEYS = ("sample.K", "sample.L", "sample.T", "sample.temperature", "sample.nucleus",
+                "seed")
+COMMAND_KEYS = {
+    "train": ("train.epochs", "train.lr", "train.dim", "train.window", "train.K", "train.L",
+              "seed"),
+    "sample": _DECODE_KEYS + ("sample.mode",),
+    "search": tuple(k for k in SETTINGS if k.startswith(("search.", "gate."))) + _DECODE_KEYS,
 }
 
 
@@ -70,24 +87,34 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_config_file(path) -> dict:
-    with open(path) as fh:
-        loaded = json.load(fh)
-    unknown = sorted(set(loaded) - set(DEFAULTS))
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return loaded
+def _check_type(key: str, value):
+    """A config file value must have its key's type; an int passes for a float."""
+    kind = SETTINGS[key][1]
+    if isinstance(kind, tuple):
+        ok, want = value in kind, f"one of {', '.join(kind)}"
+    else:
+        ok = not isinstance(value, bool) and isinstance(value, (int, kind))
+        want = "a number" if kind is float else "an integer"
+    if not ok:
+        raise ValueError(f"{key} must be {want}, got {value!r}")
 
 
-def resolve(args, flag_map: dict) -> dict:
-    """defaults <- config file <- explicit flags, in that order."""
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config))
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[key] = value
+def resolve(args) -> dict:
+    """The settings ``args.command`` reads: defaults <- config file <- flags."""
+    keys = COMMAND_KEYS[args.command]
+    cfg = {key: DEFAULTS[key] for key in keys}
+    if args.config:
+        with open(args.config) as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: a config file holds one JSON object")
+        unknown = sorted(set(loaded) - set(SETTINGS))
+        if unknown:
+            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            _check_type(key, value)
+        cfg.update((key, loaded[key]) for key in keys if key in loaded)
+    cfg.update((key, vars(args)[key]) for key in keys if vars(args).get(key) is not None)
     return cfg
 
 
@@ -196,20 +223,15 @@ def _tokenized_corpus(lines, frag: FragmentConfig):
 def _check_train_config(cfg: dict):
     """Reject hyperparameters that cannot train, naming the offending key."""
     for key, least in (("train.epochs", 1), ("train.dim", 1), ("train.window", 0)):
-        value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+        if cfg[key] < least:
+            raise ValueError(f"{key} must be an integer >= {least}, got {cfg[key]!r}")
     lr = cfg["train.lr"]
-    if isinstance(lr, bool) or not isinstance(lr, (int, float)) \
-            or not math.isfinite(lr) or lr <= 0:
+    if not math.isfinite(lr) or lr <= 0:
         raise ValueError(f"train.lr must be a finite number > 0, got {lr!r}")
 
 
 def cmd_train(args) -> int:
-    cfg = resolve(args, {"epochs": "train.epochs", "lr": "train.lr",
-                         "dim": "train.dim", "window": "train.window",
-                         "block": "train.K", "length": "train.L",
-                         "seed": "seed"})
+    cfg = resolve(args)
     _check_train_config(cfg)
     frag = FragmentConfig(cfg["train.L"], cfg["train.K"])
     lines = data.toy_corpus(args.toy) if args.infile is None \
@@ -235,23 +257,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decode_config(cfg: dict) -> DecodeConfig:
+def _decode_config(cfg: dict, mode: str) -> DecodeConfig:
     return DecodeConfig(
         block=cfg["sample.K"], length=cfg["sample.L"], budget=cfg["sample.T"],
         temperature=cfg["sample.temperature"], nucleus_p=cfg["sample.nucleus"],
-        mode=cfg["sample.mode"], seed=cfg["seed"])
+        mode=mode, seed=cfg["seed"])
 
 
 def cmd_sample(args) -> int:
-    cfg = resolve(args, {"k_sample": "sample.K", "length": "sample.L",
-                         "temp": "sample.temperature", "nucleus": "sample.nucleus",
-                         "steps": "sample.T", "mode": "sample.mode",
-                         "seed": "seed"})
+    cfg = resolve(args)
     if cfg["sample.mode"] == "confidence" and args.seed is not None:
         log.warning("sample: --seed changes nothing in confidence mode, which "
                     "commits the most likely tokens; use --mode sample to draw")
     params, vocab, _ = diffusion.load_checkpoint(args.checkpoint)
-    decoder = Decoder(params, _decode_config(cfg), vocab)
+    decoder = Decoder(params, _decode_config(cfg, cfg["sample.mode"]), vocab)
     prefix = tokenize(args.prefix) if args.prefix else None
     records = decoder.generate(args.n, prefix)
     if args.n > 0 and not records:
@@ -259,33 +278,25 @@ def cmd_sample(args) -> int:
                   "raise --steps (sample.T)")
         return 2
     write_jsonl(records, sys.stdout, cfg["seed"])
-    _manifest(args.manifest, "sample", cfg, {"checkpoint": args.checkpoint,
-                                             "n": args.n})
+    _manifest(args.manifest, "sample", cfg, {"checkpoint": args.checkpoint, "n": args.n})
     return 0
 
 
 def cmd_search(args) -> int:
-    cfg = resolve(args, {
-        "budget": "search.N_max", "c": "search.C", "lam": "search.lambda",
-        "beta": "search.beta", "c_init": "search.C_init",
-        "c_base": "search.C_base", "c_min": "search.C_min",
-        "c_max": "search.C_max", "m": "search.M", "n_sim": "search.n_sim",
-        "d_max": "search.D_max", "qed": "gate.tau_qed", "sa": "gate.tau_sa",
-        "k_sample": "sample.K", "length": "sample.L", "steps": "sample.T",
-        "temp": "sample.temperature", "nucleus": "sample.nucleus",
-        "seed": "seed"})
+    cfg = resolve(args)
     if args.unconstrained:
+        if any(vars(args)[key] is not None for key in ("gate.tau_qed", "gate.tau_sa")):
+            raise UsageError("--unconstrained turns the gate off; drop --qed and --sa")
         cfg["gate.tau_qed"], cfg["gate.tau_sa"] = 0.0, math.inf
     params, vocab, _ = diffusion.load_checkpoint(args.checkpoint)
     profile = load_profile(args.target)
     search_cfg = SearchConfig(
         n_max=cfg["search.N_max"], c=cfg["search.C"], lam=cfg["search.lambda"],
-        beta=cfg["search.beta"], c_init=cfg["search.C_init"],
-        c_base=cfg["search.C_base"], c_min=cfg["search.C_min"],
-        c_max=cfg["search.C_max"], m=cfg["search.M"], n_sim=cfg["search.n_sim"],
-        d_max=cfg["search.D_max"], decode=_decode_config(cfg),
-        gate=GateConfig(cfg["gate.tau_qed"], cfg["gate.tau_sa"],
-                        cfg["gate.R_pen"]))
+        beta=cfg["search.beta"], c_init=cfg["search.C_init"], c_base=cfg["search.C_base"],
+        c_min=cfg["search.C_min"], c_max=cfg["search.C_max"], m=cfg["search.M"],
+        n_sim=cfg["search.n_sim"], d_max=cfg["search.D_max"],
+        decode=_decode_config(cfg, "sample"),
+        gate=GateConfig(cfg["gate.tau_qed"], cfg["gate.tau_sa"], cfg["gate.R_pen"]))
     outcome = run_search(search_cfg, params, vocab, SurrogateOracle(profile))
     for result in outcome.results:
         sys.stdout.write(result.to_json_line() + "\n")
@@ -478,6 +489,18 @@ def cmd_selftest(args) -> int:
 # -- wiring
 
 
+def _add_settings(p, command: str):
+    """A flag for each setting ``command`` reads, then --config and --manifest."""
+    for key in COMMAND_KEYS[command]:
+        flag, kind, default = SETTINGS[key]
+        if flag:
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(flag, dest=key, help=f"config key {key}, default {default}",
+                           **typed)
+    p.add_argument("--config", help="JSON file of config keys")
+    p.add_argument("--manifest", help="JSON record of the run and the settings it read")
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="blockmol", description=__doc__)
     parser.add_argument("-v", "--verbose", action="count", default=0)
@@ -499,58 +522,22 @@ def build_parser() -> Parser:
     p.add_argument("--toy", type=int, default=500,
                    help="toy corpus size when --in is omitted")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--block", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--manifest", default=None)
+    _add_settings(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="generate molecules from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--k-sample", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--temp", type=float, default=None)
-    p.add_argument("--nucleus", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None, help="per-block budget")
-    p.add_argument("--mode", choices=("confidence", "sample"), default=None)
     p.add_argument("--prefix", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--manifest", default=None)
+    _add_settings(p, "sample")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("search", help="gated tree search against a target")
     p.add_argument("--target", required=True,
                    help=f"profile name ({', '.join(list_profiles())}) or path")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--budget", type=int, default=None, help="iterations N_max")
-    p.add_argument("--qed", type=float, default=None)
-    p.add_argument("--sa", type=float, default=None)
-    p.add_argument("--unconstrained", action="store_true")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--c-init", type=int, default=None)
-    p.add_argument("--c-base", type=int, default=None)
-    p.add_argument("--c-min", type=int, default=None)
-    p.add_argument("--c-max", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n-sim", type=int, default=None)
-    p.add_argument("--d-max", type=int, default=None)
-    p.add_argument("--k-sample", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--temp", type=float, default=None)
-    p.add_argument("--nucleus", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--manifest", default=None)
+    p.add_argument("--unconstrained", action="store_true", help="no gate; not with --qed, --sa")
+    _add_settings(p, "search")
     p.add_argument("--rollouts", default=None,
                    help="also write every valid rollout to this file")
     p.set_defaults(func=cmd_search)
@@ -585,9 +572,7 @@ def main(argv=None) -> int:
     except UsageError as usage:
         sys.stderr.write(f"error: {usage}\n")
         return 1
-    except (ChemError, OracleError, TooLong, diffusion.OutOfRange,
-            diffusion.VocabMismatch, diffusion.EmptyCorpus,
-            OSError, ValueError, RuntimeError, json.JSONDecodeError) as failure:
+    except (OSError, ValueError, RuntimeError) as failure:
         log.error("%s", failure)
         return 2
 

@@ -83,6 +83,9 @@ class SearchConfig:
                 raise ValueError(f"{name} must be a number, got nan")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0,1]: {self.lam}")
+        for name in ("c_init", "c_base"):  # a node of capacity 0 never gets a child
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
         if self.c_min > self.c_max:
             raise ValueError(f"need c_min <= c_max: {self.c_min} > {self.c_max}")
         if self.m < 1 or self.n_sim < 1 or self.d_max < 1:
@@ -242,7 +245,7 @@ class TreeSearch:
     def _score(self, smiles: str) -> OracleScores | None:
         """None for an invalid molecule; NaN scores, which no gate passes, when
         the oracle fails on a valid one; channel loss is escalated."""
-        mol = try_parse(smiles)[0]  # a bound error's traceback would cycle via this frame
+        mol = try_parse(smiles)[0]
         if mol is None:
             return None
         try:
@@ -284,11 +287,7 @@ class TreeSearch:
         aborted = False
         iteration = 0
         for iteration in range(cfg.n_max):
-            try:
-                path, leaf = self.select(root)
-            except ExhaustedTree:
-                log.warning("search tree exhausted at iteration %d", iteration)
-                break
+            path, leaf = self.select(root)
             try:
                 if leaf.terminal:  # scored once, when expansion created it
                     backpropagate(path, leaf.cached_reward)

@@ -1,12 +1,17 @@
 """Tokenizer, parser, descriptor, and fingerprint checks."""
 
+import gc
+
 import pytest
 
 from blockmol.chem import (
+    AromaticityError,
     DanglingBond,
     EmptyMolecule,
+    RingBondError,
     UnbalancedBranch,
     UnclosedRing,
+    UnknownCharacter,
     ValenceExceeded,
     Vocab,
     descriptors,
@@ -85,6 +90,23 @@ def test_empty_input_rejected():
 def test_pentavalent_carbon_rejected():
     mol, err = try_parse("C(C)(C)(C)(C)C")
     assert type(err) is ValenceExceeded
+
+
+def test_failed_parses_leave_no_reference_cycles():
+    # A returned error that kept its traceback held the parse frames, with
+    # their atoms and bonds, in cycles only the cyclic collector frees.
+    cases = [("C$C", UnknownCharacter), ("C1CC", UnclosedRing), ("CC(", UnbalancedBranch),
+             ("CC=", DanglingBond), ("C11", RingBondError), ("cccc", AromaticityError),
+             ("C(C)(C)(C)(C)C", ValenceExceeded), ("", EmptyMolecule)]
+    gc.collect()
+    gc.disable()
+    try:
+        kinds = [type(try_parse(text)[1]) for text, _ in cases for _ in range(10)]
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert kinds == [kind for _, kind in cases for _ in range(10)]
+    assert garbage == 0
 
 
 def test_aspirin_molecular_weight():

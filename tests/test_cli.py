@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from blockmol.cli import DEFAULTS, main
+from blockmol.cli import DEFAULTS, SETTINGS, main
 from blockmol.data import toy_candidates
+from blockmol.search import GateConfig, SearchConfig
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -174,6 +175,96 @@ def test_train_rejects_such_config_keys_too(record, tmp_path, capsys, caplog):
     assert code == 2 and stdout == ""
     assert not out.exists()
     assert next(iter(record)) in caplog.text
+
+
+def _argv(command, checkpoint, tmp_path):
+    """A short run of ``command`` that exits 0 with default settings."""
+    return {"train": ["train", "--toy", "10", "--epochs", "1", "--dim", "8", "--window", "4",
+                      "--out", str(tmp_path / "t.ckpt")],
+            "sample": ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"],
+            "search": ["search", "--target", "parp1", "--checkpoint", checkpoint,
+                       "--budget", "5", "--m", "8", "--length", "32"]}[command]
+
+
+@pytest.mark.parametrize("command,record", [
+    ("search", {"search.C": "x"}), ("search", {"search.M": "8"}),
+    ("search", {"search.M": True}), ("search", {"sample.K": 8.0}),
+    ("search", {"gate.R_pen": None}), ("sample", {"seed": 1.5}),
+    ("sample", {"sample.mode": "greedy"}), ("sample", {"sample.temperature": "1"}),
+    ("train", {"train.K": [8]}),
+    ("train", {"search.M": 8.0}),  # a key only search reads is checked too
+])
+def test_config_value_of_the_wrong_type_exits_2_naming_the_key(
+        command, record, checkpoint, tmp_path, capsys, caplog):
+    # Before, a string, bool or float reached the code as it was: "search.M":
+    # "8" raised a TypeError traceback, "search.M": true ran with m = True and
+    # "seed": 1.5 printed seed 1.5 on every line while drawing with seed 1.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(record))
+    code, stdout, err = run_cli(_argv(command, checkpoint, tmp_path) + ["--config", str(cfg)],
+                                capsys)
+    assert code == 2 and stdout == ""
+    assert "Traceback" not in err + caplog.text
+    (key, value), = record.items()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"{key} must be ") and errors[0].endswith(f"got {value!r}")
+
+
+def test_manifest_holds_the_settings_the_command_read(checkpoint, tmp_path, capsys):
+    # Keys for other commands are checked, then ignored: neither the run nor
+    # its manifest sees them.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train.epochs": 3, "sample.mode": "confidence",
+                               "search.D_max": 50, "seed": 5}))
+    read = {"train": {k for k in DEFAULTS if k.startswith("train.")} | {"seed"},
+            "sample": {k for k in DEFAULTS if k.startswith("sample.")} | {"seed"},
+            "search": {k for k in DEFAULTS if k.startswith(("search.", "gate.", "sample."))
+                       and k != "sample.mode"} | {"seed"}}
+    for command, keys in read.items():
+        manifest = tmp_path / f"{command}.json"
+        argv = _argv(command, checkpoint, tmp_path) + ["--config", str(cfg),
+                                                       "--manifest", str(manifest)]
+        assert run_cli(argv, capsys)[0] == 0, command
+        config = json.loads(manifest.read_text())["config"]
+        assert set(config) == keys, command
+        assert config["seed"] == 5
+    assert "sample.mode" not in config and not any(k.startswith("train.") for k in config)
+    assert config["search.D_max"] == 50
+    config = json.loads((tmp_path / "sample.json").read_text())["config"]
+    assert not any(k.startswith("search.") for k in config)
+
+
+def test_cli_search_defaults_match_the_library():
+    # SearchConfig and GateConfig keep their own defaults for library callers;
+    # the CLI's must not drift from them.  sample.* is left out on purpose:
+    # the CLI's L = 512 and temperature 1.1 differ from DecodeConfig's 72 and
+    # 1.0, and the golden digests depend on DecodeConfig's.
+    checked = 0
+    for key, (_, _, default) in SETTINGS.items():
+        group, name = key.split(".") if "." in key else (None, key)
+        library = {"search": SearchConfig(), "gate": GateConfig()}.get(group)
+        if library is not None:
+            field = {"lambda": "lam"}.get(name, name.lower())
+            assert getattr(library, field) == default, key
+            checked += 1
+    assert checked == 14
+
+
+def test_unconstrained_search_with_a_gate_flag_is_usage_error(checkpoint, tmp_path, capsys):
+    # Before, "--unconstrained --qed 0.9 --sa 2" ran with 0.0 and inf, dropping both flags.
+    search = _argv("search", checkpoint, tmp_path) + ["--unconstrained"]
+    for flags in (["--qed", "0.9", "--sa", "2"], ["--qed", "0.9"], ["--sa", "2"]):
+        code, out, err = run_cli(search + flags, capsys)
+        assert code == 1 and out == ""
+        assert "--qed" in err and "--sa" in err
+    # A config file's gate keys yield to the flag, as any key does.
+    cfg, manifest = tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg.write_text(json.dumps({"gate.tau_qed": 0.9, "gate.tau_sa": 2.0}))
+    assert run_cli(search + ["--config", str(cfg), "--manifest", str(manifest)],
+                   capsys)[0] == 0
+    config = json.loads(manifest.read_text())["config"]
+    assert config["gate.tau_qed"] == 0.0 and config["gate.tau_sa"] == math.inf
 
 
 def test_train_writes_no_diverged_checkpoint(tmp_path, capsys, caplog):
@@ -412,12 +503,14 @@ def test_sample_prefix_rejects_control_tokens(checkpoint, capsys, caplog, prefix
     ("search", ["--qed", "nan"], "tau_qed"),
     ("search", ["--sa", "nan"], "tau_sa"),
     ("train", ["--toy", "-1"], "toy corpus size"),
+    ("search", ["--c-init", "0"], "c_init"),
 ])
 def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, caplog,
                                                   command, flags, field):
     # Before, these raised ZeroDivisionError or AttributeError, or ran anyway:
-    # "--temp nan" wrote empty molecules, "--budget -1" reported one iteration
-    # and "train --toy -1" trained on 600 molecules.
+    # "--temp nan" wrote empty molecules, "--budget -1" reported one iteration,
+    # "train --toy -1" trained on 600 molecules and "--c-init 0" wrote only a
+    # summary line and a manifest that claimed one iteration.
     out = tmp_path / "t.ckpt"
     argv = {"sample": ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"],
             "search": ["search", "--target", "parp1", "--checkpoint", checkpoint,

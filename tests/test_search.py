@@ -116,7 +116,8 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(m=0)
     for field, bad in (("n_max", dict(n_max=-1)), ("c", dict(c=math.nan)),
-                       ("beta", dict(beta=math.nan))):
+                       ("beta", dict(beta=math.nan)), ("c_init", dict(c_init=0)),
+                       ("c_base", dict(c_base=0))):
         with pytest.raises(ValueError, match=f"^{field} must"):
             SearchConfig(**bad)
     for field, bad in (("tau_qed", dict(tau_qed=math.nan)),
