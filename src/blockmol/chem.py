@@ -295,8 +295,7 @@ def _ring_systems(mol: ParsedMol) -> list[tuple[list[int], list[int]]]:
     bridges.  One iterative Tarjan pass: a tree bond u-v is a bridge when
     nothing in v's DFS subtree reaches back to u or above, and then the atoms
     of that subtree not yet assigned form v's component.  Assumes a simple
-    graph, which parse_validate guarantees (no self-closures, no duplicate
-    bonds).
+    graph, which scan guarantees (no self-closures, no duplicate bonds).
     """
     adjacency = mol.adjacency
     n = len(adjacency)
@@ -352,38 +351,15 @@ def _ring_systems(mol: ParsedMol) -> list[tuple[list[int], list[int]]]:
     return [(members[label], bonds) for label, bonds in ring_bonds.items()]
 
 
-def _simple_cycle(bonds: list[Bond], ring_bonds: list[int]) -> tuple[list[int], list[int]]:
-    """(atoms, bond indices) of the one cycle of a system with as many bonds
-    as atoms: from the first ring bond's ``b`` end back to its ``a`` end
-    without re-crossing it, the path _shortest_cycle finds for that bond."""
-    incident: dict[int, list[int]] = {}
-    for i in ring_bonds:
-        b = bonds[i]
-        incident.setdefault(b.a, []).append(i)
-        incident.setdefault(b.b, []).append(i)
-    first = bonds[ring_bonds[0]]
-    atom, via, goal = first.b, ring_bonds[0], first.a
-    path, used = [atom], []
-    while atom != goal:
-        i, j = incident[atom]
-        via = j if i == via else i
-        used.append(via)
-        b = bonds[via]
-        atom = b.b if b.a == atom else b.a
-        path.append(atom)
-    used.append(ring_bonds[0])
-    return path, used
-
-
-# Distinct fused or bridged system shapes are few (6 over the whole toy
-# grid); the bound only caps memory on odd input.
+# Distinct ring-system shapes are few (11 over the whole toy grid); the
+# bound only caps memory on odd input.
 _SYSTEM_MEMO_SIZE = 1 << 12
 
 
 @lru_cache(maxsize=_SYSTEM_MEMO_SIZE)
 def _system_cycles(edges: tuple[tuple[int, int], ...],
                    aromatic: tuple[bool, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Shortest cycle through each ring bond of one fused or bridged system,
+    """Shortest cycle through each ring bond of one ring system,
     deduplicated by atom set in bond order, as (atom ranks, bond positions).
 
     ``edges`` are the system's ring bonds in bond order as pairs of atom
@@ -455,27 +431,21 @@ def _perceive_rings(mol: ParsedMol) -> list[list[int]]:
     interleaved style (both digits of an indole would claim the pyrrole
     ring); a small cycle basis recovers one ring per independent cycle.
 
-    A cycle never leaves its ring system, so each system is searched on its
-    own: a simple one (as many bonds as atoms) is its one cycle, walked with
-    no search, and a fused or bridged one is searched once per shape.
+    A cycle never leaves its ring system, so each is searched once per shape.
     """
     atoms, bonds = mol.atoms, mol.bonds
     rank = 0
     candidates = []
     for members, ring_bonds in _ring_systems(mol):
         rank += len(ring_bonds) - len(members) + 1
-        if len(ring_bonds) == len(members):
-            cycles = [_simple_cycle(bonds, ring_bonds)]
-        else:
-            local = {a: r for r, a in enumerate(members)}
-            shape = tuple((local[bonds[i].a], local[bonds[i].b]) for i in ring_bonds)
-            flags = tuple(atoms[a].aromatic for a in members)
-            cycles = [([members[r] for r in ranks], [ring_bonds[p] for p in used])
-                      for ranks, used in _system_cycles(shape, flags)]
-        for cycle, used in cycles:
+        local = {a: r for r, a in enumerate(members)}
+        shape = tuple((local[bonds[i].a], local[bonds[i].b]) for i in ring_bonds)
+        flags = tuple(atoms[a].aromatic for a in members)
+        for ranks, used in _system_cycles(shape, flags):
+            cycle = [members[r] for r in ranks]
             mask = 0
-            for i in used:
-                mask |= 1 << i
+            for p in used:
+                mask |= 1 << ring_bonds[p]
             non_aromatic = sum(1 for a in cycle if not atoms[a].aromatic)
             candidates.append((len(cycle), non_aromatic, tuple(sorted(cycle)), mask, cycle))
     if not candidates:
@@ -498,19 +468,33 @@ def _perceive_rings(mol: ParsedMol) -> list[list[int]]:
     return rings
 
 
-def parse_validate(tokens: list[Token]) -> ParsedMol:
-    """Build a ParsedMol or raise the first violated rule with its position.
+class Scan:
+    """What the token loop knows after a prefix of a molecule's tokens, which
+    a later ``scan`` call continues.  A Scan whose ``scan`` call raised is
+    spent: it may hold part of the failing token's work."""
 
-    Grammar errors discovered at end of input (unclosed rings/branches,
-    trailing bonds) are reported at the earliest offending token.
-    """
-    atoms: list[Atom] = []
-    bonds: list[Bond] = []
-    ring_open: dict[int, tuple[int, float | None, str, int]] = {}
-    branch_stack: list[list] = []  # [prev, pos, atoms seen while on top]
-    prev: int | None = None
-    pending: tuple[float, str, int] | None = None  # (order, stereo, pos)
-    bonded: set[tuple[int, int]] = set()
+    __slots__ = ("atoms", "bonds", "bonded", "valence", "ring_open", "branches",
+                 "prev", "pending")
+
+    def __init__(self):
+        self.atoms: list[Atom] = []
+        self.bonds: list[Bond] = []
+        self.bonded: set[tuple[int, int]] = set()  # bonded pairs, in _edge order
+        # Bond orders per atom, aromatic at sigma order 1; an int until bonded.
+        self.valence: list[float] = []
+        self.ring_open: dict[int, tuple] = {}  # digit -> (atom, order or None, stereo, pos)
+        self.branches: list[list] = []  # [prev, pos, atoms seen while on top]
+        self.prev: int | None = None
+        self.pending: tuple[float, str, int] | None = None  # (order, stereo, pos)
+
+
+def scan(tokens: list[Token], state: Scan | None = None) -> Scan:
+    """Run the grammar over ``tokens``, continuing ``state`` in place when
+    given; raises the first error a token shows, at its position.  Errors
+    that only the end of input shows are left to ``finish``."""
+    state = Scan() if state is None else state
+    atoms, bonds, bonded, valence = state.atoms, state.bonds, state.bonded, state.valence
+    ring_open, branches, prev, pending = state.ring_open, state.branches, state.prev, state.pending
     ATOM, BOND, RING = TokenKind.ATOM, TokenKind.BOND, TokenKind.RING
 
     for tok in tokens:
@@ -525,19 +509,26 @@ def parse_validate(tokens: list[Token]) -> ParsedMol:
                 atoms.append(Atom(text.upper() if aromatic else text, aromatic, 0, 0,
                                   False, "", tok.pos))
             idx = len(atoms) - 1
-            if prev is not None:
+            if prev is None:
+                valence.append(0)
+            else:
                 # A chain bond reaches the newest atom: never a duplicate, and
                 # already in _edge order.
                 bonded.add((prev, idx))
                 if pending:
-                    bonds.append(Bond(prev, idx, pending[0], pending[1]))
-                else:
+                    order = pending[0]
+                    bonds.append(Bond(prev, idx, order, pending[1]))
+                    sigma = 1.0 if order == 1.5 else order
+                else:  # aromatic (1.5) or single: sigma order 1 either way
                     bonds.append(Bond(prev, idx, 1.5 if aromatic and atoms[prev].aromatic
                                       else 1.0))
+                    sigma = 1.0
+                valence[prev] += sigma
+                valence.append(sigma)
             pending = None
             prev = idx
-            if branch_stack:
-                branch_stack[-1][2] += 1
+            if branches:
+                branches[-1][2] += 1
         elif kind is BOND:
             if pending is not None:
                 raise DanglingBond("two bond symbols in a row", pending[2])
@@ -563,6 +554,9 @@ def parse_validate(tokens: list[Token]) -> ParsedMol:
                 if order is None:
                     order = 1.5 if atoms[open_idx].aromatic and atoms[prev].aromatic else 1.0
                 bonds.append(Bond(open_idx, prev, order, stereo))
+                sigma = 1.0 if order == 1.5 else order
+                valence[open_idx] += sigma
+                valence[prev] += sigma
             else:
                 ring_open[digit] = (prev, pending[0] if pending else None,
                                     pending[1] if pending else "", tok.pos)
@@ -572,13 +566,13 @@ def parse_validate(tokens: list[Token]) -> ParsedMol:
                 raise UnbalancedBranch("branch with no preceding atom", tok.pos)
             if pending is not None:
                 raise DanglingBond("bond symbol before '('", pending[2])
-            branch_stack.append([prev, tok.pos, 0])
+            branches.append([prev, tok.pos, 0])
         elif kind is TokenKind.BRANCH_CLOSE:
-            if not branch_stack:
+            if not branches:
                 raise UnbalancedBranch("')' without matching '('", tok.pos)
             if pending is not None:
                 raise DanglingBond("bond symbol before ')'", pending[2])
-            restore, bpos, seen = branch_stack.pop()
+            restore, bpos, seen = branches.pop()
             if seen == 0:
                 raise UnbalancedBranch("empty branch", tok.pos)
             prev = restore
@@ -589,41 +583,41 @@ def parse_validate(tokens: list[Token]) -> ParsedMol:
         else:
             raise UnknownToken(f"control token {tok.text} inside molecule body", tok.pos)
 
-    # End-of-input checks, reported at the earliest offending token.
+    state.prev, state.pending = prev, pending
+    return state
+
+
+def finish(state: Scan, tokens: list[Token]) -> ParsedMol:
+    """The molecule ``state`` scanned from all of ``tokens``, or the first
+    violated rule; end-of-input grammar errors (unclosed rings or branches, a
+    trailing bond) are reported at the earliest offending token.  The
+    molecule takes the state's atoms and bonds: finish a state once."""
     leftovers: list[tuple[int, ChemError]] = []
-    if pending is not None:
-        leftovers.append((pending[2], DanglingBond("trailing bond symbol", pending[2])))
-    if branch_stack:
-        bpos = min(p for _, p, _ in branch_stack)
+    if state.pending is not None:
+        pos = state.pending[2]
+        leftovers.append((pos, DanglingBond("trailing bond symbol", pos)))
+    if state.branches:
+        bpos = min(p for _, p, _ in state.branches)
         leftovers.append((bpos, UnbalancedBranch("unclosed branch", bpos)))
-    for digit, (_, _, _, rpos) in ring_open.items():
+    for digit, (_, _, _, rpos) in state.ring_open.items():
         leftovers.append((rpos, UnclosedRing(f"ring {digit} never closed", rpos, digit)))
     if leftovers:
         leftovers.sort(key=lambda item: item[0])
         raise leftovers[0][1]
+    atoms, bonds = state.atoms, state.bonds
     if not atoms:
         raise EmptyMolecule("no atoms")
 
     mol = ParsedMol(atoms, bonds, smiles=detokenize(tokens))
-
     mol.rings = _perceive_rings(mol)
     ring_edges = {_edge(cycle[k], cycle[k - 1])
                   for cycle in mol.rings for k in range(len(cycle))}
-    # Bond-order sums with aromatic bonds at their sigma order (1), started
-    # from an int as sum() would be, so a bare atom reports an int total.
-    sigma = [0] * len(atoms)
     for b in bonds:
         b.in_ring = _edge(b.a, b.b) in ring_edges
         # An aromatic-aromatic bond outside any ring is a plain single bond
-        # (biphenyl linkage); demote before valence accounting.
-        if b.order == 1.5:
-            if not b.in_ring:
-                b.order = 1.0
-            sigma[b.a] += 1.0
-            sigma[b.b] += 1.0
-        else:
-            sigma[b.a] += b.order
-            sigma[b.b] += b.order
+        # (biphenyl linkage); its valence already counts it at 1.
+        if b.order == 1.5 and not b.in_ring:
+            b.order = 1.0
 
     aromatic_ring_members = set()
     for cycle in mol.rings:
@@ -634,13 +628,18 @@ def parse_validate(tokens: list[Token]) -> ParsedMol:
             raise AromaticityError(
                 "aromatic atom outside a closed aromatic 5- or 6-ring", atom.pos)
 
-    for i, atom in enumerate(atoms):
-        total = sigma[i] + atom.explicit_h
+    for i, (atom, sigma) in enumerate(zip(atoms, state.valence)):
+        total = sigma + atom.explicit_h
         if total > max_valence(atom.element, atom.charge):
             raise ValenceExceeded(
                 f"{atom.element} with bond order {total}", atom.pos, i)
 
     return mol
+
+
+def parse_validate(tokens: list[Token]) -> ParsedMol:
+    """Build a ParsedMol or raise the first violated rule with its position."""
+    return finish(scan(tokens), tokens)
 
 
 def validate_smiles(text: str) -> ParsedMol:
@@ -672,7 +671,6 @@ class DescriptorSet:
     logp_proxy: float
     element_set: frozenset
     charge_total: int
-    radical_flag: bool
 
 
 def implicit_h(atom: Atom, order_sum: float) -> int:
@@ -762,7 +760,6 @@ def descriptors(mol: ParsedMol) -> DescriptorSet:
         logp_proxy=0.5 * c_count - 1.0 * (n_count + o_count) + 0.8 * halogen_count,
         element_set=frozenset(elements),
         charge_total=charge,
-        radical_flag=False,  # the grammar cannot express radical centers
     )
 
 

@@ -165,9 +165,9 @@ def _manifest(path, command: str, cfg: dict, extra: dict):
         return
     record = {"command": command, "config": cfg, **extra,
               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    text = json.dumps(record, indent=2, allow_nan=False)  # strict JSON, RFC 8259
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- subcommands
@@ -305,6 +305,8 @@ def cmd_search(args) -> int:
         with open(args.rollouts, "w") as fh:
             for result in outcome.rollouts:
                 fh.write(result.to_json_line() + "\n")
+    if cfg["gate.tau_sa"] == math.inf:  # no SA bound: null, as JSON has no infinity
+        cfg["gate.tau_sa"] = None
     _manifest(args.manifest, "search", cfg,
               {"target": profile.name, "checkpoint": args.checkpoint,
                "iterations": outcome.iterations, "aborted": outcome.aborted})
@@ -438,7 +440,7 @@ def _selftests():
             heavy_atoms=20, ring_count=2, max_ring_size=6, bridgehead_count=0,
             approx_mw=300.0, rotatable_proxy=3, hbd_proxy=1, hba_proxy=3,
             tpsa_proxy=50.0, logp_proxy=2.0, element_set=frozenset({"C"}),
-            charge_total=0, radical_flag=False)
+            charge_total=0)
         _require(surrogate_qed(perfect) == 1.0)
         heavy = replace(perfect, approx_mw=600.0)
         _require(abs(surrogate_qed(heavy) - math.exp(-1)) < 1e-12)

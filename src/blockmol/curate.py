@@ -57,8 +57,6 @@ def classify(mol: ParsedMol, d: DescriptorSet, qed: float, sa: float,
         return Reject("structural", "banned_element")
     if d.charge_total != 0:
         return Reject("structural", "net_charge")
-    if d.radical_flag:  # unreachable: the grammar cannot express radicals
-        return Reject("structural", "radical")
     if d.bridgehead_count > cfg.bridgehead_max:
         return Reject("structural", "bridgeheads")
     if d.max_ring_size > cfg.max_ring:

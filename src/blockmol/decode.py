@@ -190,6 +190,8 @@ class Decoder:
     def frame(self, n: int, prefix: list | None = None) -> np.ndarray:
         """n rows of BOS, the prefix, then PAD; raises UnknownToken on a
         prefix token that is not a molecule's, such as a control token."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         L = self.cfg.length
         prefix_ids = self.vocab.encode(prefix) if prefix else []
         for offset, token_id in enumerate(prefix_ids):

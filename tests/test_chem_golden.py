@@ -36,9 +36,11 @@ def grid_digest() -> str:
         put(smiles, mol.rings)
         put([(b.a, b.b, b.order, b.in_ring) for b in mol.bonds])
         d = descriptors(mol)
-        # frozenset repr order follows the string hash seed; sort it.
+        # frozenset repr order follows the string hash seed; sort it.  The
+        # trailing False stands for the deleted radical flag, a last field
+        # that no input could set, so the digest still pins every other value.
         put([sorted(getattr(d, f.name)) if f.name == "element_set"
-             else getattr(d, f.name) for f in dataclasses.fields(d)])
+             else getattr(d, f.name) for f in dataclasses.fields(d)] + [False])
         put(fingerprint(mol).bits)
     accepted, report = curate_stream(grid, CurationConfig())
     put(report.to_json())

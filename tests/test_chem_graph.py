@@ -2,9 +2,9 @@
 
 The ring reference below is the original graph code: neighbors found by
 scanning the whole bond list, and a shortest-cycle Dijkstra from every bond,
-bridges included.  ``blockmol.chem`` now builds adjacency lists once, walks a
-simple ring system's one cycle, and searches a fused or bridged system once
-per shape; both must give the same rings in the same order on every input.
+bridges included.  ``blockmol.chem`` now builds adjacency lists once and
+searches each ring system once per shape; both must give the same rings in
+the same order on every input.
 The fingerprint reference grows every directed walk and keeps the smaller
 direction of each; ``blockmol.chem`` enumerates each undirected path once.
 """
@@ -310,3 +310,51 @@ def test_duplicate_bond_keeps_error_type_and_position():
 @given(st.one_of(smiles_like(), smiles_soup))
 def test_tokenize_detokenize_round_trips(text):
     assert chem.detokenize(chem.tokenize(text)) == text
+
+
+# --- resumable scan ---------------------------------------------------------
+
+
+def parsed(run):
+    """What ``run()`` gives, a molecule or a ChemError, in comparable form."""
+    try:
+        mol = run()
+    except ChemError as err:
+        return type(err).__name__, err.position
+    return (mol.smiles, mol.rings, [(b.a, b.b, b.order, b.stereo, b.in_ring) for b in mol.bonds],
+            [(a.element, a.aromatic, a.charge, a.explicit_h, a.pos) for a in mol.atoms])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(smiles_like(), smiles_soup))
+@example("c1ccc2[nH]ccc2c1CCc1ccc2c(c1)OCO2")  # fused systems joined by a bridge
+@example("c1ccccc1-c1ccccc1")  # biphenyl: an aromatic pair outside any ring
+@example("C(C)(C)(C)(C)C")  # valence exceeded, found after the rings
+@example("c1cccc1C")  # aromatic atom outside a closed aromatic 5- or 6-ring
+@example("C1CC(C=")  # trailing bond before an unclosed branch and ring
+@example("C[BOS]C1")  # control token inside the body
+@example("")
+def test_scan_resumed_at_any_split_matches_one_pass(text):
+    toks = chem.tokenize(text)
+    whole = parsed(lambda: chem.parse_validate(toks))
+    for k in range(len(toks) + 1):
+        resumed = parsed(lambda: chem.finish(chem.scan(toks[k:], chem.scan(toks[:k])), toks))
+        assert resumed == whole, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(smiles_like(), smiles_soup))
+@example("C[BOS]C1")
+@example("C12CC12")  # duplicate bond
+@example("C)CC(")
+@example("CC(=)C")
+def test_an_error_a_prefix_shows_is_the_whole_molecules_error(text):
+    # A decoder that checks each block boundary may reject a row as soon as
+    # its prefix fails: the finished molecule would fail the same way.
+    toks = chem.tokenize(text)
+    for k in range(len(toks) + 1):
+        try:
+            chem.scan(toks[:k])
+        except ChemError as err:
+            assert parsed(lambda: chem.parse_validate(toks)) == (type(err).__name__,
+                                                                 err.position), k

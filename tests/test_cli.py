@@ -23,6 +23,13 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ck") / "toy.ckpt.npz"
@@ -226,12 +233,12 @@ def test_manifest_holds_the_settings_the_command_read(checkpoint, tmp_path, caps
         argv = _argv(command, checkpoint, tmp_path) + ["--config", str(cfg),
                                                        "--manifest", str(manifest)]
         assert run_cli(argv, capsys)[0] == 0, command
-        config = json.loads(manifest.read_text())["config"]
+        config = strict_json(manifest.read_text())["config"]
         assert set(config) == keys, command
         assert config["seed"] == 5
     assert "sample.mode" not in config and not any(k.startswith("train.") for k in config)
     assert config["search.D_max"] == 50
-    config = json.loads((tmp_path / "sample.json").read_text())["config"]
+    config = strict_json((tmp_path / "sample.json").read_text())["config"]
     assert not any(k.startswith("search.") for k in config)
 
 
@@ -263,8 +270,8 @@ def test_unconstrained_search_with_a_gate_flag_is_usage_error(checkpoint, tmp_pa
     cfg.write_text(json.dumps({"gate.tau_qed": 0.9, "gate.tau_sa": 2.0}))
     assert run_cli(search + ["--config", str(cfg), "--manifest", str(manifest)],
                    capsys)[0] == 0
-    config = json.loads(manifest.read_text())["config"]
-    assert config["gate.tau_qed"] == 0.0 and config["gate.tau_sa"] == math.inf
+    config = strict_json(manifest.read_text())["config"]
+    assert config["gate.tau_qed"] == 0.0 and config["gate.tau_sa"] is None
 
 
 def test_train_writes_no_diverged_checkpoint(tmp_path, capsys, caplog):
@@ -416,13 +423,13 @@ def test_config_file_and_flag_precedence(checkpoint, tmp_path, capsys):
     base = ["sample", "--checkpoint", checkpoint, "--n", "1", "--length",
             "48", "--config", str(cfg), "--manifest", str(manifest)]
     assert run_cli(base, capsys)[0] == 0
-    resolved = json.loads(manifest.read_text())["config"]
+    resolved = strict_json(manifest.read_text())["config"]
     assert resolved["sample.temperature"] == 0.5  # file overrides default
     assert resolved["seed"] == 9
     assert resolved["sample.K"] == DEFAULTS["sample.K"]
 
     assert run_cli(base + ["--temp", "1.3"], capsys)[0] == 0
-    resolved = json.loads(manifest.read_text())["config"]
+    resolved = strict_json(manifest.read_text())["config"]
     assert resolved["sample.temperature"] == 1.3  # flag overrides file
     assert resolved["seed"] == 9
 
@@ -473,7 +480,7 @@ def test_search_rerun_is_byte_identical(blockmol_cli, grid_checkpoint, tmp_path)
     tail = json.loads(first.decode().splitlines()[-1])
     assert {"best_smiles", "best_reward", "unique_count",
             "gate_pass_count"} == set(tail)
-    recorded = json.loads(manifest.read_text())
+    recorded = strict_json(manifest.read_text())
     assert recorded["command"] == "search"
     assert recorded["iterations"] == 15 and recorded["aborted"] is False
     lines = rollouts[0].read_text().splitlines()
@@ -504,6 +511,7 @@ def test_sample_prefix_rejects_control_tokens(checkpoint, capsys, caplog, prefix
     ("search", ["--sa", "nan"], "tau_sa"),
     ("train", ["--toy", "-1"], "toy corpus size"),
     ("search", ["--c-init", "0"], "c_init"),
+    ("sample", ["--n", "-3"], "n"),
 ])
 def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, caplog,
                                                   command, flags, field):

@@ -27,7 +27,7 @@ def synth(heavy=10, rings=2, max_ring=6, bridges=0, mw=300.0, rot=2,
         heavy_atoms=heavy, ring_count=rings, max_ring_size=max_ring,
         bridgehead_count=bridges, approx_mw=mw, rotatable_proxy=rot,
         hbd_proxy=hbd, hba_proxy=hba, tpsa_proxy=tpsa, logp_proxy=logp,
-        element_set=frozenset({"C"}), charge_total=0, radical_flag=False,
+        element_set=frozenset({"C"}), charge_total=0,
     )
 
 
