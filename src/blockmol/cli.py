@@ -115,24 +115,28 @@ def resolve(args) -> dict:
             _check_type(key, value)
         cfg.update((key, loaded[key]) for key in keys if key in loaded)
     cfg.update((key, vars(args)[key]) for key in keys if vars(args).get(key) is not None)
+    for key, value in cfg.items():  # NaN is left to each config's own range check
+        if SETTINGS[key][1] is float and math.isinf(value) and \
+                (key, value) != ("gate.tau_sa", math.inf):  # +inf: no SA bound
+            raise ValueError(f"{key} must be finite, got {value!r}")
     return cfg
 
 
-def _numbered_lines(path):
-    """(line number, stripped line) for every non-blank line of ``path``."""
+def _numbered_lines(path, blank: bool = False):
+    """(line number, stripped line) for each line of ``path``, blank ones if ``blank``."""
     fh = sys.stdin if path == "-" else open(path)
     try:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if line or blank:
                 yield number, line
     finally:
         if fh is not sys.stdin:
             fh.close()
 
 
-def _read_lines(path):
-    return (line for _, line in _numbered_lines(path))
+def _read_lines(path, blank: bool = False):
+    return (line for _, line in _numbered_lines(path, blank))
 
 
 def _load_samples(path) -> list[str]:
@@ -175,7 +179,8 @@ def _manifest(path, command: str, cfg: dict, extra: dict):
 
 def cmd_validate(args) -> int:
     failures = total = 0
-    for total, smiles in enumerate(_read_lines(args.infile), start=1):
+    # One verdict per input line: a blank line is an EmptyMolecule.
+    for total, smiles in enumerate(_read_lines(args.infile, blank=True), start=1):
         _, err = try_parse(smiles)
         if err is not None:
             failures += 1

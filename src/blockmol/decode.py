@@ -117,23 +117,26 @@ def first_hitting_step(t: float, m: int, u: float) -> float:
     return t * u ** (1.0 / m)
 
 
-def gcd_select(probs: np.ndarray,
-               masked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy confidence choice over blocks of shape (..., K, V), masks (..., K).
-
-    Returns (positions, tokens, confidences), each of shape (...), maximizing
-    the row-max probability over masked rows; ties break toward the lowest
-    position, then the lowest token id (argmax picks the first maximum).
-    """
+def gcd_select(conf: np.ndarray, masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy confidence choice over the confidences (..., K) of each
+    position's best token, masks (..., K).  Returns (positions, confidences),
+    each of shape (...), ties broken toward the lowest position."""
     if not masked.any(axis=-1).all():
         raise ZeroMasked("no masked positions in block")
-    conf = np.where(masked, probs.max(axis=-1), -1.0)
-    j = conf.argmax(axis=-1)
-    K, V = probs.shape[-2:]
-    top = probs.reshape(-1, V)[np.arange(j.size) * K + j.ravel()]  # chosen rows
-    v = top.argmax(axis=-1)
-    conf = top[np.arange(j.size), v]
-    return j, v.reshape(j.shape), conf.reshape(j.shape)
+    conf = np.where(masked, conf, -1.0)
+    return conf.argmax(axis=-1), conf.max(axis=-1)
+
+
+def _confidence(nucleus: diffusion.Nucleus, tokens: np.ndarray) -> np.ndarray:
+    """Each row's largest committable probability after truncation, read off its
+    cut: kept above the cut, dropped below it, and truncated in full at it."""
+    top = np.max(nucleus.probs, axis=1, initial=0.0, where=tokens)
+    conf = np.where(top > nucleus.cut, top / nucleus.mass, 0.0)
+    tied = np.nonzero(top == nucleus.cut)[0]
+    if tied.size:
+        truncated = diffusion.nucleus_expand(nucleus, tied)
+        conf[tied] = np.max(truncated, axis=1, initial=0.0, where=tokens)
+    return conf
 
 
 @dataclass(frozen=True)
@@ -237,26 +240,35 @@ class Decoder:
         positions = np.arange(hi)
         active = np.arange(b * K, hi)
         gain = diffusion.offset_gains(self.params, positions, active)
+        tokens = np.arange(self.params.vocab_size) != Vocab.MASK_ID
         for step in range(steps):
             masked = block == Vocab.MASK_ID
             rows = np.nonzero(masked.any(axis=1))[0]
             if rows.shape[0] == 0:
                 break
-            probs = diffusion.predict(
+            masked = masked[rows]
+            nucleus = diffusion.predict(
                 self.params, ids[rows, :hi], positions, active,
-                temperature=cfg.temperature, nucleus_p=cfg.nucleus_p, gain=gain)
+                temperature=cfg.temperature, nucleus_p=cfg.nucleus_p, gain=gain,
+                masked=masked)
+            conf = np.zeros(masked.shape)
+            conf[masked] = _confidence(nucleus, tokens)
+            j, conf = gcd_select(conf, masked)
+            pair = np.cumsum(masked) - 1  # each masked pair's row in the cut
+            top = diffusion.nucleus_expand(nucleus, pair[np.arange(rows.shape[0]) * K + j])
+            del nucleus  # not to be held beside the next predict call's arrays
             # Absorbing-state convention: the decoder never commits MASK itself,
             # otherwise a masked slot could survive its own reveal step.
-            probs[:, :, Vocab.MASK_ID] = 0.0
-            j, v, conf = gcd_select(probs, masked[rows])
+            top[:, Vocab.MASK_ID] = 0.0
             if cfg.mode == "sample":
                 # Inverse CDF of each chosen row; on a nondecreasing row the
                 # count of entries <= u is searchsorted(side="right").
-                top = probs[np.arange(rows.shape[0]), j]
                 mass = top.sum(axis=1, keepdims=True)
                 csum = np.cumsum(top / np.where(mass > 0.0, mass, 1.0), axis=1)
                 u = u_draw[rows, step][:, None]
                 v = np.minimum((csum <= u).sum(axis=1), top.shape[1] - 1)
+            else:
+                v = top.argmax(axis=1)
             # A row whose nucleus kept only MASK has nothing to commit: it ends.
             v[conf == 0.0] = Vocab.EOS_ID
             block[rows, j] = v

@@ -195,22 +195,30 @@ def _pooled(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def nucleus_truncate(probs: np.ndarray, p: float) -> np.ndarray:
-    """Keep the smallest descending-probability set with cumulative mass >= p,
-    then renormalize by its numpy sum.  Ties are broken toward lower token ids."""
+class Nucleus(NamedTuple):
+    """The nucleus cut of (M, V) rows ``probs``: each keeps ``keep`` entries, the
+    smallest ``cut`` (equal ones may straddle it), renormalized by their sum ``mass``."""
+    probs: np.ndarray
+    keep: np.ndarray
+    cut: np.ndarray
+    mass: np.ndarray
+
+
+def nucleus_cut(probs: np.ndarray, p: float) -> Nucleus:
+    """Each row's smallest descending-probability set with cumulative mass >= p.
+    At p = 1 every entry is kept with mass 1, so the rows expand to themselves."""
     if not 0.0 < p <= 1.0:
         raise OutOfRange(f"nucleus p={p} outside (0, 1]")
+    n, width = probs.shape
     if p == 1.0:
-        return probs
-    width = probs.shape[-1]
-    flat = probs.reshape(-1, width)
-    rows = np.arange(flat.shape[0])
-    ranked = np.sort(flat, axis=1)[:, ::-1]  # tie order cannot change the values
+        return Nucleus(probs, np.full(n, width), np.zeros(n), np.ones(n))
+    rows = np.arange(n)
+    ranked = np.sort(probs, axis=1)[:, ::-1]  # tie order cannot change the values
     csum = np.cumsum(ranked, axis=1)
     last = (csum[:, :-1] < p).sum(axis=1)  # index of the last kept entry
     keep = last + 1
@@ -220,30 +228,48 @@ def nucleus_truncate(probs: np.ndarray, p: float) -> np.ndarray:
     for k in set(keep[keep >= 8].tolist()):
         group = np.nonzero(keep == k)[0]
         mass[group] = ranked[group, :k].sum(axis=1)
-    kept = flat >= ranked[rows, last][:, None]
+    return Nucleus(probs, keep, ranked[rows, last], mass)
+
+
+def nucleus_expand(nucleus: Nucleus, rows=slice(None)) -> np.ndarray:
+    """The truncated distributions of the given rows of a cut: each kept entry
+    over the kept mass, every other 0.  Ties at the cut go to lower token ids."""
+    probs, keep = nucleus.probs[rows], nucleus.keep[rows]
+    kept = probs >= nucleus.cut[rows, None]
     tied = np.nonzero(kept.sum(axis=1) > keep)[0]  # equal entries straddle the cut
     if tied.size:
-        order = np.argsort(-flat[tied], axis=1, kind="stable")
-        kept[tied[:, None], order] = np.arange(width) < keep[tied, None]
-    return np.where(kept, flat / mass[:, None], 0.0).reshape(probs.shape)
+        order = np.argsort(-probs[tied], axis=1, kind="stable")
+        kept[tied[:, None], order] = np.arange(probs.shape[1]) < keep[tied, None]
+    return np.where(kept, probs / nucleus.mass[rows, None], 0.0)
+
+
+def nucleus_truncate(probs: np.ndarray, p: float) -> np.ndarray:
+    """Keep the smallest descending-probability set with cumulative mass >= p,
+    then renormalize by its numpy sum.  Ties are broken toward lower token ids."""
+    flat = probs.reshape(-1, probs.shape[-1])
+    return nucleus_expand(nucleus_cut(flat, p)).reshape(probs.shape)
 
 
 def predict(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
             active: np.ndarray, temperature: float = 1.0, nucleus_p: float = 1.0,
-            gain: np.ndarray | None = None) -> np.ndarray:
+            gain: np.ndarray | None = None,
+            masked: np.ndarray | None = None) -> np.ndarray | Nucleus:
     """Token distributions for the ``active`` window columns of each row.
 
     This reference model is time-independent, so it takes no diffusion time.
     ``gain`` is ``offset_gains(params, positions, active)``, if already built.
-    Returns (N, len(active), V) with rows summing to one.
+    Returns (N, len(active), V) with rows summing to one; given an (N,
+    len(active)) bool ``masked``, only the ``nucleus_cut`` of those pairs.
     """
     if temperature <= 0.0:
         raise OutOfRange(f"temperature {temperature} must be positive")
     if windows.ndim == 1:
         windows = windows[None, :]
-    h = _pooled(params, windows, positions, active, gain)  # (N, J, d)
-    logits = h @ params.out + params.bias
-    return nucleus_truncate(_softmax(logits / temperature), nucleus_p)
+    # No name holds the pooled (N, J, d) states, so they are freed once projected.
+    logits = _pooled(params, windows, positions, active, gain) @ params.out + params.bias
+    if masked is None:
+        return nucleus_truncate(_softmax(logits / temperature), nucleus_p)
+    return nucleus_cut(_softmax(logits[masked] / temperature), nucleus_p)
 
 
 # --- NELBO --------------------------------------------------------------------

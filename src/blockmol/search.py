@@ -187,6 +187,7 @@ class TreeSearch:
         self._decoder = Decoder(params, replace(cfg.decode, mode="sample"), vocab)
         self._frag = cfg.decode.fragment
         self._last_block = min(self._frag.num_blocks, cfg.d_max)
+        self._scores: dict[str, OracleScores | None] = {}  # _score's, by SMILES
 
     def make_root(self) -> SearchNode:
         return SearchNode(partial=self._decoder.frame(1)[0], depth=0, cap=self.cfg.c_init)
@@ -244,16 +245,20 @@ class TreeSearch:
 
     def _score(self, smiles: str) -> OracleScores | None:
         """None for an invalid molecule; NaN scores, which no gate passes, when
-        the oracle fails on a valid one; channel loss is escalated."""
-        mol = try_parse(smiles)[0]
-        if mol is None:
-            return None
-        try:
-            return self.oracle.score_mol(mol)
-        except (ChildExited, Timeout) as failure:
-            raise OracleUnavailable(str(failure)) from failure
-        except OracleError:
-            return OracleScores(math.nan, math.nan, math.nan)
+        the oracle fails on a valid one; channel loss is escalated, and is the
+        one verdict not kept for the run's next call with that SMILES."""
+        if smiles in self._scores:
+            return self._scores[smiles]
+        mol, scores = try_parse(smiles)[0], None
+        if mol is not None:
+            try:
+                scores = self.oracle.score_mol(mol)
+            except (ChildExited, Timeout) as failure:
+                raise OracleUnavailable(str(failure)) from failure
+            except OracleError:
+                scores = OracleScores(math.nan, math.nan, math.nan)
+        self._scores[smiles] = scores
+        return scores
 
     def simulate(self, node: SearchNode, iteration: int):
         """(best reward over rollouts, per-rollout SearchResults)."""

@@ -308,9 +308,11 @@ def test_validate_reports_per_line(tmp_path, capsys):
     code, out, _ = run_cli(["validate", "--in", str(infile)], capsys)
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
-    assert [r["valid"] for r in rows] == [True, False, True]  # blank skipped
-    assert rows[1]["error"] == "UnbalancedBranch"
-    assert isinstance(rows[1]["position"], int)
+    # One verdict per input line; the blank one is an empty molecule.
+    assert [r["valid"] for r in rows] == [True, False, False, True]
+    assert (rows[1]["smiles"], rows[1]["error"]) == ("", "EmptyMolecule")
+    assert rows[2]["error"] == "UnbalancedBranch"
+    assert isinstance(rows[2]["position"], int)
     assert rows[0]["error"] is None
 
 
@@ -529,6 +531,39 @@ def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, 
     assert not out.exists()
     assert any(r.getMessage().startswith(f"{field} must") for r in caplog.records), \
         caplog.text
+
+
+@pytest.mark.parametrize("command,flags,key", [
+    ("search", ["--c", "inf"], "search.C"),
+    ("search", ["--beta", "inf"], "search.beta"),
+    ("sample", ["--temp", "inf"], "sample.temperature"),
+    ("search", ["--qed", "inf"], "gate.tau_qed"),
+    ("search", ["--sa=-inf"], "gate.tau_sa"),
+    ("search", [], "search.C"),  # from the config file below
+])
+def test_infinite_settings_exit_2_before_the_run(checkpoint, tmp_path, capsys, caplog,
+                                                 command, flags, key):
+    # Before, these ran the whole command; with --manifest it then exited 2
+    # on a manifest that strict JSON cannot hold, and without it exited 0.
+    cfg, manifest = tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg.write_text('{"search.C": Infinity}' if not flags else "{}")
+    argv = {"sample": ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"],
+            "search": ["search", "--target", "parp1", "--checkpoint", checkpoint,
+                       "--budget", "5", "--m", "8", "--length", "32"]}[command]
+    code, stdout, _ = run_cli(argv + flags + ["--config", str(cfg), "--manifest",
+                                              str(manifest)], capsys)
+    assert code == 2 and stdout == ""
+    assert not manifest.exists()
+    assert f"{key} must be finite" in caplog.text
+
+
+def test_an_infinite_sa_bound_runs_and_is_recorded_as_null(checkpoint, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    code, _, _ = run_cli(["search", "--target", "parp1", "--checkpoint", checkpoint,
+                          "--budget", "5", "--m", "8", "--length", "32", "--sa", "inf",
+                          "--manifest", str(manifest)], capsys)
+    assert code == 0
+    assert strict_json(manifest.read_text())["config"]["gate.tau_sa"] is None
 
 
 def test_curate_has_no_config_flag(tmp_path, capsys):

@@ -17,6 +17,7 @@ from blockmol.decode import (
     DecodeConfig,
     Decoder,
     ZeroMasked,
+    _confidence,
     first_hitting_step,
     gcd_select,
     key_uniform,
@@ -82,30 +83,26 @@ def test_first_hitting_matches_max_of_uniforms(m):
 
 
 def test_gcd_select_exhaustive_two_position():
-    # every 2-position, |V|=3 table against a brute-force max scan
+    # every 2-position, |V|=3 table and mask against a brute-force max scan;
+    # a position's confidence is its best token's probability
     grid = [0.05, 0.25, 0.7]
     for table in itertools.product(grid, repeat=6):
         probs = np.array(table).reshape(2, 3)
-        masked = np.array([True, True])
-        j, v, conf = gcd_select(probs, masked)
-        best = max(
-            ((probs[jj, vv], -jj, -vv) for jj in range(2) for vv in range(3)),
-            key=lambda x: x,
-        )
-        assert conf == probs[j, v]
-        assert probs[j].max() == probs[int(-best[1])].max()
-        # ties break toward the lowest position, then lowest token id
-        cands = [jj for jj in range(2) if probs[jj].max() == conf]
-        assert j == min(cands)
-        assert v == int(np.argmax(probs[j]))
+        for masked in ([True, True], [True, False], [False, True]):
+            masked = np.array(masked)
+            j, conf = gcd_select(probs.max(axis=1), masked)
+            best = max(probs[jj].max() for jj in range(2) if masked[jj])
+            assert conf == best
+            # ties break toward the lowest position
+            assert j == min(jj for jj in range(2) if masked[jj] and probs[jj].max() == best)
 
 
 def test_gcd_select_respects_mask():
-    probs = np.array([[0.9, 0.1], [0.2, 0.8]])
-    j, v, _ = gcd_select(probs, np.array([False, True]))
-    assert (j, v) == (1, 1)
+    conf = np.array([[0.9, 0.8], [0.3, 0.3]])
+    j, c = gcd_select(conf, np.array([[False, True], [True, True]]))
+    assert j.tolist() == [1, 0] and c.tolist() == [0.8, 0.3]
     with pytest.raises(ZeroMasked):
-        gcd_select(probs, np.array([False, False]))
+        gcd_select(conf, np.array([[False, False], [True, True]]))
 
 
 def test_decode_config_validation():
@@ -207,6 +204,33 @@ def test_row_whose_nucleus_keeps_only_mask_ends(vocab, mode):
         warnings.simplefilter("error", RuntimeWarning)  # no 0/0 in the draw
         recs = dec.generate(4)
     assert [(r.smiles, r.completed, r.block_count) for r in recs] == [("", True, 1)] * 4
+
+
+@st.composite
+def tied_rows(draw):
+    """Distributions over a few integer levels, so that entries tie, MASK
+    among them, and a p that often lands on a tied top entry."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(5, 12))
+    raw = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                                 min_size=rows * width, max_size=rows * width)))
+    raw = raw.reshape(rows, width)
+    raw[:, draw(st.integers(0, width - 1))] += 1.0  # no all-zero row
+    p = draw(st.one_of(st.sampled_from([0.25, 0.5, 0.95, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True)))
+    return raw / raw.sum(axis=1, keepdims=True), p
+
+
+@settings(max_examples=500, deadline=None)
+@given(tied_rows())
+@example((np.array([[0.0, 0.0, 0.0, 0.5, 0.0, 0.5]]), 0.5))  # MASK wins the tie
+@example((np.array([[0.0, 0.0, 0.5, 0.5, 0.0, 0.0]]), 0.5))  # EOS wins it
+def test_confidence_read_off_the_cut_is_the_truncated_rows_max(problem):
+    probs, p = problem
+    tokens = np.arange(probs.shape[1]) != Vocab.MASK_ID
+    truncated = diffusion.nucleus_truncate(probs, p)
+    truncated[:, Vocab.MASK_ID] = 0.0  # the decoder never commits MASK
+    assert np.array_equal(_confidence(diffusion.nucleus_cut(probs, p), tokens),
+                          truncated.max(axis=1))
 
 
 def test_generate_empty_prefix_matches_none(trained42, vocab):

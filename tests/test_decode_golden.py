@@ -26,6 +26,10 @@ LENGTH, BLOCK, BUDGET = 48, 8, 130
 SAMPLE_DIGEST = "55e7833c9d0dbf29a26df286ef849b19e7fbb1a5a565f161a70eeaf25261e428"
 CONFIDENCE_DIGEST = "b9d6713dc2c95d99c44bd6f7a89422d3b62c5ef745ccef62e8c2db16265ac692"
 SEARCH_DIGEST = "a3642407f64f83f6fa7823aae95c5257934d048e21decb604f7936bc1cc600ba"
+# The paths the three digests above skip: a temperature other than 1, and a
+# nucleus cut in confidence mode.
+WARM_SAMPLE_DIGEST = "80ab3478147c1746f732f9339fca2fcb40634236decc49eb923a808a79dbebf7"
+CONFIDENCE_NUCLEUS_DIGEST = "d84ba869e42710703703cd1504640b8acab3dcc9e848fb1c6c6797d9ca6e13e2"
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +79,26 @@ def test_confidence_mode_digest(predictor):
             lines += record_lines(dec.generate(2, toks[:cut] or None))
     assert len(lines) == 240
     assert digest(lines) == CONFIDENCE_DIGEST
+
+
+def test_sample_mode_digest_at_temperature(predictor):
+    params, vocab, _ = predictor
+    dec = Decoder(params, decode_config(nucleus_p=0.95, temperature=1.1, mode="sample",
+                                        seed=51000), vocab)
+    records = dec.generate(600)
+    assert len(records) == 600
+    assert digest(record_lines(records)) == WARM_SAMPLE_DIGEST
+
+
+def test_confidence_mode_digest_under_nucleus(predictor):
+    params, vocab, tokens = predictor
+    dec = Decoder(params, decode_config(nucleus_p=0.95, mode="confidence", seed=3), vocab)
+    lines = []
+    for toks in tokens[:40]:
+        for cut in (0, 3, 9):
+            lines += record_lines(dec.generate(2, toks[:cut] or None))
+    assert len(lines) == 240
+    assert digest(lines) == CONFIDENCE_NUCLEUS_DIGEST
 
 
 def test_search_rollouts_digest(predictor):

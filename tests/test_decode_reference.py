@@ -167,6 +167,49 @@ def test_decode_block_matches_per_row_reference(problem):
             got, want, start = got.copy(), got.copy(), 1
 
 
+@st.composite
+def coarse_problems(draw):
+    """Decode problems whose tables take the values -1, 0 and 1, with few
+    distinct output columns, so that tokens tie exactly, at the nucleus cut
+    too.  A MASK bias makes MASK the most likely token, or at p = 0.5 the
+    only one a nucleus keeps, so that its row must end with EOS."""
+    block = draw(st.sampled_from([4, 8]))
+    length = block * draw(st.integers(1, 3))
+    prefix_len = draw(st.integers(0, min(length - 2, block)))
+    cfg = DecodeConfig(
+        block=block, length=length, budget=block,
+        temperature=draw(st.sampled_from([1.0, 1.1])),
+        nucleus_p=draw(st.sampled_from([0.5, 0.95, 1.0])),
+        mode=draw(st.sampled_from(["confidence", "sample"])),
+        seed=draw(st.integers(-2**40, 2**40)))
+    V, dim, window = len(VOCAB), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def table(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                      min_size=size, max_size=size))).reshape(shape)
+
+    columns = table(dim, draw(st.integers(1, 3)))
+    picks = draw(st.lists(st.integers(0, columns.shape[1] - 1), min_size=V, max_size=V))
+    bias = np.zeros(V)
+    bias[Vocab.MASK_ID] = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    params = PredictorParams(table(V, dim), table(2 * window + 1, dim), columns[:, picks],
+                             bias)
+    rows = draw(st.integers(1, 12))
+    return dict(
+        dec=Decoder(params, cfg, VOCAB),
+        prefix=draw(st.lists(st.sampled_from(BODY), min_size=prefix_len,
+                             max_size=prefix_len)),
+        lanes=draw(st.lists(LANES, min_size=rows, max_size=rows, unique=True)),
+        resume=draw(st.sampled_from([None, "rows", "tile"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coarse_problems())
+def test_decode_block_matches_per_row_reference_on_coarse_tables(problem):
+    test_decode_block_matches_per_row_reference.hypothesis.inner_test(problem)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(-2**62, 2**62),
        lanes=st.lists(st.integers(0, 10**7), min_size=1, max_size=50),

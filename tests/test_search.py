@@ -2,11 +2,12 @@
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from blockmol.chem import Vocab, validate_smiles
+from blockmol.chem import Vocab, try_parse, validate_smiles
 from blockmol.decode import DecodeConfig
 from blockmol.oracle import (
     ChildExited,
@@ -294,6 +295,38 @@ class FlakyOracle:
         if self.calls > self.fail_after:
             raise self.exc("synthetic failure")
         return self.inner.score_mol(mol, d)
+
+
+class CountingOracle:
+    """Scores normally and counts the calls for each molecule."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.profile = inner.profile
+        self.calls = Counter()
+
+    def score_mol(self, mol, d=None):
+        self.calls[mol.smiles] += 1
+        return self.inner.score_mol(mol, d)
+
+
+def test_search_scores_each_distinct_molecule_once(search_setup, monkeypatch):
+    params, vocab, oracle, decode = search_setup
+    parsed = Counter()
+
+    def counting_parse(smiles):
+        parsed[smiles] += 1
+        return try_parse(smiles)
+
+    monkeypatch.setattr("blockmol.search.try_parse", counting_parse)
+    counting = CountingOracle(oracle)
+    out = run_search(SearchConfig(n_max=60, m=8, n_sim=4, decode=decode),
+                     params, vocab, counting)
+    valid = [r.smiles for r in out.rollouts]
+    assert len(set(valid)) < len(valid)  # some molecules came back
+    assert counting.calls == Counter(set(valid))  # each scored once
+    assert set(parsed.values()) == {1}  # invalid ones are parsed once too
+    assert len(parsed) > len(set(valid))
 
 
 def test_channel_loss_aborts_with_partial_results(search_setup):
