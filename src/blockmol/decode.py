@@ -322,12 +322,13 @@ class Decoder:
 
 
 def write_jsonl(records: list[GenRecord], fh, seed: int):
-    """One JSON object per molecule: smiles, validity, block count, seed."""
+    """One JSON object per molecule: smiles, validity, completed, block count, seed."""
     for rec in records:
         mol, _ = try_parse(rec.smiles)
         fh.write(json.dumps({
             "smiles": rec.smiles,
             "valid": mol is not None,
+            "completed": rec.completed,
             "block_count": rec.block_count,
             "seed": seed,
         }) + "\n")

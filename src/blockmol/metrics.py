@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .chem import Fingerprint, descriptors, fingerprint, tanimoto, try_parse
+import numpy as np
+
+from .chem import Fingerprint, WidthMismatch, descriptors, fingerprint, try_parse
 from .oracle import OracleScores, SurrogateOracle
 
 
@@ -25,6 +27,7 @@ QED_HIT = 0.5  # filter and hits: qed > this (strict)
 SA_HIT = 5.0  # filter and hits: sa < this (strict)
 TOP_FRACTION = 0.05  # novel_top_hit: mean ds of this best fraction of hits
 CIRCLE_THRESHOLD = 0.75
+PAIR_BLOCK_BYTES = 1 << 20  # size of one row block's AND in mean_pairwise_tanimoto
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,35 @@ def _score_unique(samples, oracle: SurrogateOracle) -> tuple[int, list[Scored]]:
     return valid, [s for s in seen.values() if s is not None]
 
 
+def _pack(fps: list[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
+    """(uint64 rows as wide as the widest int in the set, popcount per row)."""
+    if len(widths := {fp.width for fp in fps}) > 1:
+        raise WidthMismatch(f"fingerprint widths differ: {sorted(widths)}")
+    size = 8 * -(-max((fp.bits.bit_length() for fp in fps), default=0) // 64)
+    rows = np.frombuffer(b"".join(fp.bits.to_bytes(size, "little") for fp in fps),
+                         dtype="<u8").reshape(len(fps), size // 8)
+    return rows, np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+
+
+def _quotients(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """inter / union, 1.0 where the union is empty, as ``tanimoto`` divides."""
+    return np.divide(inter, union, out=np.ones(inter.shape), where=union != 0)
+
+
 def mean_pairwise_tanimoto(fps: list[Fingerprint]) -> float:
-    total = sum(tanimoto(fps[i], fps[j])
-                for i in range(len(fps)) for j in range(i + 1, len(fps)))
-    return total / (len(fps) * (len(fps) - 1) / 2)
+    """Mean Tanimoto over pairs i < j, added left to right in (i, j) order as
+    CPython 3.11's ``sum`` adds, in row blocks that carry the running total."""
+    rows, counts = _pack(fps)
+    n, total = len(fps), 0.0
+    step = max(1, PAIR_BLOCK_BYTES // max(1, rows.nbytes))
+    for lo in range(0, n - 1, step):  # rows lo.. against columns lo + 1..
+        inter = np.bitwise_count(rows[lo:lo + step, None] & rows[None, lo + 1:]).sum(
+            axis=2, dtype=np.int64)
+        union = counts[lo:lo + step, None] + counts[None, lo + 1:] - inter
+        values = _quotients(inter, union)[np.triu(np.ones(inter.shape, dtype=bool))]
+        values[0] += total
+        total = float(np.cumsum(values)[-1])
+    return total / (n * (n - 1) / 2)
 
 
 def diversity_score(fps: list[Fingerprint]) -> float:
@@ -123,11 +151,12 @@ def circles(fps: list[Fingerprint], threshold: float = CIRCLE_THRESHOLD) -> int:
     """Greedy sphere-exclusion count in the given (ds-ascending) order."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0,1): {threshold}")
-    centers: list[Fingerprint] = []
-    for fp in fps:
-        if all(tanimoto(fp, c) < threshold for c in centers):
-            centers.append(fp)
-    return len(centers)
+    rows, counts = _pack(fps)
+    centers = np.zeros(len(fps), dtype=bool)
+    for i, row in enumerate(rows):
+        inter = np.bitwise_count(rows[centers] & row).sum(axis=1, dtype=np.int64)
+        centers[i] = (_quotients(inter, counts[centers] + counts[i] - inter) < threshold).all()
+    return int(centers.sum())
 
 
 def standard_metrics(samples, oracle: SurrogateOracle) -> EvalReport:

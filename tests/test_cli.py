@@ -359,7 +359,7 @@ def test_sample_stream_shape(checkpoint, capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 4
     for row in rows:
-        assert set(row) == {"smiles", "valid", "block_count", "seed"}
+        assert set(row) == {"smiles", "valid", "completed", "block_count", "seed"}
         assert row["seed"] == 7
 
 

@@ -1,6 +1,8 @@
 """Adaptive confidence decoding: rng keying, schedule, selection, budgets."""
 
+import io
 import itertools
+import json
 import math
 import warnings
 
@@ -24,6 +26,7 @@ from blockmol.decode import (
     lane_keys,
     lane_uniforms,
     step_keys,
+    write_jsonl,
 )
 from blockmol.diffusion import OutOfRange, PredictorParams
 
@@ -204,6 +207,19 @@ def test_row_whose_nucleus_keeps_only_mask_ends(vocab, mode):
         warnings.simplefilter("error", RuntimeWarning)  # no 0/0 in the draw
         recs = dec.generate(4)
     assert [(r.smiles, r.completed, r.block_count) for r in recs] == [("", True, 1)] * 4
+
+
+@pytest.mark.parametrize("mode", ["confidence", "sample"])
+def test_rows_that_never_commit_eos_are_written_incomplete(vocab, mode):
+    params = PredictorParams.init(len(vocab), 8, 4, seed=1)
+    params.bias[Vocab.EOS_ID] = -50.0
+    dec = Decoder(params, DecodeConfig(block=8, length=16, mode=mode, seed=3), vocab)
+    out = io.StringIO()
+    write_jsonl(dec.generate(4), out, seed=3)
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(lines) == 4
+    assert [line["completed"] for line in lines] == [False] * 4
+    assert all(line["block_count"] == 2 for line in lines)
 
 
 @st.composite
