@@ -787,6 +787,10 @@ class Fingerprint:
     bits: int
     width: int
 
+    def __post_init__(self):
+        if self.bits < 0:  # its bit count would be the magnitude's
+            raise ValueError(f"fingerprint bits must be >= 0, got {self.bits}")
+
 
 def _atom_label(atom: Atom) -> str:
     label = atom.element.lower() if atom.aromatic else atom.element

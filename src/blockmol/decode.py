@@ -129,13 +129,18 @@ def gcd_select(conf: np.ndarray, masked: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _confidence(nucleus: diffusion.Nucleus, tokens: np.ndarray) -> np.ndarray:
     """Each row's largest committable probability after truncation, read off its
-    cut: kept above the cut, dropped below it, and truncated in full at it."""
-    top = np.max(nucleus.probs, axis=1, initial=0.0, where=tokens)
-    conf = np.where(top > nucleus.cut, top / nucleus.mass, 0.0)
-    tied = np.nonzero(top == nucleus.cut)[0]
-    if tied.size:
-        truncated = diffusion.nucleus_expand(nucleus, tied)
-        conf[tied] = np.max(truncated, axis=1, initial=0.0, where=tokens)
+    cut: kept at or above the cut, dropped below it.  Only a row whose entries
+    equal to its cut straddle it is truncated in full, as the tie rule may drop
+    its top entry."""
+    probs, keep, cut, mass = nucleus
+    top = np.maximum.reduce(probs, axis=1, initial=0.0, where=tokens)
+    conf = top / mass
+    if (top <= cut).any():
+        conf[top < cut] = 0.0
+        tied = ((top == cut) & ((probs >= cut[:, None]).sum(axis=1) > keep)).nonzero()[0]
+        if tied.size:
+            truncated = diffusion.nucleus_expand(nucleus, tied)
+            conf[tied] = np.maximum.reduce(truncated, axis=1, initial=0.0, where=tokens)
     return conf
 
 
@@ -178,7 +183,9 @@ class GenRecord:
 
 
 class Decoder:
-    """Runs block decoding for a fixed predictor, config, and vocabulary."""
+    """Runs block decoding for a fixed predictor, config, and vocabulary.
+    ``params`` is taken as frozen: the constants every step reads are built
+    from its tables once, so a later change to them is not seen."""
 
     def __init__(self, params: diffusion.PredictorParams, cfg: DecodeConfig, vocab: Vocab):
         if params.vocab_size != len(vocab):
@@ -187,6 +194,11 @@ class Decoder:
         self.params = params
         self.cfg = cfg
         self.vocab = vocab
+        self._table = diffusion.visible_table(params)
+        self._tokens = np.arange(params.vocab_size) != Vocab.MASK_ID
+        self._positions = np.arange(cfg.length)
+        # Block b's offset gains are the last (b + 1) * K columns of the last block's.
+        self._gain = diffusion.offset_gains(params, self._positions, self._positions[-cfg.block:])
 
     # -- framing
 
@@ -231,42 +243,40 @@ class Decoder:
             raise BudgetExhausted(steps, cfg.budget, b)
         block = ids[:, b * K : hi]  # a view: commits land in ids
         ids[live, start:hi] = Vocab.MASK_ID
-        # Built once per block: the offset gains of the block's positions over
-        # the whole prefix and, in sample mode, every step's draw uniforms.
+        # Built once per block, in sample mode: every step's draw uniforms.
         if cfg.mode == "sample":
             pending = np.nonzero((block == Vocab.MASK_ID).any(axis=1))[0]
             u_draw = np.zeros((block.shape[0], steps))
             u_draw[pending] = lane_uniforms(step_keys(keys[pending], b, steps), 0xD0)
-        positions = np.arange(hi)
-        active = np.arange(b * K, hi)
-        gain = diffusion.offset_gains(self.params, positions, active)
-        tokens = np.arange(self.params.vocab_size) != Vocab.MASK_ID
+        positions = self._positions[:hi]
+        gain = self._gain[:, :, cfg.length - hi:]
         for step in range(steps):
             masked = block == Vocab.MASK_ID
-            rows = np.nonzero(masked.any(axis=1))[0]
+            rows = masked.any(axis=1).nonzero()[0]
             if rows.shape[0] == 0:
                 break
             masked = masked[rows]
             nucleus = diffusion.predict(
-                self.params, ids[rows, :hi], positions, active,
+                self.params, ids[rows, :hi], positions, positions[b * K:],
                 temperature=cfg.temperature, nucleus_p=cfg.nucleus_p, gain=gain,
-                masked=masked)
+                table=self._table, masked=masked)
             conf = np.zeros(masked.shape)
-            conf[masked] = _confidence(nucleus, tokens)
+            conf[masked] = _confidence(nucleus, self._tokens)
             j, conf = gcd_select(conf, masked)
-            pair = np.cumsum(masked) - 1  # each masked pair's row in the cut
+            pair = masked.cumsum() - 1  # each masked pair's row in the cut
             top = diffusion.nucleus_expand(nucleus, pair[np.arange(rows.shape[0]) * K + j])
             del nucleus  # not to be held beside the next predict call's arrays
             # Absorbing-state convention: the decoder never commits MASK itself,
             # otherwise a masked slot could survive its own reveal step.
             top[:, Vocab.MASK_ID] = 0.0
             if cfg.mode == "sample":
-                # Inverse CDF of each chosen row; on a nondecreasing row the
-                # count of entries <= u is searchsorted(side="right").
-                mass = top.sum(axis=1, keepdims=True)
-                csum = np.cumsum(top / np.where(mass > 0.0, mass, 1.0), axis=1)
-                u = u_draw[rows, step][:, None]
-                v = np.minimum((csum <= u).sum(axis=1), top.shape[1] - 1)
+                # Inverse CDF of each chosen row: its running sum never falls,
+                # so the count of entries <= u is the index of the first above u.
+                mass = np.add.reduce(top, axis=1, keepdims=True)
+                np.divide(top, mass, out=top, where=mass > 0.0)
+                above = top.cumsum(axis=1) > u_draw[rows, step][:, None]
+                above[:, -1] = True
+                v = above.argmax(axis=1)
             else:
                 v = top.argmax(axis=1)
             # A row whose nucleus kept only MASK has nothing to commit: it ends.

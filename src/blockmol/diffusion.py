@@ -164,27 +164,27 @@ def offset_gains(params: PredictorParams, positions: np.ndarray,
     return params.gains[rel].transpose(2, 0, 1)
 
 
-def _visible_embeddings(params: PredictorParams, windows: np.ndarray) -> np.ndarray:
-    """E[x[n, k]] for every window column, zero where the token is MASK, (N, S, d).
-
-    Scaling table rows by their 0/1 visibility gives the values that scaling
-    the gathered (N, S, d) columns would, for one (V, d) multiply.
-    """
+def visible_table(params: PredictorParams) -> np.ndarray:
+    """The (V, d) embedding table with MASK's row zeroed: gathered at a window's
+    tokens, it gives E[x[n, k]], zero where the token is MASK, the values that
+    scaling the gathered (N, S, d) columns would, for one (V, d) multiply."""
     vis = (np.arange(params.vocab_size) != Vocab.MASK_ID).astype(np.float64)
-    return (params.embeddings * vis[:, None])[windows]
+    return params.embeddings * vis[:, None]
 
 
 def _pooled(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
-            targets: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
+            targets: np.ndarray, gain: np.ndarray | None = None,
+            table: np.ndarray | None = None) -> np.ndarray:
     """h[n, j] = sum_k visible(n, k) * E[x[n, k]] * G[pos(targets[j]) - pos(k)].
 
     ``windows``: (N, S) token ids; MASK positions contribute nothing.
     ``positions``: (S,) sequence positions of the window columns.
     ``targets``: indices into the window for which h is produced.
+    ``gain`` and ``table`` are ``offset_gains`` and ``visible_table``, if built.
     """
     if gain is None:
         gain = offset_gains(params, positions, targets)
-    emb = _visible_embeddings(params, windows)  # (N, S, d)
+    emb = (visible_table(params) if table is None else table)[windows]  # (N, S, d)
     # The batched matmul that einsum("nsd,jsd->njd", optimize=True) plans,
     # without the planning: same sums, same (d, J, N) memory layout, so the
     # projection below rounds the same way too.
@@ -194,10 +194,14 @@ def _pooled(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
     return np.ascontiguousarray(h) if windows.shape[1] == 1 else h
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+def _softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Softmax of logits / temperature over the last axis, in place in ``logits``."""
+    if temperature != 1.0:
+        logits /= temperature
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 class Nucleus(NamedTuple):
@@ -219,8 +223,10 @@ def nucleus_cut(probs: np.ndarray, p: float) -> Nucleus:
         return Nucleus(probs, np.full(n, width), np.zeros(n), np.ones(n))
     rows = np.arange(n)
     ranked = np.sort(probs, axis=1)[:, ::-1]  # tie order cannot change the values
-    csum = np.cumsum(ranked, axis=1)
-    last = (csum[:, :-1] < p).sum(axis=1)  # index of the last kept entry
+    csum = ranked.cumsum(axis=1)
+    short = csum < p  # the sums never fall: the last kept one is the first to reach p
+    short[:, -1] = False
+    last = short.argmin(axis=1)
     keep = last + 1
     # numpy sums fewer than 8 entries left to right, as cumsum does, and
     # more pairwise: those rows are summed by numpy, grouped by count.
@@ -252,12 +258,13 @@ def nucleus_truncate(probs: np.ndarray, p: float) -> np.ndarray:
 
 def predict(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
             active: np.ndarray, temperature: float = 1.0, nucleus_p: float = 1.0,
-            gain: np.ndarray | None = None,
+            gain: np.ndarray | None = None, table: np.ndarray | None = None,
             masked: np.ndarray | None = None) -> np.ndarray | Nucleus:
     """Token distributions for the ``active`` window columns of each row.
 
     This reference model is time-independent, so it takes no diffusion time.
-    ``gain`` is ``offset_gains(params, positions, active)``, if already built.
+    ``gain`` is ``offset_gains(params, positions, active)`` and ``table``
+    ``visible_table(params)``, if already built.
     Returns (N, len(active), V) with rows summing to one; given an (N,
     len(active)) bool ``masked``, only the ``nucleus_cut`` of those pairs.
     """
@@ -266,10 +273,11 @@ def predict(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
     if windows.ndim == 1:
         windows = windows[None, :]
     # No name holds the pooled (N, J, d) states, so they are freed once projected.
-    logits = _pooled(params, windows, positions, active, gain) @ params.out + params.bias
+    logits = _pooled(params, windows, positions, active, gain, table) @ params.out + params.bias
     if masked is None:
-        return nucleus_truncate(_softmax(logits / temperature), nucleus_p)
-    return nucleus_cut(_softmax(logits[masked] / temperature), nucleus_p)
+        return nucleus_truncate(_softmax(logits, temperature), nucleus_p)
+    logits = logits[masked]  # and the (N, J, V) logits before the cut
+    return nucleus_cut(_softmax(logits, temperature), nucleus_p)
 
 
 # --- NELBO --------------------------------------------------------------------
@@ -376,7 +384,7 @@ def loss_gradient(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
     g_out = h.reshape(n * L, d).T @ dlogits
     g_bias = dlogits.sum(axis=0)
     dh = (dlogits @ params.out.T).reshape(n, L, d).transpose(2, 1, 0)  # (d, L, n)
-    emb = _visible_embeddings(params, concat)  # (n, 2L, d)
+    emb = visible_table(params)[concat]  # (n, 2L, d)
     # h = gain @ emb per dimension, so each factor's gradient is one batched
     # matmul summed over target rows or over examples: 2L rows per example
     # reach the embedding table, and the layout's groups fold the (L, 2L)

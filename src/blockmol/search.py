@@ -116,8 +116,11 @@ def uct_score(child: SearchNode, parent_n: int, lam: float, c: float) -> float:
         raise UnvisitedChild("UCT needs at least one visit")
     if parent_n < 1:
         raise UnvisitedChild("parent must have been visited")
-    explore = c * math.sqrt(math.log(parent_n) / child.n)
-    return lam * child.r_bar + (1.0 - lam) * child.r_max + explore
+    return _uct(child, math.log(parent_n), lam, c)
+
+
+def _uct(child: SearchNode, log_parent_n: float, lam: float, c: float) -> float:
+    return lam * child.r_bar + (1.0 - lam) * child.r_max + c * math.sqrt(log_parent_n / child.n)
 
 
 def adaptive_cap(node: SearchNode, beta: float, c_min: int, c_max: int) -> int:
@@ -207,10 +210,9 @@ class TreeSearch:
             unvisited = [ch for ch in node.children if ch.n == 0]
             if unvisited:
                 node = unvisited[0]
-            else:  # the first child of highest score
-                parent_n = node.n
-                node = max(node.children, key=lambda ch: uct_score(
-                    ch, parent_n, self.cfg.lam, self.cfg.c))
+            else:  # the first child of highest score, all of them visited
+                log_n, lam, c = math.log(node.n), self.cfg.lam, self.cfg.c
+                node = max(node.children, key=lambda ch: _uct(ch, log_n, lam, c))
             path.append(node)
 
     # -- phase 2

@@ -168,6 +168,16 @@ def test_tanimoto_known_bitset_value():
     assert tanimoto(a, b) == 0.5
 
 
+def test_fingerprint_rejects_negative_bits():
+    # int.bit_count counts a negative int's magnitude, so such a fingerprint
+    # would score tanimoto(Fingerprint(-1, 256), Fingerprint(3, 256)) == 2.0.
+    from blockmol.chem import Fingerprint
+
+    with pytest.raises(ValueError, match="-1"):
+        Fingerprint(-1, 256)
+    assert Fingerprint(0, 256).bits == 0
+
+
 def test_fnv1a64_frozen():
     # seed=0 is plain 64-bit FNV-1a; values per the published test vectors.
     assert fnv1a64(b"", seed=0) == 0xCBF29CE484222325

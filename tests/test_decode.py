@@ -240,13 +240,39 @@ def tied_rows(draw):
 @given(tied_rows())
 @example((np.array([[0.0, 0.0, 0.0, 0.5, 0.0, 0.5]]), 0.5))  # MASK wins the tie
 @example((np.array([[0.0, 0.0, 0.5, 0.5, 0.0, 0.0]]), 0.5))  # EOS wins it
+# keep == 1 with the top token at the cut, alone there: read off the cut
+@example((np.array([[0.1, 0.2, 0.1, 0.0, 0.6], [0.0, 0.0, 0.0, 0.4, 0.6]]), 0.5))
+# the top token ties MASK and a later token at the cut, and the later one drops
+@example((np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]]) / 3.0, 0.5))
+# equal entries straddle a cut below the top token: only the chosen row shows it
+@example((np.array([[0.4, 0.2, 0.0, 0.2, 0.2], [0.5, 0.0, 0.0, 0.25, 0.25]]), 0.7))
 def test_confidence_read_off_the_cut_is_the_truncated_rows_max(problem):
     probs, p = problem
     tokens = np.arange(probs.shape[1]) != Vocab.MASK_ID
-    truncated = diffusion.nucleus_truncate(probs, p)
+    nucleus = diffusion.nucleus_cut(probs, p)
+    truncated = diffusion.nucleus_expand(nucleus)
+    # The decoder expands each row it chooses alone.
+    for row in range(probs.shape[0]):
+        chosen = diffusion.nucleus_expand(nucleus, np.array([row]))
+        assert chosen.tobytes() == truncated[row].tobytes()
     truncated[:, Vocab.MASK_ID] = 0.0  # the decoder never commits MASK
-    assert np.array_equal(_confidence(diffusion.nucleus_cut(probs, p), tokens),
-                          truncated.max(axis=1))
+    assert _confidence(nucleus, tokens).tobytes() == truncated.max(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["confidence", "sample"])
+def test_reused_decoder_matches_a_fresh_one(trained42, vocab, mode):
+    # The decoder builds its predictor constants once; blocks decoded out of
+    # order by one decoder must match a fresh decoder per block.
+    cfg = DecodeConfig(block=8, length=48, nucleus_p=0.95, mode=mode, seed=5)
+    reused = Decoder(trained42, cfg, vocab)
+    keys = lane_keys(cfg.seed, np.arange(6))
+    for b in (3, 0, 3):
+        got = reused.frame(6, ["C", "C"])
+        want = got.copy()
+        reused.decode_block(got, b, keys)
+        Decoder(trained42, cfg, vocab).decode_block(want, b, keys)
+        assert np.array_equal(got, want)
+        assert (got[:, b * 8:(b + 1) * 8] != Vocab.MASK_ID).all()
 
 
 def test_generate_empty_prefix_matches_none(trained42, vocab):

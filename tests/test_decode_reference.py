@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockmol import diffusion
+from blockmol import decode, diffusion
 from blockmol.chem import Vocab, tokenize
 from blockmol.decode import (BudgetExhausted, DecodeConfig, Decoder, key_uniform,
                              lane_keys, lane_uniforms)
@@ -167,6 +167,21 @@ def test_decode_block_matches_per_row_reference(problem):
             got, want, start = got.copy(), got.copy(), 1
 
 
+@pytest.mark.parametrize("nucleus_p", [0.9, 1.0])
+def test_draws_at_the_top_of_the_unit_interval_match_the_reference(monkeypatch, nucleus_p):
+    # The largest uniform that key_uniform returns can reach a chosen row's
+    # whole cumulative sum, which may round below 1; the draw must then take
+    # the last token, as the reference's searchsorted does.
+    u = 1.0 - 2.0**-53
+    monkeypatch.setattr(decode, "lane_uniforms", lambda keys, *parts: np.full(keys.shape, u))
+    monkeypatch.setitem(globals(), "key_uniform", lambda *parts: u)
+    cfg = DecodeConfig(block=8, length=24, nucleus_p=nucleus_p, mode="sample", seed=1)
+    for seed in range(4):
+        params = PredictorParams.init(len(VOCAB), 6, 3, seed=seed, scale=1.0)
+        test_decode_block_matches_per_row_reference.hypothesis.inner_test(dict(
+            dec=Decoder(params, cfg, VOCAB), prefix=[], lanes=list(range(16)), resume=None))
+
+
 @st.composite
 def coarse_problems(draw):
     """Decode problems whose tables take the values -1, 0 and 1, with few
@@ -206,6 +221,20 @@ def coarse_problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(coarse_problems())
+@example(dict(  # sample mode: rows whose top token sits at the cut, alone there
+    # (confidence read off the cut) or among equal entries straddling it
+    # (truncated in full, where MASK may win the tie), and chosen rows that
+    # straddle their cut
+    dec=Decoder(PredictorParams(
+        np.array([[1, -1, 1, 1, 1, 1, -1, -1, 1, 0, -1, 1, 1, 1, 0, -1, -1, 0, -1, -1, -1]],
+                 float).T,
+        np.array([[1.0], [-1.0], [1.0]]),
+        np.array([[-1, -1, -1, 1, -1, 1, 1, 0, 0, 0, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, -1]],
+                 float),
+        np.zeros(len(VOCAB))),
+        DecodeConfig(block=4, length=8, budget=4, nucleus_p=0.3, mode="sample", seed=5),
+        VOCAB),
+    prefix=[], lanes=list(range(6)), resume=None))
 def test_decode_block_matches_per_row_reference_on_coarse_tables(problem):
     test_decode_block_matches_per_row_reference.hypothesis.inner_test(problem)
 
