@@ -6,6 +6,15 @@ the molecule and are rewarded with the negated docking surrogate when the
 molecule is valid and passes the drug-likeness gate, and with a fixed
 penalty otherwise.  Child capacity widens with the dispersion of child
 returns, so promising nodes are explored more broadly.
+
+The root's capacity is fixed, so until it holds ``c_init`` children (or its
+candidates run dry) every iteration selects it, whatever the rewards.  Those
+iterations run in waves of ``ROOT_WAVE_ROWS // max(m, n_sim)``: one decode
+call for the wave's candidate blocks, the children picked in iteration order,
+one call for their rollouts, then scoring and backpropagation in iteration
+order.  This is exact: every row draws with its own lane key, and a row's
+decoding does not depend on the rows decoded beside it.  Every later
+iteration is a wave of one.
 """
 
 from __future__ import annotations
@@ -22,6 +31,10 @@ from .decode import DecodeConfig, Decoder, key_uniform, lane_keys
 from .oracle import ChildExited, OracleError, OracleScores, Timeout
 
 log = logging.getLogger(__name__)
+
+# Rows decoded per call in the root phase's waves.  Larger waves raise the
+# peak memory of a predictor call, and 128 rows were no faster than 64.
+ROOT_WAVE_ROWS = 64
 
 
 class UnvisitedChild(ValueError):
@@ -83,7 +96,8 @@ class SearchConfig:
                 raise ValueError(f"{name} must be a number, got nan")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0,1]: {self.lam}")
-        for name in ("c_init", "c_base"):  # a node of capacity 0 never gets a child
+        # A node of capacity 0 never gets a child.
+        for name in ("c_init", "c_base", "c_min"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
         if self.c_min > self.c_max:
@@ -217,15 +231,24 @@ class TreeSearch:
 
     # -- phase 2
 
-    def expand(self, node: SearchNode, iteration: int) -> SearchNode:
+    def candidates(self, node: SearchNode, iterations: range) -> np.ndarray:
+        """The m candidate rows of each iteration's expansion of node, as
+        (iterations, m, L), decoded in one call: lane ``iteration * m + j``
+        draws candidate j."""
         cfg = self.cfg
-        ids = np.tile(node.partial, (cfg.m, 1))
-        lanes = iteration * cfg.m + np.arange(cfg.m)
+        ids = np.tile(node.partial, (len(iterations) * cfg.m, 1))
+        lanes = np.arange(iterations.start * cfg.m, iterations.stop * cfg.m)
         self._decoder.decode_block(ids, node.depth, lane_keys(cfg.decode.seed, lanes))
+        return ids.reshape(len(iterations), cfg.m, -1)
+
+    def expand(self, node: SearchNode, iteration: int, ids: np.ndarray) -> SearchNode:
+        """Add the child of one of this iteration's candidate rows ``ids`` whose
+        block no sibling holds, picked by the iteration's key."""
+        cfg = self.cfg
         K = self._frag.block
         lo = node.depth * K
         taken = {ch.block_key for ch in node.children}
-        keys = [tuple(int(v) for v in ids[lane, lo:lo + K]) for lane in range(cfg.m)]
+        keys = [tuple(block) for block in ids[:, lo:lo + K].tolist()]
         survivors = [lane for lane in range(cfg.m) if keys[lane] not in taken]
         if not survivors:
             node.exhausted = True
@@ -245,6 +268,24 @@ class TreeSearch:
 
     # -- phase 3
 
+    def rollout_rows(self, children: list[SearchNode], iterations: range) -> list[np.ndarray]:
+        """Each child's rows to score: a terminal child's own sequence, the
+        others' n_sim completions, decoded in one call from a stream disjoint
+        from expansion's, lane ``iteration * n_sim + j`` drawing completion j.
+        The children share one depth."""
+        cfg = self.cfg
+        rows = [ch.partial[None, :] for ch in children]
+        open_ = [k for k, ch in enumerate(children) if not ch.terminal]
+        if open_:
+            ids = np.repeat(np.stack([children[k].partial for k in open_]), cfg.n_sim, axis=0)
+            lanes = (np.array([iterations[k] for k in open_])[:, None] * cfg.n_sim
+                     + np.arange(cfg.n_sim)).ravel()
+            self._decoder.run_blocks(ids, children[open_[0]].depth, self._last_block,
+                                     lane_keys(cfg.decode.seed ^ 0x517C0DE, lanes))
+            for i, k in enumerate(open_):
+                rows[k] = ids[i * cfg.n_sim:(i + 1) * cfg.n_sim]
+        return rows
+
     def _score(self, smiles: str) -> OracleScores | None:
         """None for an invalid molecule; NaN scores, which no gate passes, when
         the oracle fails on a valid one; channel loss is escalated, and is the
@@ -262,17 +303,9 @@ class TreeSearch:
         self._scores[smiles] = scores
         return scores
 
-    def simulate(self, node: SearchNode, iteration: int):
-        """(best reward over rollouts, per-rollout SearchResults)."""
+    def simulate(self, node: SearchNode, iteration: int, ids: np.ndarray):
+        """(best reward over the rollout rows ``ids``, per-rollout SearchResults)."""
         cfg = self.cfg
-        if node.terminal:
-            ids = node.partial[None, :]
-        else:
-            ids = np.tile(node.partial, (cfg.n_sim, 1))
-            # Rollouts draw from a stream disjoint from expansion's.
-            lanes = iteration * cfg.n_sim + np.arange(cfg.n_sim)
-            self._decoder.run_blocks(ids, node.depth, self._last_block,
-                                     lane_keys(cfg.decode.seed ^ 0x517C0DE, lanes))
         best, results = cfg.gate.r_pen, []
         for rec in self._decoder.records(ids):
             scores = self._score(rec.smiles)
@@ -291,28 +324,45 @@ class TreeSearch:
         cfg = self.cfg
         root = self.make_root()
         rollouts: list[SearchResult] = []
-        aborted = False
-        iteration = 0
-        for iteration in range(cfg.n_max):
+        done, aborted = 0, False
+        while done < cfg.n_max and not aborted:
             path, leaf = self.select(root)
+            width = 1
+            if leaf is root:  # the root phase: see the module docstring
+                width = min(max(1, ROOT_WAVE_ROWS // max(cfg.m, cfg.n_sim)),
+                            root.cap - len(root.children), cfg.n_max - done)
+            ran, aborted = self._wave(path, leaf, range(done, done + width), rollouts)
+            done += ran
+        return self._outcome(root, rollouts, done, aborted)
+
+    def _wave(self, path, leaf, iterations: range, rollouts) -> tuple[int, bool]:
+        """Run iterations that each select ``leaf`` by ``path``; returns how
+        many ran, which is fewer when the leaf runs out of novel candidates,
+        and whether the oracle was lost."""
+        if leaf.terminal:  # scored once, when expansion created it
+            backpropagate(path, leaf.cached_reward)
+            return 1, False
+        children = []
+        for iteration, ids in zip(iterations, self.candidates(leaf, iterations)):
             try:
-                if leaf.terminal:  # scored once, when expansion created it
-                    backpropagate(path, leaf.cached_reward)
-                    continue
-                try:
-                    child = self.expand(leaf, iteration)
-                except NoNovelCandidate:
-                    continue
-                reward, results = self.simulate(child, iteration)
-                rollouts.extend(results)
-                backpropagate(path + [child], reward)
+                children.append(self.expand(leaf, iteration, ids))
+            except NoNovelCandidate:  # the leaf is exhausted: later iterations select anew
+                iterations = iterations[:len(children) + 1]
+                break
+        for k, ids in enumerate(self.rollout_rows(children, iterations)):
+            try:
+                reward, results = self.simulate(children[k], iterations[k], ids)
             except OracleUnavailable as failure:
                 log.error("oracle lost, flushing partial results: %s", failure)
-                aborted = True
-                break
-        return self._outcome(root, rollouts, iteration, aborted)
+                # The tree as the failing iteration left it.
+                del leaf.children[len(leaf.children) - len(children) + k + 1:]
+                leaf.exhausted = False
+                return k + 1, True
+            rollouts.extend(results)
+            backpropagate(path + [children[k]], reward)
+        return len(iterations), False
 
-    def _outcome(self, root, rollouts, iteration, aborted) -> SearchOutcome:
+    def _outcome(self, root, rollouts, iterations, aborted) -> SearchOutcome:
         passing: dict[str, SearchResult] = {}
         for res in rollouts:
             if res.reward == self.cfg.gate.r_pen:
@@ -325,7 +375,7 @@ class TreeSearch:
             results=ranked,
             rollouts=rollouts,
             best=ranked[0] if ranked else None,
-            iterations=iteration + 1 if self.cfg.n_max else 0,
+            iterations=iterations,
             aborted=aborted,
             root=root,
         )

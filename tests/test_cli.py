@@ -514,13 +514,16 @@ def test_sample_prefix_rejects_control_tokens(checkpoint, capsys, caplog, prefix
     ("train", ["--toy", "-1"], "toy corpus size"),
     ("search", ["--c-init", "0"], "c_init"),
     ("sample", ["--n", "-3"], "n"),
+    ("search", ["--c-init", "10", "--c-min", "0", "--c-max", "0"], "c_min"),
+    ("search", ["--c-min", "-3", "--c-max", "-1"], "c_min"),
 ])
 def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, caplog,
                                                   command, flags, field):
     # Before, these raised ZeroDivisionError or AttributeError, or ran anyway:
     # "--temp nan" wrote empty molecules, "--budget -1" reported one iteration,
-    # "train --toy -1" trained on 600 molecules and "--c-init 0" wrote only a
-    # summary line and a manifest that claimed one iteration.
+    # "train --toy -1" trained on 600 molecules, "--c-init 0" wrote only a
+    # summary line and a manifest that claimed one iteration, and "--c-min 0"
+    # let a node's capacity fall to 0, so 300 iterations made 12 rollouts.
     out = tmp_path / "t.ckpt"
     argv = {"sample": ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"],
             "search": ["search", "--target", "parp1", "--checkpoint", checkpoint,

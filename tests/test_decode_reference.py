@@ -239,6 +239,61 @@ def test_decode_block_matches_per_row_reference_on_coarse_tables(problem):
     test_decode_block_matches_per_row_reference.hypothesis.inner_test(problem)
 
 
+@st.composite
+def chunked_problems(draw):
+    """A batch of rows, some already ended, and a split of it into
+    consecutive chunks: any cuts, or one row per chunk."""
+    block = draw(st.sampled_from([4, 8]))
+    length = block * draw(st.integers(1, 4))
+    prefix_len = draw(st.integers(0, min(length - 2, block)))
+    cfg = DecodeConfig(
+        block=block, length=length, budget=block,
+        temperature=draw(st.sampled_from([1.0, 1.1])),
+        nucleus_p=draw(st.sampled_from([0.3, 0.95, 1.0])),
+        mode=draw(st.sampled_from(["confidence", "sample"])),
+        seed=draw(st.integers(-2**40, 2**40)))
+    params = PredictorParams.init(
+        len(VOCAB), dim=draw(st.integers(2, 12)), window=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**16)), scale=draw(st.sampled_from([0.1, 1.0, 3.0])))
+    rows = draw(st.integers(1, 24))
+    cuts = draw(st.one_of(st.just(list(range(1, rows))),
+                          st.sets(st.integers(1, max(1, rows - 1)), max_size=rows - 1)))
+    return dict(
+        dec=Decoder(params, cfg, VOCAB),
+        prefix=draw(st.lists(st.sampled_from(BODY), min_size=prefix_len,
+                             max_size=prefix_len)),
+        lanes=draw(st.lists(LANES, min_size=rows, max_size=rows, unique=True)),
+        # Rows that hold an EOS from this position on before decoding starts.
+        ended=draw(st.lists(st.one_of(st.none(), st.integers(1 + prefix_len, length - 1)),
+                            min_size=rows, max_size=rows)),
+        cuts=sorted(cuts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunked_problems())
+@example(dict(  # one row per chunk, one row ended at its first free position
+    dec=Decoder(PredictorParams.init(len(VOCAB), 6, 3, seed=7, scale=3.0),
+                DecodeConfig(block=8, length=24, budget=8, temperature=1.1,
+                             nucleus_p=0.95, mode="sample", seed=3), VOCAB),
+    prefix=["C"], lanes=[98, 99, 100, 101], ended=[None, 2, None, None], cuts=[1, 2, 3]))
+def test_decoding_consecutive_chunks_matches_the_whole_batch(problem):
+    # Search decodes the candidates and rollouts of several iterations in one
+    # call; that is exact only if a row's decoding ignores the rows beside it.
+    dec, lanes = problem["dec"], np.array(problem["lanes"])
+    whole = dec.frame(len(lanes), problem["prefix"])
+    for row, at in enumerate(problem["ended"]):
+        if at is not None:
+            whole[row, at:] = Vocab.EOS_ID
+    chunks = np.split(whole.copy(), problem["cuts"])
+    keys = lane_keys(dec.cfg.seed, lanes)
+    start = 1 + len(problem["prefix"])
+    for b in range(start // dec.cfg.block, dec.cfg.fragment.num_blocks):
+        dec.decode_block(whole, b, keys, start)
+        for chunk, chunk_keys in zip(chunks, np.split(keys, problem["cuts"])):
+            dec.decode_block(chunk, b, chunk_keys, start)
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(-2**62, 2**62),
        lanes=st.lists(st.integers(0, 10**7), min_size=1, max_size=50),

@@ -118,7 +118,8 @@ def test_search_config_validation():
         SearchConfig(m=0)
     for field, bad in (("n_max", dict(n_max=-1)), ("c", dict(c=math.nan)),
                        ("beta", dict(beta=math.nan)), ("c_init", dict(c_init=0)),
-                       ("c_base", dict(c_base=0))):
+                       ("c_base", dict(c_base=0)), ("c_min", dict(c_min=0, c_max=0)),
+                       ("c_min", dict(c_min=-3, c_max=-1))):
         with pytest.raises(ValueError, match=f"^{field} must"):
             SearchConfig(**bad)
     for field, bad in (("tau_qed", dict(tau_qed=math.nan)),
@@ -391,7 +392,7 @@ def test_expand_marks_exhausted_when_candidates_repeat(search_setup):
     seen = set()
     with pytest.raises(NoNovelCandidate):
         for _ in range(cfg.m + 1):
-            child = search.expand(root, iteration=5)
+            child = search.expand(root, 5, search.candidates(root, range(5, 6))[0])
             assert child.block_key not in seen
             seen.add(child.block_key)
     assert root.exhausted
