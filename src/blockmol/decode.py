@@ -39,6 +39,9 @@ class BudgetExhausted(RuntimeError):
         self.budget = budget
         self.block = block
 
+    def __reduce__(self):  # pickled from a worker process as its constructor's args
+        return BudgetExhausted, (self.needed, self.budget, self.block)
+
 
 _U64 = (1 << 64) - 1
 
@@ -298,21 +301,31 @@ class Decoder:
                 break
             self.decode_block(ids, b, keys, start)
 
-    def generate(self, n: int, prefix: list | None = None) -> list[GenRecord]:
-        """Decode n sequences; returns [] when the block budget is exhausted.
+    def generate(self, n: int, prefix: list | None = None,
+                 first_lane: int = 0) -> list[GenRecord]:
+        """``decode``'s records, or [] when the block budget is exhausted."""
+        try:
+            return self.decode(n, prefix, first_lane)
+        except BudgetExhausted as err:
+            log_abort(err)
+            return []
+
+    def decode(self, n: int, prefix: list | None = None,
+               first_lane: int = 0) -> list[GenRecord]:
+        """Decode n sequences; raises BudgetExhausted when a block needs more
+        predictor calls than the budget.
 
         With a prefix, decoding starts at the first block containing a masked
         position and the prefix tokens are never altered.  Row i draws with
-        lane i of the configured seed.
+        lane ``first_lane + i`` of the configured seed, so consecutive chunks
+        of rows, each decoded with its first row's lane, give the whole
+        batch's records.
         """
         ids = self.frame(n, prefix)
         start = 1 + len(prefix or ())
-        try:
-            self.run_blocks(ids, start // self.cfg.block, self.cfg.fragment.num_blocks,
-                            lane_keys(self.cfg.seed, np.arange(n)), start)
-        except BudgetExhausted as err:
-            log.warning("decode aborted: %s", err)
-            return []
+        self.run_blocks(ids, start // self.cfg.block, self.cfg.fragment.num_blocks,
+                        lane_keys(self.cfg.seed, np.arange(first_lane, first_lane + n)),
+                        start)
         return self.records(ids)
 
     def records(self, ids: np.ndarray) -> list[GenRecord]:
@@ -329,6 +342,10 @@ class Decoder:
             out.append(GenRecord(tuple(tokens), "".join(tokens), bool(done[n]),
                                  int(ends[n]) if done[n] else frag.num_blocks))
         return out
+
+
+def log_abort(err: BudgetExhausted):
+    log.warning("decode aborted: %s", err)
 
 
 def write_jsonl(records: list[GenRecord], fh, seed: int):

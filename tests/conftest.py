@@ -1,5 +1,6 @@
-"""Shared fixtures: the curated toy corpus and predictors trained on it, and
-a runner for the command line in a child process.
+"""Shared fixtures: the curated toy corpus and predictors trained on it, a
+runner for the command line in a child process, and a check that no test
+leaves a child process behind.
 
 Corpus construction and training are the slow parts of the suite, so both
 are session-scoped and memoized per seed.
@@ -27,6 +28,18 @@ TRAIN_LR = 0.1
 TRAIN_EPOCHS = 5
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True)
+def no_stray_children():
+    """Fails a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail("the test left a child process " +
+                ("running" if pid == 0 else f"{pid} unreaped"))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """CLI exit codes, stream formats, config precedence, rerun identity."""
 
 import json
+import logging
 import math
 import os
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from blockmol import cli, parallel
 from blockmol.cli import DEFAULTS, SETTINGS, main
 from blockmol.data import toy_candidates
+from blockmol.decode import BudgetExhausted, Decoder
 from blockmol.search import GateConfig, SearchConfig
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -608,3 +611,132 @@ def test_workers_flag_and_key_are_gone(tmp_path, capsys):
                             "--config", str(cfg)], capsys)
     assert code == 1
     assert "unknown config keys: workers" in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("search", "--rollouts"), ("search", "--manifest"), ("sample", "--manifest"),
+    ("train", "--out"), ("curate", "--out"), ("curate", "--report")])
+def test_an_output_path_in_a_missing_directory_fails_before_any_work(
+        checkpoint, tmp_path, capsys, caplog, monkeypatch, command, flag):
+    # Before, search ran all its iterations and printed its results, and
+    # only then failed to open --rollouts or --manifest.
+    def work(*args, **kwargs):
+        raise AssertionError("the command began its work")
+
+    for name in ("run_search", "curate_stream", "Decoder", "pad_and_partition"):
+        monkeypatch.setattr(cli, name, work)
+    infile = tmp_path / "in.smi"
+    infile.write_text("CCO\n")
+    path = tmp_path / "missing" / "out"
+    argv = {"search": ["search", "--target", "parp1", "--checkpoint", checkpoint,
+                       "--budget", "50", "--m", "8", "--length", "32"],
+            "sample": ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"],
+            "train": ["train", "--toy", "10"],
+            "curate": ["curate", "--in", str(infile)]}[command]
+    code, out, _ = run_cli(argv + [flag, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"[Errno 2] No such file or directory: '{path}'" in caplog.text
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("prefix,error", [
+    ("((((", "UnbalancedBranch at offset 0: branch with no preceding atom"),
+    ("C)", "UnbalancedBranch at offset 1: ')' without matching '('"),
+    ("C(", None),  # an open branch or ring may still close
+    ("C1CC", None),
+])
+def test_sample_rejects_a_prefix_that_is_already_broken(checkpoint, capsys, caplog,
+                                                        prefix, error):
+    # Before, "((((" and "C)" printed n lines that could never be valid.
+    code, out, _ = run_cli(["sample", "--checkpoint", checkpoint, "--n", "2",
+                            "--length", "48", "--prefix", prefix], capsys)
+    if error is None:
+        assert code == 0 and len(out.splitlines()) == 2
+    else:
+        assert code == 2 and out == ""
+        assert f"--prefix {prefix!r} cannot begin a valid molecule: {error}" in caplog.text
+
+
+def force_processes(monkeypatch, count: int):
+    """Chunk every sample over ``count`` processes, whatever its size."""
+    monkeypatch.setattr(parallel, "cpu_count", lambda: count)
+    monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 1)
+
+
+@pytest.mark.parametrize("prefix", [None, "c1cc"])
+def test_sample_lines_do_not_depend_on_the_process_count(checkpoint, capsys, caplog,
+                                                         monkeypatch, prefix):
+    argv = ["sample", "--checkpoint", checkpoint, "--n", "7", "--length", "48",
+            "--mode", "sample", "--seed", "11"] + (["--prefix", prefix] if prefix else [])
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0 and len(set(want.splitlines())) > 1
+    caplog.set_level(logging.INFO, logger="blockmol")
+    for count, sizes in ((1, "7"), (2, "3, 4"), (3, "2, 2, 3")):
+        force_processes(monkeypatch, count)
+        caplog.clear()
+        code, out, _ = run_cli(["-v"] + argv, capsys)
+        assert code == 0 and out == want
+        assert f"sample: processes {count}, rows per chunk {sizes}" in caplog.messages
+
+
+def test_sample_below_the_minimum_chunk_forks_nothing(checkpoint, capsys, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    n = 2 * cli.MIN_CHUNK_ROWS - 1
+    code, out, _ = run_cli(["sample", "--checkpoint", checkpoint, "--n", str(n),
+                            "--length", "48"], capsys)
+    assert code == 0 and len(out.splitlines()) == n
+
+
+@pytest.mark.parametrize("error,logged", [
+    (ValueError("no such lane"), ["chunk 1 failed: ValueError: no such lane"]),
+    (BudgetExhausted(8, 7, 1), [  # only the children's chunks abort
+        "decode aborted: block 1 needs 8 predictor calls but the budget is 7",
+        "sample: decoding was aborted, so no molecule was written; raise --steps "
+        "(sample.T)"]),
+])
+def test_a_chunk_failing_in_a_child_exits_2_and_leaves_no_child(
+        checkpoint, capsys, caplog, monkeypatch, error, logged):
+    decode = Decoder.decode
+
+    def failing(self, n, prefix=None, first_lane=0):
+        if first_lane:
+            raise error
+        return decode(self, n, prefix, first_lane)
+
+    force_processes(monkeypatch, 3)
+    monkeypatch.setattr(Decoder, "decode", failing)
+    code, out, _ = run_cli(["sample", "--checkpoint", checkpoint, "--n", "6",
+                            "--length", "48"], capsys)
+    assert code == 2 and out == ""
+    assert caplog.messages == logged
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_budget_abort_in_every_chunk_is_logged_once(checkpoint):
+    # Block 0 needs 7 predictor calls, so each of the three chunks aborts.
+    script = ("import sys\n"
+              "from blockmol import cli, parallel\n"
+              "parallel.cpu_count = lambda: int(sys.argv[1])\n"
+              "cli.MIN_CHUNK_ROWS = 1\n"
+              "sys.exit(cli.main(sys.argv[2:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    stderr = []
+    for count in ("1", "3"):
+        proc = subprocess.run([sys.executable, "-c", script, count, "sample",
+                               "--checkpoint", checkpoint, "--n", "6", "--length", "48",
+                               "--steps", "3"], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        stderr.append(proc.stderr)
+    assert stderr[0] == stderr[1]
+    assert stderr[0].splitlines() == [
+        "WARNING blockmol.decode: decode aborted: block 0 needs 7 predictor calls "
+        "but the budget is 3",
+        "ERROR blockmol: sample: decoding was aborted, so no molecule was written; "
+        "raise --steps (sample.T)"]

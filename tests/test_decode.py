@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -143,6 +144,22 @@ def test_budget_phase_transition(trained42, vocab):
         assert len(recs) == 4
         outputs.append([(r.smiles, r.completed, r.block_count) for r in recs])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_chunks_from_their_first_lane_join_to_the_whole_batch(trained42, vocab):
+    dec = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64,
+                                          mode="sample", seed=9), vocab)
+    for prefix in (None, ["C", "C", "("]):
+        whole = dec.generate(7, prefix)
+        assert len({r.smiles for r in whole}) > 1
+        assert dec.generate(3, prefix) + dec.generate(4, prefix, first_lane=3) == whole
+        assert dec.generate(2, prefix, first_lane=5) == dec.decode(7, prefix)[5:]
+
+
+def test_budget_abort_is_picklable():
+    err = pickle.loads(pickle.dumps(BudgetExhausted(8, 7, 2)))
+    assert (err.needed, err.budget, err.block) == (8, 7, 2)
+    assert str(err) == "block 2 needs 8 predictor calls but the budget is 7"
 
 
 def test_gcd_batch_lanes_identical(trained42, vocab):
