@@ -782,7 +782,7 @@ def fnv1a64(data: bytes, seed: int = _FP_SEED) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fingerprint:
     bits: int
     width: int

@@ -212,6 +212,8 @@ def cmd_validate(args) -> int:
             "error": type(err).__name__ if err else None,
             "position": getattr(err, "position", None) if err else None,
         }) + "\n")
+    if not total:
+        raise ValueError(f"{args.infile}: no lines to validate")
     log.info("validate: %d lines, %d failures", total, failures)
     return 0
 
@@ -220,6 +222,8 @@ def cmd_curate(args) -> int:
     _check_writable(args.out, args.report)
     cfg = CurationConfig()
     accepted, report = curate_stream(_read_lines(args.infile), cfg)
+    if not report.input_count:  # all-rejected input still exits 0: its report says why
+        raise ValueError(f"{args.infile}: no molecules to curate")
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
         for mol in accepted:

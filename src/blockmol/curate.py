@@ -3,16 +3,24 @@
 Rules are applied in a fixed short-circuit order; a molecule is charged to
 the first stage it fails, so per-stage counts are reproducible and the
 report always reconciles input = accepted + rejected + parse failures.
+Every stage but diversity judges a molecule on its own, so ``screen`` runs
+over chunks of lines in forked processes; diversity admission then runs in
+this process, in input order.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
+from itertools import islice
 
+from . import parallel
 from .chem import (DescriptorSet, Fingerprint, ParsedMol,
                    descriptors, fingerprint, tanimoto, try_parse)
 from .oracle import surrogate_qed, surrogate_sa
+
+log = logging.getLogger(__name__)
 
 STAGES = ("physchem", "structural", "lipinski", "diversity")
 
@@ -39,7 +47,7 @@ class CurationConfig:
     fp_width: int = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reject:
     stage: str
     rule: str
@@ -124,6 +132,45 @@ class CuratedMol:
     heavy_atoms: int
 
 
+def screen(smiles: str, cfg: CurationConfig):
+    """One molecule's verdict before diversity admission: None when it does
+    not parse, the Reject of the first rule it fails (a heavy-atom count
+    outside the bucket range is the diversity stage's "size_bucket"), else
+    (qed, sa, heavy atoms, fingerprint).  It depends on no other molecule."""
+    mol, err = try_parse(smiles)
+    if err is not None:
+        return None
+    d = descriptors(mol)
+    qed, sa = surrogate_qed(d), surrogate_sa(d)
+    verdict = classify(mol, d, qed, sa, cfg)
+    if verdict is not None:
+        return verdict
+    lo, hi = cfg.heavy_range
+    if not lo <= d.heavy_atoms <= hi:
+        return Reject("diversity", "size_bucket")
+    return qed, sa, d.heavy_atoms, fingerprint(mol, cfg.fp_width)
+
+
+# Non-blank lines screened at a time, so a large input is never held whole:
+# a window's results take about 1.4 MiB per 4,000 grid candidates, mostly
+# fingerprints, and a window costs one fork per extra process.
+WINDOW_LINES = 1 << 13
+# The fewest lines a chunk gets a process for.  Grid candidates on a 2-core
+# VM, median ms of 15 alternating runs, one process -> two: 64 lines 12.7 ->
+# 14.3 and 14.5 -> 13.1, 96 lines 22.0 -> 17.6, 128 lines 24.4 -> 21.8.
+MIN_CHUNK_ROWS = 48
+
+
+def _screened(window: list[str], cfg: CurationConfig) -> list:
+    """``[screen(s, cfg) for s in window]``, in consecutive chunks, one per CPU."""
+    bounds = parallel.chunk_bounds(len(window), MIN_CHUNK_ROWS)
+    log.info("curate: processes %d, rows per chunk %s", len(bounds),
+             ", ".join(str(hi - lo) for lo, hi in bounds))
+    chunks = parallel.map_chunks(
+        lambda lo, hi: [screen(s, cfg) for s in window[lo:hi]], bounds)
+    return [result for chunk in chunks for result in chunk]
+
+
 def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
     """Curate an iterable of SMILES lines.
 
@@ -131,7 +178,9 @@ def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
     molecules by heavy-atom count; a candidate joins only when its maximum
     Tanimoto against everything already admitted to its bucket stays below
     the threshold.  Heavy-atom counts outside the bucket range are counted
-    as diversity-stage rejections.
+    as diversity-stage rejections.  Lines are screened in parallel chunks
+    and admitted in input order, so the result does not depend on the
+    process count.
     """
     report = CurationReport()
     accepted: list[CuratedMol] = []
@@ -142,33 +191,24 @@ def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
         key = f"{stage}.{rule}"
         report.rule_counts[key] = report.rule_counts.get(key, 0) + 1
 
-    for raw in lines:
-        smiles = raw.strip()
-        if not smiles:
-            continue
-        report.input_count += 1
-        mol, err = try_parse(smiles)
-        if err is not None:
-            report.parse_failures += 1
-            continue
-        d = descriptors(mol)
-        qed, sa = surrogate_qed(d), surrogate_sa(d)
-        verdict = classify(mol, d, qed, sa, cfg)
-        if verdict is not None:
-            charge(verdict.stage, verdict.rule)
-            continue
-        lo, hi = cfg.heavy_range
-        if not lo <= d.heavy_atoms <= hi:
-            charge("diversity", "size_bucket")
-            continue
-        fp = fingerprint(mol, cfg.fp_width)
-        bucket = buckets.setdefault(d.heavy_atoms, [])
-        if any(tanimoto(fp, other) >= cfg.tanimoto_max for other in bucket):
-            charge("diversity", "similarity")
-            continue
-        bucket.append(fp)
-        accepted.append(CuratedMol(smiles, qed, sa, d.heavy_atoms))
-        report.accepted_count += 1
+    nonblank = (smiles for smiles in map(str.strip, lines) if smiles)
+    while window := list(islice(nonblank, WINDOW_LINES)):
+        report.input_count += len(window)
+        for smiles, result in zip(window, _screened(window, cfg)):
+            if result is None:
+                report.parse_failures += 1
+                continue
+            if isinstance(result, Reject):
+                charge(result.stage, result.rule)
+                continue
+            qed, sa, heavy, fp = result
+            bucket = buckets.setdefault(heavy, [])
+            if any(tanimoto(fp, other) >= cfg.tanimoto_max for other in bucket):
+                charge("diversity", "similarity")
+                continue
+            bucket.append(fp)
+            accepted.append(CuratedMol(smiles, qed, sa, heavy))
+            report.accepted_count += 1
 
     report.bucket_sizes = {k: len(v) for k, v in buckets.items()}
     if not report.reconciles():

@@ -350,11 +350,13 @@ def log_abort(err: BudgetExhausted):
 
 def write_jsonl(records: list[GenRecord], fh, seed: int):
     """One JSON object per molecule: smiles, validity, completed, block count, seed."""
+    valid: dict[str, bool] = {}  # one parse per distinct SMILES
     for rec in records:
-        mol, _ = try_parse(rec.smiles)
+        if rec.smiles not in valid:
+            valid[rec.smiles] = try_parse(rec.smiles)[1] is None
         fh.write(json.dumps({
             "smiles": rec.smiles,
-            "valid": mol is not None,
+            "valid": valid[rec.smiles],
             "completed": rec.completed,
             "block_count": rec.block_count,
             "seed": seed,

@@ -333,6 +333,39 @@ def test_curate_writes_survivors_and_report(tmp_path, capsys):
     assert report["rejections"]["diversity"] == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "curate"])
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_validate_and_curate_fail_on_input_with_no_molecule(tmp_path, capsys, caplog,
+                                                            command, text):
+    # Before, both exited 0; curate wrote an empty --out and an input-0 report.
+    infile = tmp_path / "in.smi"
+    infile.write_text(text)
+    out_path, report_path = tmp_path / "keep.smi", tmp_path / "report.json"
+    argv = [command, "--in", str(infile)]
+    if command == "curate":
+        argv += ["--out", str(out_path), "--report", str(report_path)]
+    elif text:  # validate gives each blank line its verdict
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 2
+        return
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert not out_path.exists() and not report_path.exists()
+    assert f"{infile}: no " in caplog.text
+
+
+def test_curate_that_rejects_every_line_exits_0(tmp_path, capsys):
+    infile = tmp_path / "in.smi"
+    infile.write_text("CCCCCCCCCCCCCCCC\nC1CC\n")
+    out_path, report_path = tmp_path / "keep.smi", tmp_path / "report.json"
+    code, _, _ = run_cli(["curate", "--in", str(infile), "--out", str(out_path),
+                          "--report", str(report_path)], capsys)
+    assert code == 0 and out_path.read_text() == ""
+    report = json.loads(report_path.read_text())
+    assert (report["input"], report["accepted"], report["parse_failures"]) == (2, 0, 1)
+    assert report["rules"] == {"physchem.qed": 1}
+
+
 def test_train_reports_history(tmp_path, capsys):
     code, out, _ = run_cli(["train", "--toy", "30", "--epochs", "2", "--dim",
                             "8", "--window", "4", "--out",

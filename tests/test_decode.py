@@ -13,12 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from blockmol import diffusion
-from blockmol.chem import Vocab
+from blockmol import decode, diffusion
+from blockmol.chem import Vocab, try_parse
 from blockmol.decode import (
     BudgetExhausted,
     DecodeConfig,
     Decoder,
+    GenRecord,
     ZeroMasked,
     _confidence,
     first_hitting_step,
@@ -237,6 +238,24 @@ def test_rows_that_never_commit_eos_are_written_incomplete(vocab, mode):
     assert len(lines) == 4
     assert [line["completed"] for line in lines] == [False] * 4
     assert all(line["block_count"] == 2 for line in lines)
+
+
+def test_write_jsonl_parses_each_distinct_smiles_once(monkeypatch):
+    parsed = []
+
+    def counting(smiles):
+        parsed.append(smiles)
+        return try_parse(smiles)
+
+    monkeypatch.setattr(decode, "try_parse", counting)
+    smiles = ["CCO", "C1CC", "CCO", "", "C1CC", "CCO", "c1ccccc1"]
+    records = [GenRecord((), s, bool(s), 1) for s in smiles]
+    out = io.StringIO()
+    write_jsonl(records, out, seed=5)
+    assert parsed == ["CCO", "C1CC", "", "c1ccccc1"]
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [line["smiles"] for line in lines] == smiles
+    assert [line["valid"] for line in lines] == [True, False, True, False, False, True, True]
 
 
 @st.composite
