@@ -771,7 +771,6 @@ _FP_SEED = 0x5EEDBA5E  # fixed so fingerprints are stable across runs/processes
 
 DEFAULT_FP_WIDTH = 2048
 MIN_FP_WIDTH = 256
-_MAX_PATH_BONDS = 3
 
 
 def fnv1a64(data: bytes, seed: int = _FP_SEED) -> int:

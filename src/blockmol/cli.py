@@ -119,7 +119,8 @@ def resolve(args) -> dict:
         cfg.update((key, loaded[key]) for key in keys if key in loaded)
     cfg.update((key, vars(args)[key]) for key in keys if vars(args).get(key) is not None)
     for key, value in cfg.items():  # NaN is left to each config's own range check
-        if SETTINGS[key][1] is float and math.isinf(value) and \
+        # abs, as math.isinf cannot convert an int too large for a float
+        if SETTINGS[key][1] is float and abs(value) > sys.float_info.max and \
                 (key, value) != ("gate.tau_sa", math.inf):  # +inf: no SA bound
             raise ValueError(f"{key} must be finite, got {value!r}")
     return cfg
@@ -320,6 +321,8 @@ def _sample_prefix(decoder: Decoder, text: str | None) -> list | None:
 
 def cmd_sample(args) -> int:
     cfg = resolve(args)
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got --n {args.n}")
     _check_writable(args.manifest)
     if cfg["sample.mode"] == "confidence" and args.seed is not None:
         log.warning("sample: --seed changes nothing in confidence mode, which "

@@ -199,9 +199,9 @@ class Decoder:
         self.vocab = vocab
         self._table = diffusion.visible_table(params)
         self._tokens = np.arange(params.vocab_size) != Vocab.MASK_ID
-        self._positions = np.arange(cfg.length)
+        positions = np.arange(cfg.length)
         # Block b's offset gains are the last (b + 1) * K columns of the last block's.
-        self._gain = diffusion.offset_gains(params, self._positions, self._positions[-cfg.block:])
+        self._gain = diffusion.offset_gains(params, positions, positions[-cfg.block:])
 
     # -- framing
 
@@ -251,7 +251,6 @@ class Decoder:
             pending = np.nonzero((block == Vocab.MASK_ID).any(axis=1))[0]
             u_draw = np.zeros((block.shape[0], steps))
             u_draw[pending] = lane_uniforms(step_keys(keys[pending], b, steps), 0xD0)
-        positions = self._positions[:hi]
         gain = self._gain[:, :, cfg.length - hi:]
         for step in range(steps):
             masked = block == Vocab.MASK_ID
@@ -259,10 +258,8 @@ class Decoder:
             if rows.shape[0] == 0:
                 break
             masked = masked[rows]
-            nucleus = diffusion.predict(
-                self.params, ids[rows, :hi], positions, positions[b * K:],
-                temperature=cfg.temperature, nucleus_p=cfg.nucleus_p, gain=gain,
-                table=self._table, masked=masked)
+            nucleus = diffusion.predict(self.params, ids[rows, :hi], gain, self._table, masked,
+                                        cfg.temperature, cfg.nucleus_p)
             conf = np.zeros(masked.shape)
             conf[masked] = _confidence(nucleus, self._tokens)
             j, conf = gcd_select(conf, masked)

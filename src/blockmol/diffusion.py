@@ -172,19 +172,13 @@ def visible_table(params: PredictorParams) -> np.ndarray:
     return params.embeddings * vis[:, None]
 
 
-def _pooled(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
-            targets: np.ndarray, gain: np.ndarray | None = None,
-            table: np.ndarray | None = None) -> np.ndarray:
+def _pooled(windows: np.ndarray, gain: np.ndarray, table: np.ndarray) -> np.ndarray:
     """h[n, j] = sum_k visible(n, k) * E[x[n, k]] * G[pos(targets[j]) - pos(k)].
 
     ``windows``: (N, S) token ids; MASK positions contribute nothing.
-    ``positions``: (S,) sequence positions of the window columns.
-    ``targets``: indices into the window for which h is produced.
-    ``gain`` and ``table`` are ``offset_gains`` and ``visible_table``, if built.
+    ``gain`` and ``table`` are ``offset_gains`` and ``visible_table``.
     """
-    if gain is None:
-        gain = offset_gains(params, positions, targets)
-    emb = (visible_table(params) if table is None else table)[windows]  # (N, S, d)
+    emb = table[windows]  # (N, S, d)
     # The batched matmul that einsum("nsd,jsd->njd", optimize=True) plans,
     # without the planning: same sums, same (d, J, N) memory layout, so the
     # projection below rounds the same way too.
@@ -256,26 +250,17 @@ def nucleus_truncate(probs: np.ndarray, p: float) -> np.ndarray:
     return nucleus_expand(nucleus_cut(flat, p)).reshape(probs.shape)
 
 
-def predict(params: PredictorParams, windows: np.ndarray, positions: np.ndarray,
-            active: np.ndarray, temperature: float = 1.0, nucleus_p: float = 1.0,
-            gain: np.ndarray | None = None, table: np.ndarray | None = None,
-            masked: np.ndarray | None = None) -> np.ndarray | Nucleus:
-    """Token distributions for the ``active`` window columns of each row.
-
-    This reference model is time-independent, so it takes no diffusion time.
-    ``gain`` is ``offset_gains(params, positions, active)`` and ``table``
-    ``visible_table(params)``, if already built.
-    Returns (N, len(active), V) with rows summing to one; given an (N,
-    len(active)) bool ``masked``, only the ``nucleus_cut`` of those pairs.
-    """
+def predict(params: PredictorParams, windows: np.ndarray, gain: np.ndarray,
+            table: np.ndarray, masked: np.ndarray, temperature: float = 1.0,
+            nucleus_p: float = 1.0) -> Nucleus:
+    """The ``nucleus_cut`` of the token distributions at the (N, J) bool ``masked``
+    pairs of (N, S) ``windows``, given the window's ``offset_gains`` for its J
+    target columns and ``visible_table(params)``.  This reference model is
+    time-independent, so it takes no diffusion time."""
     if temperature <= 0.0:
         raise OutOfRange(f"temperature {temperature} must be positive")
-    if windows.ndim == 1:
-        windows = windows[None, :]
-    # No name holds the pooled (N, J, d) states, so they are freed once projected.
-    logits = _pooled(params, windows, positions, active, gain, table) @ params.out + params.bias
-    if masked is None:
-        return nucleus_truncate(_softmax(logits, temperature), nucleus_p)
+    # No name holds the pooled (N, J, d) states, so they are freed once projected,
+    logits = _pooled(windows, gain, table) @ params.out + params.bias
     logits = logits[masked]  # and the (N, J, V) logits before the cut
     return nucleus_cut(_softmax(logits, temperature), nucleus_p)
 
@@ -290,7 +275,6 @@ class LossReport:
 
 
 class _TrainLayout(NamedTuple):
-    positions: np.ndarray  # (2L,) positions of the window [x_t ; x]
     offset: np.ndarray  # (L, 2L) gain row per noised row and column; 2W+1 = hidden
     grouped: np.ndarray  # flat (row, column) indices of the visible pairs, by gain row
     starts: np.ndarray  # where each non-empty group of ``grouped`` starts
@@ -307,13 +291,13 @@ def _train_layout(cfg: FragmentConfig, window: int) -> _TrainLayout:
     table with one reduceat, and no per-row scatter.
     """
     L, rows = cfg.length, 2 * window + 1
-    positions = np.concatenate([np.arange(L), np.arange(L)])
+    positions = np.concatenate([np.arange(L), np.arange(L)])  # of the window [x_t ; x]
     rel = np.clip(positions[:L, None] - positions[None, :], -window, window) + window
     offset = np.where(build_train_mask(cfg)[:L] == 1, rel, rows)
     flat = offset.ravel()
     grouped = np.argsort(flat, kind="stable")[:np.count_nonzero(flat < rows)]
     present, starts = np.unique(flat[grouped], return_index=True)
-    layout = _TrainLayout(positions, offset, grouped, starts, present)
+    layout = _TrainLayout(offset, grouped, starts, present)
     for table in layout:
         table.setflags(write=False)
     return layout
@@ -333,7 +317,7 @@ def _forward(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
     cfg = _partition(ids, ts)
     (n, L), B = ids.shape, cfg.num_blocks
     layout = _train_layout(cfg, params.window)
-    positions = layout.positions
+    visible = visible_table(params)
     concat = np.concatenate([noised, ids], axis=1)  # (n, 2L)
     # The offset gains under the training mask, laid out (d, L, 2L).
     table = np.vstack([params.gains, np.zeros(params.dim)]).T
@@ -341,8 +325,7 @@ def _forward(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
     # One matmul per example: numpy takes another BLAS routine for one column
     # than for several, so a batched call would round an example's NELBO
     # differently from nelbo_loss on that example alone.
-    h = np.concatenate([_pooled(params, row[None], positions, positions[:L], gain)
-                        for row in concat])  # (n, L, d)
+    h = np.concatenate([_pooled(row[None], gain, visible) for row in concat])  # (n, L, d)
     probs = _softmax(h @ params.out + params.bias)
 
     weights = nelbo_weight(ts)  # (n, B)
@@ -352,7 +335,7 @@ def _forward(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
     logp = np.log(np.where(masked, picked, 1.0)).reshape(n, B, cfg.block)
     per_block = -weights * logp.sum(axis=2)
     reports = [LossReport(float(pb.sum()), pb) for pb in per_block]
-    return reports, (layout, concat, gain, h, probs, row_weight)
+    return reports, (layout, concat, gain, visible, h, probs, row_weight)
 
 
 def nelbo_loss(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
@@ -374,7 +357,7 @@ def loss_gradient(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
       dL/dlogits_j = w * (softmax(logits_j) - onehot(y))
     and the chain rule pushes that through out, bias, gains, embeddings.
     """
-    reports, (layout, concat, gain, h, probs, row_weight) = _forward(
+    reports, (layout, concat, gain, visible, h, probs, row_weight) = _forward(
         params, ids, ts, noised)
     n, L = ids.shape
     d, V = params.dim, params.vocab_size
@@ -384,7 +367,7 @@ def loss_gradient(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
     g_out = h.reshape(n * L, d).T @ dlogits
     g_bias = dlogits.sum(axis=0)
     dh = (dlogits @ params.out.T).reshape(n, L, d).transpose(2, 1, 0)  # (d, L, n)
-    emb = visible_table(params)[concat]  # (n, 2L, d)
+    emb = visible[concat]  # (n, 2L, d)
     # h = gain @ emb per dimension, so each factor's gradient is one batched
     # matmul summed over target rows or over examples: 2L rows per example
     # reach the embedding table, and the layout's groups fold the (L, 2L)

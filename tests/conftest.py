@@ -1,6 +1,7 @@
 """Shared fixtures: the curated toy corpus and predictors trained on it, a
 runner for the command line in a child process, and a check that no test
-leaves a child process behind.
+leaves a child process behind; and the predictor's full-distribution form,
+which only tests read.
 
 Corpus construction and training are the slow parts of the suite, so both
 are session-scoped and memoized per seed.
@@ -28,6 +29,20 @@ TRAIN_LR = 0.1
 TRAIN_EPOCHS = 5
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def pooled(params, windows, positions, targets):
+    """``diffusion._pooled`` of (N, S) windows at these positions, for the
+    window columns ``targets``, with its constants built here."""
+    return diffusion._pooled(windows, diffusion.offset_gains(params, positions, targets),
+                             diffusion.visible_table(params))
+
+
+def full_predict(params, windows, positions, active, temperature=1.0, nucleus_p=1.0):
+    """The truncated (N, len(active), V) distributions of every ``active``
+    window column of each row; ``diffusion.predict`` gives the cut of some."""
+    logits = pooled(params, windows, positions, active) @ params.out + params.bias
+    return diffusion.nucleus_truncate(diffusion._softmax(logits, temperature), nucleus_p)
 
 
 @pytest.fixture(autouse=True)

@@ -116,6 +116,8 @@ def ref_perceive_rings(mol):
 
 # --- reference: fingerprint over directed walks ----------------------------
 
+MAX_PATH_BONDS = 3
+
 
 def ref_fingerprint(mol, width):
     """Bits of every simple path of 0..3 bonds, grown one bond at a time from
@@ -125,11 +127,11 @@ def ref_fingerprint(mol, width):
     paths = set()
     # (labels so far, last atom, atoms visited), extended one bond per round.
     frontier = [((labels[i],), i, (i,)) for i in range(len(labels))]
-    for depth in range(chem._MAX_PATH_BONDS + 1):
+    for depth in range(MAX_PATH_BONDS + 1):
         grown = []
         for path, end, visited in frontier:
             paths.add(min(path, path[::-1]))
-            if depth == chem._MAX_PATH_BONDS:
+            if depth == MAX_PATH_BONDS:
                 continue
             for nxt, bond_label in steps[end]:
                 if nxt not in visited:

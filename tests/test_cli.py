@@ -572,6 +572,19 @@ def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, 
         caplog.text
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sample_of_no_molecule_exits_2_naming_the_flag(checkpoint, tmp_path, capsys, caplog,
+                                                       n):
+    # Before, "--n 0" exited 0 with empty output, and the message of "--n -1"
+    # did not name the flag.
+    manifest = tmp_path / "m.json"
+    code, stdout, _ = run_cli(["sample", "--checkpoint", checkpoint, "--n", n, "--length",
+                               "48", "--manifest", str(manifest)], capsys)
+    assert code == 2 and stdout == ""
+    assert not manifest.exists()
+    assert f"n must be >= 1, got --n {n}" in caplog.text
+
+
 @pytest.mark.parametrize("command,flags,key", [
     ("search", ["--c", "inf"], "search.C"),
     ("search", ["--beta", "inf"], "search.beta"),
@@ -579,20 +592,24 @@ def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, 
     ("search", ["--qed", "inf"], "gate.tau_qed"),
     ("search", ["--sa=-inf"], "gate.tau_sa"),
     ("search", [], "search.C"),  # from the config file below
+    ("train", [], "train.lr"),  # a config file int too large for a float
 ])
 def test_infinite_settings_exit_2_before_the_run(checkpoint, tmp_path, capsys, caplog,
                                                  command, flags, key):
     # Before, these ran the whole command; with --manifest it then exited 2
     # on a manifest that strict JSON cannot hold, and without it exited 0.
-    cfg, manifest = tmp_path / "cfg.json", tmp_path / "m.json"
-    cfg.write_text('{"search.C": Infinity}' if not flags else "{}")
+    # The int too large for a float ended in an OverflowError traceback.
+    cfg, manifest, out = tmp_path / "cfg.json", tmp_path / "m.json", tmp_path / "t.ckpt"
+    cfg.write_text("{}" if flags else {"search.C": '{"search.C": Infinity}',
+                                       "train.lr": '{"train.lr": 1%s}' % ("0" * 400)}[key])
     argv = {"sample": ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"],
             "search": ["search", "--target", "parp1", "--checkpoint", checkpoint,
-                       "--budget", "5", "--m", "8", "--length", "32"]}[command]
+                       "--budget", "5", "--m", "8", "--length", "32"],
+            "train": ["train", "--out", str(out)]}[command]
     code, stdout, _ = run_cli(argv + flags + ["--config", str(cfg), "--manifest",
                                               str(manifest)], capsys)
     assert code == 2 and stdout == ""
-    assert not manifest.exists()
+    assert not manifest.exists() and not out.exists()
     assert f"{key} must be finite" in caplog.text
 
 

@@ -317,6 +317,14 @@ def test_generate_empty_prefix_matches_none(trained42, vocab):
     assert dec.generate(1, prefix=[])[0].smiles == dec.generate(1)[0].smiles
 
 
+def test_generate_of_no_rows_is_empty_and_negative_n_raises(trained42, vocab):
+    # The CLI rejects "sample --n 0"; the library call decodes nothing.
+    dec = Decoder(trained42, DecodeConfig(block=8, length=48), vocab)
+    assert dec.generate(0) == []
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        dec.generate(-1)
+
+
 def test_vocab_size_guard(vocab):
     params = PredictorParams.zeros(len(vocab) + 1, dim=4, window=2)
     with pytest.raises(diffusion.VocabMismatch):

@@ -1,9 +1,10 @@
 """Golden digests over decoded output.
 
 `tests/test_decode_reference.py` checks the batched decode step against a
-per-row step, but both call the same ``diffusion.predict``; these digests pin
-what the decoder actually emits, so a change to the predictor, the nucleus
-truncation, the decode step or any random stream moves one of them.  A
+per-row step, but both share the predictor's pooling and nucleus code;
+these digests pin what the decoder actually emits, so a change to the
+predictor, the nucleus truncation, the decode step or any random stream
+moves one of them.  A
 change meant to keep decoded output byte-identical leaves all three as they
 are; one that moves a random stream updates them and says so.
 """

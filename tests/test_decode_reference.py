@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockmol import decode, diffusion
+from blockmol import decode
 from blockmol.chem import Vocab, tokenize
 from blockmol.decode import (BudgetExhausted, DecodeConfig, Decoder, key_uniform,
                              lane_keys, lane_uniforms)
 from blockmol.diffusion import PredictorParams
+from conftest import full_predict, pooled
 
 # --- reference: the per-row decode step --------------------------------------
 
@@ -66,9 +67,8 @@ def ref_decode_block(dec, ids, finish, b, lanes, start):
         rows = np.nonzero((ids[:, b * K : hi] == Vocab.MASK_ID).any(axis=1))[0]
         if rows.shape[0] == 0:
             break
-        probs = diffusion.predict(
-            dec.params, ids[rows, :hi], positions, active,
-            temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
+        probs = full_predict(dec.params, ids[rows, :hi], positions, active,
+                             temperature=cfg.temperature, nucleus_p=cfg.nucleus_p)
         probs[:, :, Vocab.MASK_ID] = 0.0
         for r, n in enumerate(rows):
             masked = ids[n, b * K : hi] == Vocab.MASK_ID
@@ -331,7 +331,7 @@ def test_pooled_equals_einsum(n, s, j, dim, seed):
     windows = rng.integers(0, len(VOCAB), size=(n, s))
     positions = np.arange(s) + int(rng.integers(0, 40))
     targets = np.arange(s - j, s)
-    got = diffusion._pooled(params, windows, positions, targets)
+    got = pooled(params, windows, positions, targets)
     want = ref_pooled(params, windows, positions, targets)
     assert np.array_equal(got, want)
     # The layout of h decides how the next matmul sums, so compare it too.

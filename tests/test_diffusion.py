@@ -25,13 +25,15 @@ from blockmol.diffusion import (
     loss_gradient,
     nelbo_loss,
     nelbo_weight,
+    nucleus_expand,
     nucleus_truncate,
+    offset_gains,
     predict,
     save_checkpoint,
     train,
 )
 from blockmol.fragment import ConfigError, FragmentConfig, pad_and_partition
-from conftest import TRAIN_K
+from conftest import TRAIN_K, full_predict
 
 
 def test_schedule_values():
@@ -94,13 +96,79 @@ def test_predict_attends_whole_window():
     window = np.random.default_rng(4).integers(4, V, cached + K)
     positions = np.arange(cached + K)
     active = np.arange(cached, cached + K)
-    base = predict(params, window, positions, active)[0]
+    base = full_predict(params, window[None], positions, active)[0]
     assert base.shape == (K, V)
     for k in range(cached + K):
         changed = window.copy()
         changed[k] = 4 + (changed[k] - 3) % (V - 4)  # another non-control token
-        moved = predict(params, changed, positions, active)[0]
+        moved = full_predict(params, changed[None], positions, active)[0]
         assert (np.abs(moved - base).max(axis=1) > 0).all(), k
+
+
+@st.composite
+def predict_problems(draw):
+    """Windows, masks and tables for ``predict``: some rows hold no masked
+    pair, the batch holds at least one, and coarse tables tie values at the cut."""
+    V, dim, window = draw(st.integers(5, 24)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**16))
+        params = PredictorParams.init(V, dim, window, seed,
+                                      scale=draw(st.sampled_from([0.1, 1.0, 3.0])))
+        params.bias[:] = np.random.default_rng(seed).normal(size=V)
+    else:
+        def table(*shape):
+            size = int(np.prod(shape))
+            return np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                          min_size=size, max_size=size))).reshape(shape)
+        params = PredictorParams(table(V, dim), table(2 * window + 1, dim), table(dim, V),
+                                 table(V))
+    n, s = draw(st.integers(1, 12)), draw(st.integers(1, 24))
+    j = draw(st.integers(1, min(s, 8)))
+    windows = np.array(draw(st.lists(st.integers(0, V - 1), min_size=n * s,
+                                     max_size=n * s))).reshape(n, s)
+    masked = np.array(draw(st.lists(st.booleans(), min_size=n * j,
+                                    max_size=n * j))).reshape(n, j)
+    masked[draw(st.integers(0, n - 1)), draw(st.integers(0, j - 1))] = True
+    windows[:, s - j:][masked] = Vocab.MASK_ID
+    return (params, windows, masked, draw(st.integers(0, 40)), draw(st.integers(0, 16)),
+            draw(st.sampled_from([0.7, 1.0, 1.1])), draw(st.sampled_from([0.3, 0.95, 1.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(predict_problems())
+def test_predict_cuts_the_full_form_at_the_masked_pairs(problem):
+    params, windows, masked, first, extra, temperature, p = problem
+    s, j = windows.shape[1], masked.shape[1]
+    positions = np.arange(first, first + extra + s)
+    # As the decoder passes them: the last columns of gains built for a longer window.
+    gain = offset_gains(params, positions, np.arange(extra + s - j, extra + s))[:, :, extra:]
+    got = predict(params, windows, gain, diffusion.visible_table(params), masked,
+                  temperature, p)
+    want = full_predict(params, windows, positions[extra:], np.arange(s - j, s),
+                        temperature, p)
+    assert np.array_equal(nucleus_expand(got), want[masked])
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0])
+def test_predict_rejects_a_temperature_that_is_not_positive(temperature):
+    params = PredictorParams.init(6, dim=2, window=1, seed=0)
+    positions = np.arange(3)
+    with pytest.raises(OutOfRange, match="must be positive"):
+        predict(params, np.full((1, 3), 5), offset_gains(params, positions, positions),
+                diffusion.visible_table(params), np.ones((1, 3), bool), temperature)
+
+
+def test_loss_gradient_builds_the_visible_table_once(monkeypatch, corpus, vocab):
+    built = []
+    visible_table = diffusion.visible_table
+    monkeypatch.setattr(diffusion, "visible_table",
+                        lambda params: built.append(1) or visible_table(params))
+    params = PredictorParams.init(len(vocab), dim=4, window=3, seed=1)
+    rng = np.random.default_rng(2)
+    ids = corpus[:2]
+    ts = np.stack([draw_block_times(ids.shape[1] // TRAIN_K, rng) for _ in ids])
+    loss_gradient(params, ids, ts, draw_noise(ids, ts, rng))
+    assert len(built) == 1
 
 
 def test_uniform_predictor_single_mask_nelbo():
@@ -120,13 +188,14 @@ def test_uniform_predictor_single_mask_nelbo():
 
 def _block_ce(params, ids, noised, b, K):
     """Cross-entropy of the true tokens at masked positions of block b (of K
-    tokens), with the clean prefix x^{<b} as context, from ``predict`` alone."""
+    tokens), with the clean prefix x^{<b} as context, from ``full_predict`` alone."""
     sl = slice(b * K, (b + 1) * K)
     masked = noised[sl] == Vocab.MASK_ID
     if not masked.any():
         return 0.0
     window = np.concatenate([ids[: sl.start], noised[sl]])
-    probs = predict(params, window, np.arange(sl.stop), np.arange(sl.start, sl.stop))[0]
+    probs = full_predict(params, window[None], np.arange(sl.stop),
+                         np.arange(sl.start, sl.stop))[0]
     true_ids = ids[sl][masked]
     picked = probs[masked, :][np.arange(true_ids.shape[0]), true_ids]
     return float(-np.log(picked).sum())
