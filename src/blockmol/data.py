@@ -1,4 +1,4 @@
-"""Deterministic toy corpus for tests, selftests, and small training runs.
+"""Deterministic toy corpus for tests and small training runs.
 
 The generator enumerates a fixed core x decoration x linker x tail grid in
 a stable order, thins it with a fixed stride, and pipes the candidates

@@ -131,9 +131,6 @@ class SurrogateOracle:
             ds=-(DS_SIMILARITY_WEIGHT * sim + DS_SIZE_WEIGHT * size),
         )
 
-    def close(self):
-        pass
-
 
 class ExternalOracle:
     """Child-process oracle: one JSON request line in, one reply line out.

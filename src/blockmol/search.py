@@ -41,10 +41,6 @@ class UnvisitedChild(ValueError):
     """UCT is undefined for a child with zero visits."""
 
 
-class ExhaustedTree(RuntimeError):
-    """Selection hit a fully expanded node with no children to descend."""
-
-
 class NoNovelCandidate(RuntimeError):
     """Every sampled candidate block duplicated an existing sibling."""
 
@@ -219,8 +215,6 @@ class TreeSearch:
                                         self.cfg.c_min, self.cfg.c_max)
             if node.terminal or not node.fully_expanded:
                 return path, node
-            if not node.children:
-                raise ExhaustedTree(f"dead end at depth {node.depth}")
             unvisited = [ch for ch in node.children if ch.n == 0]
             if unvisited:
                 node = unvisited[0]

@@ -73,7 +73,7 @@ def test_completion_parses(smiles):
 
 
 def test_tokenize_roundtrip_on_completions():
-    for smiles in COMPLETIONS:
+    for smiles in COMPLETIONS + ["CC(=O)Oc1ccccc1C(=O)O", "C[C@@H](N)C(=O)O", "c1ccc2ccccc2c1"]:
         assert detokenize(tokenize(smiles)) == smiles
 
 
@@ -148,7 +148,7 @@ def test_charge_bookkeeping():
 
 
 def test_fingerprint_tanimoto_properties():
-    mols = [validate_smiles(s) for s in COMPLETIONS[:6]]
+    mols = [validate_smiles(s) for s in COMPLETIONS[:6] + ["c1ccncc1"]]
     fps = [fingerprint(m) for m in mols]
     for fp in fps:
         assert tanimoto(fp, fp) == 1.0

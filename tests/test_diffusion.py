@@ -172,18 +172,21 @@ def test_loss_gradient_builds_the_visible_table_once(monkeypatch, corpus, vocab)
 
 
 def test_uniform_predictor_single_mask_nelbo():
-    # One masked slot, uniform |V|=4 model, t=0.5: weight 2 times CE ln 4.
-    vocab = Vocab.build([])
-    assert len(vocab) == 4
-    cfg = FragmentConfig(4, 2)
-    ids = pad_and_partition([], cfg, vocab)  # [BOS, EOS, PAD, PAD]
-    noised = ids.copy()
-    noised[1] = Vocab.MASK_ID
-    params = PredictorParams.zeros(4, dim=3, window=2)
-    ts = np.array([0.5, 0.5])
-    report = nelbo_loss(params, ids, ts, noised)
-    assert report.nelbo == pytest.approx(2.0 * math.log(4.0), abs=1e-12)
-    assert report.per_block[1] == 0.0  # the second block holds no MASK
+    # One masked slot, uniform |V| model, t=0.5: weight 2 times CE ln |V|.
+    # The slot holds EOS ([BOS, EOS, PAD, PAD], |V| = 4) or C ([BOS, C, EOS,
+    # PAD], |V| = 8).
+    for corpus, body, size in (([], [], 4), ([["C", "N", "O", "F"]], ["C"], 8)):
+        vocab = Vocab.build(corpus)
+        assert len(vocab) == size
+        cfg = FragmentConfig(4, 2)
+        ids = pad_and_partition(body, cfg, vocab)
+        noised = ids.copy()
+        noised[1] = Vocab.MASK_ID
+        params = PredictorParams.zeros(size, dim=3, window=2)
+        ts = np.array([0.5, 0.5])
+        report = nelbo_loss(params, ids, ts, noised)
+        assert report.nelbo == pytest.approx(2.0 * math.log(size), abs=1e-12)
+        assert report.per_block[1] == 0.0  # the second block holds no MASK
 
 
 def _block_ce(params, ids, noised, b, K):

@@ -18,7 +18,6 @@ from blockmol.oracle import (
     load_profile,
 )
 from blockmol.search import (
-    ExhaustedTree,
     GateConfig,
     NoNovelCandidate,
     SearchConfig,
@@ -44,6 +43,7 @@ def test_uct_hand_value():
     # 0.5*1 + 0.5*2 + 2.1*sqrt(ln e / 1) = 3.6
     child = node(n=1, r_bar=1.0, r_max=2.0)
     assert uct_score(child, math.e, 0.5, 2.1) == pytest.approx(3.6, abs=1e-12)
+    assert uct_score(child, 1, 0.5, 2.1) == 1.5  # ln 1 = 0: no exploration term
 
 
 def test_uct_boundaries():
@@ -182,14 +182,6 @@ def test_select_tie_breaks_to_earlier_child(vocab):
     root.children, root.cap, root.n = twins, 2, 4
     path, leaf = search.select(root)
     assert leaf is twins[0]
-
-
-def test_select_dead_end_raises(vocab):
-    search, _ = stats_search(vocab)
-    root = search.make_root()
-    root.exhausted = True  # fully expanded with zero children
-    with pytest.raises(ExhaustedTree):
-        search.select(root)
 
 
 def test_argmax_invariance_under_joint_scaling(vocab):
