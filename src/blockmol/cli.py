@@ -394,6 +394,8 @@ def cmd_search(args) -> int:
 
 def cmd_eval(args) -> int:
     samples = _load_samples(args.infile)
+    if not samples:
+        raise ValueError(f"{args.infile}: no samples to evaluate")
     oracle = SurrogateOracle(load_profile(args.target))
     report = metrics.standard_metrics(samples, oracle)
     sys.stdout.write(json.dumps(report.to_dict()) + "\n")

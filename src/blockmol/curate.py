@@ -11,7 +11,6 @@ this process, in input order.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -19,8 +18,6 @@ from . import parallel
 from .chem import (DescriptorSet, Fingerprint, ParsedMol,
                    descriptors, fingerprint, tanimoto, try_parse)
 from .oracle import surrogate_qed, surrogate_sa
-
-log = logging.getLogger(__name__)
 
 STAGES = ("physchem", "structural", "lipinski", "diversity")
 
@@ -161,16 +158,6 @@ WINDOW_LINES = 1 << 13
 MIN_CHUNK_ROWS = 48
 
 
-def _screened(window: list[str], cfg: CurationConfig) -> list:
-    """``[screen(s, cfg) for s in window]``, in consecutive chunks, one per CPU."""
-    bounds = parallel.chunk_bounds(len(window), MIN_CHUNK_ROWS)
-    log.info("curate: processes %d, rows per chunk %s", len(bounds),
-             ", ".join(str(hi - lo) for lo, hi in bounds))
-    chunks = parallel.map_chunks(
-        lambda lo, hi: [screen(s, cfg) for s in window[lo:hi]], bounds)
-    return [result for chunk in chunks for result in chunk]
-
-
 def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
     """Curate an iterable of SMILES lines.
 
@@ -194,7 +181,9 @@ def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
     nonblank = (smiles for smiles in map(str.strip, lines) if smiles)
     while window := list(islice(nonblank, WINDOW_LINES)):
         report.input_count += len(window)
-        for smiles, result in zip(window, _screened(window, cfg)):
+        screened = parallel.map_rows(lambda smiles: screen(smiles, cfg), window,
+                                     MIN_CHUNK_ROWS, "curate", "rows")
+        for smiles, result in zip(window, screened):
             if result is None:
                 report.parse_failures += 1
                 continue

@@ -8,10 +8,13 @@ process count.  Stdlib only: ``os.fork``, ``os.pipe`` and ``pickle``.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import signal
 import threading
+
+log = logging.getLogger(__name__)
 
 
 def cpu_count() -> int:
@@ -31,6 +34,16 @@ def chunk_bounds(n: int, min_rows: int) -> list[tuple[int, int]]:
         count = 1
     edges = [n * k // count for k in range(count + 1)]
     return list(zip(edges, edges[1:]))
+
+
+def map_rows(fn, rows: list, min_rows: int, name: str, unit: str) -> list:
+    """``[fn(row) for row in rows]`` over ``chunk_bounds`` through
+    ``map_chunks``; logs ``<name>: processes N, <unit> per chunk a, b``."""
+    bounds = chunk_bounds(len(rows), min_rows)
+    log.info("%s: processes %d, %s per chunk %s", name, len(bounds), unit,
+             ", ".join(str(hi - lo) for lo, hi in bounds))
+    chunks = map_chunks(lambda lo, hi: [fn(row) for row in rows[lo:hi]], bounds)
+    return [result for chunk in chunks for result in chunk]
 
 
 def map_chunks(fn, bounds: list[tuple[int, int]]) -> list:

@@ -1,7 +1,7 @@
 """Shared fixtures: the curated toy corpus and predictors trained on it, a
 runner for the command line in a child process, and a check that no test
-leaves a child process behind; and the predictor's full-distribution form,
-which only tests read.
+leaves a child process behind; the predictor's full-distribution form,
+which only tests read; and a fork counter.
 
 Corpus construction and training are the slow parts of the suite, so both
 are session-scoped and memoized per seed.
@@ -43,6 +43,22 @@ def full_predict(params, windows, positions, active, temperature=1.0, nucleus_p=
     window column of each row; ``diffusion.predict`` gives the cut of some."""
     logits = pooled(params, windows, positions, active) @ params.out + params.bias
     return diffusion.nucleus_truncate(diffusion._softmax(logits, temperature), nucleus_p)
+
+
+def counting_forks(mp):
+    """Patch os.fork, through the monkeypatch ``mp``, to count in this process
+    the children it makes."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counted)
+    return forks
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmol import cli, parallel
+from blockmol import cli, metrics, parallel
 from blockmol.cli import DEFAULTS, SETTINGS, main
 from blockmol.data import toy_candidates
 from blockmol.decode import BudgetExhausted, Decoder
@@ -295,17 +295,20 @@ def test_curate_writes_survivors_and_report(tmp_path, capsys):
     assert report["rejections"]["diversity"] == 1
 
 
-@pytest.mark.parametrize("command", ["validate", "curate"])
+@pytest.mark.parametrize("command", ["validate", "curate", "eval"])
 @pytest.mark.parametrize("text", ["", "\n  \n"])
 def test_validate_and_curate_fail_on_input_with_no_molecule(tmp_path, capsys, caplog,
                                                             command, text):
-    # Before, both exited 0; curate wrote an empty --out and an input-0 report.
+    # Before, validate and curate exited 0, and curate wrote an empty --out
+    # and an input-0 report; eval exited 2 with a bare "no samples".
     infile = tmp_path / "in.smi"
     infile.write_text(text)
     out_path, report_path = tmp_path / "keep.smi", tmp_path / "report.json"
     argv = [command, "--in", str(infile)]
     if command == "curate":
         argv += ["--out", str(out_path), "--report", str(report_path)]
+    elif command == "eval":
+        argv += ["--target", "parp1"]
     elif text:  # validate gives each blank line its verdict
         code, out, _ = run_cli(argv, capsys)
         assert code == 0 and len(out.splitlines()) == 2
@@ -313,7 +316,9 @@ def test_validate_and_curate_fail_on_input_with_no_molecule(tmp_path, capsys, ca
     code, out, _ = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert not out_path.exists() and not report_path.exists()
-    assert f"{infile}: no " in caplog.text
+    what = {"validate": "lines to validate", "curate": "molecules to curate",
+            "eval": "samples to evaluate"}[command]
+    assert f"{infile}: no {what}" in caplog.text
 
 
 def test_curate_that_rejects_every_line_exits_0(tmp_path, capsys):
@@ -677,9 +682,10 @@ def test_sample_rejects_a_prefix_that_is_already_broken(checkpoint, capsys, capl
 
 
 def force_processes(monkeypatch, count: int):
-    """Chunk every sample over ``count`` processes, whatever its size."""
+    """Chunk every sample and eval over ``count`` processes, whatever its size."""
     monkeypatch.setattr(parallel, "cpu_count", lambda: count)
     monkeypatch.setattr(cli, "MIN_CHUNK_ROWS", 1)
+    monkeypatch.setattr(metrics, "MIN_CHUNK_MOLECULES", 1)
 
 
 @pytest.mark.parametrize("prefix", [None, "c1cc"])
@@ -732,6 +738,58 @@ def test_a_chunk_failing_in_a_child_exits_2_and_leaves_no_child(
                             "--length", "48"], capsys)
     assert code == 2 and out == ""
     assert caplog.messages == logged
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Distinct grid candidates, lines that do not parse, and repeats.
+EVAL_LINES = list(toy_candidates.__wrapped__(3)[::4001]) + ["C1CC", "((", "CCO"]
+
+
+@pytest.mark.parametrize("count,sizes", [(1, "11"), (2, "5, 6"), (3, "3, 4, 4")])
+def test_eval_report_does_not_depend_on_the_process_count(tmp_path, capsys, caplog,
+                                                          monkeypatch, count, sizes):
+    infile = tmp_path / "in.smi"
+    infile.write_text("\n".join(EVAL_LINES + EVAL_LINES[::3]) + "\n")
+    argv = ["eval", "--in", str(infile), "--target", "parp1"]
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0 and 0 < json.loads(want)["validity"] < 1
+    force_processes(monkeypatch, count)
+    caplog.set_level(logging.INFO, logger="blockmol")
+    code, out, _ = run_cli(["-v"] + argv, capsys)
+    assert code == 0 and out == want
+    assert caplog.messages == [f"eval: processes {count}, molecules per chunk {sizes}"]
+
+
+def test_eval_below_the_minimum_chunk_forks_nothing(tmp_path, capsys, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    distinct = toy_candidates.__wrapped__(3)[: 2 * metrics.MIN_CHUNK_MOLECULES - 1]
+    infile = tmp_path / "in.smi"
+    infile.write_text("\n".join(distinct + distinct[:5]) + "\n")  # more lines than that
+    code, out, _ = run_cli(["eval", "--in", str(infile), "--target", "parp1"], capsys)
+    assert code == 0 and json.loads(out)["total"] == len(distinct) + 5
+
+
+def test_an_eval_chunk_failing_in_a_child_exits_2_and_leaves_no_child(tmp_path, capsys,
+                                                                      caplog, monkeypatch):
+    score = metrics._score
+
+    def failing(smiles, oracle):
+        if smiles == "CCO":
+            raise ValueError("no such molecule")
+        return score(smiles, oracle)
+
+    force_processes(monkeypatch, 3)
+    monkeypatch.setattr(metrics, "_score", failing)
+    infile = tmp_path / "in.smi"
+    infile.write_text("\n".join(EVAL_LINES) + "\n")
+    code, out, _ = run_cli(["eval", "--in", str(infile), "--target", "parp1"], capsys)
+    assert code == 2 and out == ""
+    assert caplog.messages == ["chunk 2 failed: ValueError: no such molecule"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

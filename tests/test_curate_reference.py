@@ -20,6 +20,7 @@ from blockmol.curate import (CuratedMol, CurationConfig, CurationReport, classif
                              curate_stream)
 from blockmol.data import toy_candidates
 from blockmol.oracle import surrogate_qed, surrogate_sa
+from conftest import counting_forks
 
 # --- reference: the one-process curation loop ----------------------------------
 
@@ -70,21 +71,6 @@ def reference_curate(lines, cfg=CurationConfig()):
 # --- helpers -------------------------------------------------------------------
 
 GRID = toy_candidates.__wrapped__(3)
-
-
-def counting_forks(mp):
-    """Patch os.fork to count, in this process, the children it makes."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    mp.setattr(os, "fork", counted)
-    return forks
 
 
 def force_processes(mp, count: int, window: int = curate.WINDOW_LINES):

@@ -1,22 +1,33 @@
-"""Packed set-level similarity against the per-pair reference.
+"""Packed set-level similarity and chunked scoring against their references.
 
-The references below are the original metrics: one ``chem.tanimoto`` call
-per pair.  ``mean_pairwise_tanimoto`` now packs the set into uint64 rows and
-works through row blocks with numpy popcounts, and ``circles`` tests each
-candidate against every packed center at once; both must give the same bits.
-The reference sums with an explicit left-to-right loop, which is what
-CPython 3.11's ``sum`` of floats does (from 3.12 ``sum`` compensates).
+The similarity references below are the original metrics: one
+``chem.tanimoto`` call per pair.  ``mean_pairwise_tanimoto`` now packs the
+set into uint64 rows and works through row blocks with numpy popcounts, and
+``circles`` tests each candidate against every packed center at once; both
+must give the same bits.  The reference sums with an explicit left-to-right
+loop, which is what CPython 3.11's ``sum`` of floats does (from 3.12 ``sum``
+compensates).
+
+The scoring reference is the original one-process ``_score_unique`` loop.
+``_score_unique`` now scores the distinct strings in consecutive chunks, one
+forked process per CPU; its result, and so every ``standard_metrics`` report,
+must equal the reference's bit for bit for any process count.
 """
 
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockmol import metrics
-from blockmol.chem import Fingerprint, WidthMismatch, tanimoto
-from blockmol.metrics import circles, diversity_score, mean_pairwise_tanimoto
+from blockmol import metrics, parallel
+from blockmol.chem import (Fingerprint, WidthMismatch, descriptors, fingerprint, tanimoto,
+                           try_parse)
+from blockmol.data import toy_candidates
+from blockmol.metrics import Scored, circles, diversity_score, mean_pairwise_tanimoto
+from blockmol.oracle import SurrogateOracle, load_profile
+from conftest import counting_forks
 
 # --- reference: one tanimoto call per pair -----------------------------------
 
@@ -35,6 +46,25 @@ def ref_circles(fps, threshold):
         if all(tanimoto(fp, c) < threshold for c in centers):
             centers.append(fp)
     return len(centers)
+
+
+# --- reference: the one-process scoring loop ---------------------------------
+
+
+def ref_score_unique(samples, oracle):
+    valid = 0
+    seen = {}
+    for smiles in samples:
+        if smiles not in seen:
+            mol, err = try_parse(smiles)
+            if err is None:
+                fp = fingerprint(mol, oracle.profile.fp_width)
+                seen[smiles] = Scored(smiles, oracle.score_mol(mol, descriptors(mol), fp), fp)
+            else:
+                seen[smiles] = None
+        if seen[smiles] is not None:
+            valid += 1
+    return valid, [s for s in seen.values() if s is not None]
 
 
 # --- properties --------------------------------------------------------------
@@ -101,6 +131,38 @@ def test_mean_pairwise_over_several_default_blocks(width, n):
     fps = [Fingerprint(rng.choice(pool + [0]), width) for _ in range(n)]
     assert mean_pairwise_tanimoto(fps).hex() == ref_mean_pairwise(fps).hex()
     assert circles(fps, 0.3) == ref_circles(fps, 0.3)
+
+
+ORACLE = SurrogateOracle(load_profile("parp1"))
+# Grid candidates, and hits that fall into fewer circles than they number;
+# then strings that do not parse.
+VALID = list(toy_candidates.__wrapped__(3)[::1999]) + [
+    "c1[nH]c(CC)cc1C(=O)NCC", "c1[nH]ccc1C(=O)NCCCNC", "c1cc(Cl)ncc1C(=O)NCCNCC",
+    "c1cc(CC)cnc1CNCCNC", "c1ccc2[nH]c(F)cc2c1CCC(=O)NC"]
+INVALID = ["C1CC", "not a molecule", "((", "c1ccc", "CC(", "[Xx]", "C)", ""]
+
+
+def report_bytes(samples):
+    return json.dumps(metrics.standard_metrics(samples, ORACLE).to_dict())
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.lists(st.sampled_from(VALID + INVALID), min_size=1, max_size=40))
+@example(samples=INVALID + INVALID[:3])  # nothing valid
+@example(samples=[VALID[0]] * 5)  # one distinct string
+def test_chunked_scoring_equals_the_reference_bit_for_bit(samples):
+    want = ref_score_unique(samples, ORACLE)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_score_unique", ref_score_unique)
+        want_report = report_bytes(samples)
+    for count in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "cpu_count", lambda: count)
+            mp.setattr(metrics, "MIN_CHUNK_MOLECULES", 1)
+            forks = counting_forks(mp)
+            assert repr(metrics._score_unique(samples, ORACLE)) == repr(want), count
+            assert len(forks) == min(count, len(set(samples))) - 1
+            assert report_bytes(samples) == want_report, count
 
 
 # --- failures ----------------------------------------------------------------

@@ -29,6 +29,17 @@ def test_chunk_bounds(monkeypatch, cpus, n, least, want):
     assert parallel.chunk_bounds(n, least) == want
 
 
+def test_map_rows_keeps_row_order_across_processes(monkeypatch, caplog):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 3)
+    caplog.set_level("INFO", logger="blockmol")
+    rows = ["a", "b", "c", "d", "e", "f", "g"]
+    got = parallel.map_rows(lambda row: (row.upper(), os.getpid()), rows, 1, "test", "rows")
+    assert [g[0] for g in got] == [row.upper() for row in rows]
+    assert len({g[1] for g in got}) == 3 and got[0][1] == os.getpid()
+    assert caplog.messages == ["test: processes 3, rows per chunk 2, 2, 3"]
+    assert no_child_left()
+
+
 def test_one_chunk_without_fork_or_beside_another_thread(monkeypatch):
     monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
     stop = threading.Event()
