@@ -35,23 +35,24 @@ from .search import GateConfig, SearchConfig, run_search
 
 log = logging.getLogger("blockmol")
 
-# config key -> (flag, or None if only a config file sets it, type or choices, default)
+# config key -> (flag, or None if only a config file sets it, type or choices, default);
+# search.* and gate.* defaults are the library's, sample.* ones differ on purpose.
 SETTINGS = {
     "seed": ("--seed", int, 42),
-    "search.N_max": ("--budget", int, 10000),
-    "search.C": ("--c", float, 2.1),
-    "search.lambda": ("--lam", float, 0.5),
-    "search.beta": ("--beta", float, 2.0),
-    "search.C_init": ("--c-init", int, 20),
-    "search.C_base": ("--c-base", int, 8),
-    "search.C_min": ("--c-min", int, 8),
-    "search.C_max": ("--c-max", int, 10),
-    "search.M": ("--m", int, 64),
-    "search.n_sim": ("--n-sim", int, 1),
-    "search.D_max": ("--d-max", int, 100),
-    "gate.tau_qed": ("--qed", float, 0.5),
-    "gate.tau_sa": ("--sa", float, 5.0),
-    "gate.R_pen": (None, float, -1.0),
+    "search.N_max": ("--budget", int, SearchConfig.n_max),
+    "search.C": ("--c", float, SearchConfig.c),
+    "search.lambda": ("--lam", float, SearchConfig.lam),
+    "search.beta": ("--beta", float, SearchConfig.beta),
+    "search.C_init": ("--c-init", int, SearchConfig.c_init),
+    "search.C_base": ("--c-base", int, SearchConfig.c_base),
+    "search.C_min": ("--c-min", int, SearchConfig.c_min),
+    "search.C_max": ("--c-max", int, SearchConfig.c_max),
+    "search.M": ("--m", int, SearchConfig.m),
+    "search.n_sim": ("--n-sim", int, SearchConfig.n_sim),
+    "search.D_max": ("--d-max", int, SearchConfig.d_max),
+    "gate.tau_qed": ("--qed", float, GateConfig.tau_qed),
+    "gate.tau_sa": ("--sa", float, GateConfig.tau_sa),
+    "gate.R_pen": (None, float, GateConfig.r_pen),
     "sample.temperature": ("--temp", float, 1.1),
     "sample.nucleus": ("--nucleus", float, 1.0),
     "sample.K": ("--k-sample", int, 8),
@@ -173,9 +174,11 @@ def _load_samples(path) -> list[str]:
 def _check_writable(*paths):
     """Raise the error opening each output path to write would raise on a
     missing or read-only directory, before the command does any work; no
-    file is created or truncated.  None and "-" (stdout) are skipped."""
+    file is created or truncated.  None is skipped; "-" is no file here."""
+    if "-" in paths:
+        raise ValueError("'-' names no file: only curate --out writes to stdout")
     for path in paths:
-        if path in (None, "-"):
+        if path is None:
             continue
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
@@ -222,7 +225,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_curate(args) -> int:
-    _check_writable(args.out, args.report)
+    _check_writable(None if args.out == "-" else args.out, args.report)
     cfg = CurationConfig()
     accepted, report = curate_stream(_read_lines(args.infile), cfg)
     if not report.input_count:  # all-rejected input still exits 0: its report says why
@@ -242,7 +245,7 @@ def cmd_curate(args) -> int:
     return 0
 
 
-def _tokenized_corpus(lines, frag: FragmentConfig):
+def _tokenized_corpus(lines, frag: FragmentConfig, source: str):
     token_lists, skipped = [], 0
     for smiles in lines:
         tokens = tokenize(smiles)
@@ -250,6 +253,9 @@ def _tokenized_corpus(lines, frag: FragmentConfig):
             skipped += 1
             continue
         token_lists.append(tokens)
+    if not token_lists:
+        skips = f" ({skipped} over-length skipped)" if skipped else ""
+        raise ValueError(f"{source}: no training examples{skips}")
     if skipped:
         log.warning("skipped %d over-length molecules", skipped)
     return token_lists
@@ -272,7 +278,7 @@ def cmd_train(args) -> int:
     frag = FragmentConfig(cfg["train.L"], cfg["train.K"])
     lines = data.toy_corpus(args.toy) if args.infile is None \
         else list(_read_lines(args.infile))
-    token_lists = _tokenized_corpus(lines, frag)
+    token_lists = _tokenized_corpus(lines, frag, args.infile or "toy corpus")
     vocab = Vocab.build(token_lists)
     corpus = np.array([pad_and_partition(t, frag, vocab) for t in token_lists],
                       dtype=np.int64).reshape(len(token_lists), frag.length)
@@ -386,9 +392,10 @@ def cmd_search(args) -> int:
                 fh.write(result.to_json_line() + "\n")
     if cfg["gate.tau_sa"] == math.inf:  # no SA bound: null, as JSON has no infinity
         cfg["gate.tau_sa"] = None
+    # A search runs its whole budget; perfbench's check_search still reads "aborted".
     _manifest(args.manifest, "search", cfg,
               {"target": profile.name, "checkpoint": args.checkpoint,
-               "iterations": outcome.iterations, "aborted": outcome.aborted})
+               "iterations": outcome.iterations, "aborted": False})
     return 0
 
 

@@ -1,19 +1,13 @@
-"""Scoring oracles: closed-form surrogate properties and an external child process.
+"""Scoring oracle: closed-form surrogate properties of a parsed molecule.
 
 The surrogates are smooth functions of the structural descriptors, built so
 that every optimum is known in closed form and tests can pin exact values.
-The external oracle speaks newline-delimited JSON over stdin/stdout and is
-how a real docking stack would be attached.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import select
-import subprocess
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,22 +15,6 @@ from .chem import (DescriptorSet, Fingerprint, ParsedMol, descriptors,
                    fingerprint, tanimoto, validate_smiles)
 
 PROFILE_DIR = Path(__file__).parent / "profiles"
-
-
-class OracleError(RuntimeError):
-    pass
-
-
-class Timeout(OracleError):
-    pass
-
-
-class ProtocolError(OracleError):
-    pass
-
-
-class ChildExited(OracleError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -130,78 +108,3 @@ class SurrogateOracle:
             sa=surrogate_sa(d),
             ds=-(DS_SIMILARITY_WEIGHT * sim + DS_SIZE_WEIGHT * size),
         )
-
-
-class ExternalOracle:
-    """Child-process oracle: one JSON request line in, one reply line out.
-
-    Request:  {"smiles": "..."}
-    Reply:    {"qed": float, "sa": float, "ds": float}
-    Any malformed reply, early exit, or timeout raises; the search layer maps
-    oracle failures to the penalty reward rather than crashing a run.
-    """
-
-    def __init__(self, command: list[str], timeout: float = 60.0):
-        self.command = list(command)
-        self.timeout = timeout
-        self._child: subprocess.Popen | None = None
-        self._pending = b""  # bytes read from the child past the last reply line
-
-    def _ensure_child(self) -> subprocess.Popen:
-        if self._child is None or self._child.poll() is not None:
-            self._child = subprocess.Popen(
-                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-            self._pending = b""
-        return self._child
-
-    def _read_line(self, child: subprocess.Popen) -> bytes:
-        """The next reply line, b"" at end of output.
-
-        Reads the raw pipe into our own buffer, so select() never waits on
-        bytes that a buffered reader has already taken, and a line that stops
-        halfway cannot block past the deadline.
-        """
-        deadline = time.monotonic() + self.timeout
-        fd = child.stdout.fileno()
-        while b"\n" not in self._pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                child.kill()
-                child.wait()
-                raise Timeout(f"no oracle reply within {self.timeout}s")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                line, self._pending = self._pending, b""
-                return line
-            self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        return line + b"\n"
-
-    def score_smiles(self, smiles: str) -> OracleScores:
-        child = self._ensure_child()
-        try:
-            child.stdin.write(json.dumps({"smiles": smiles}).encode() + b"\n")
-            child.stdin.flush()
-        except (BrokenPipeError, OSError) as err:
-            raise ChildExited(f"oracle process is gone: {err}") from err
-        line = self._read_line(child)
-        if not line:
-            raise ChildExited(f"oracle exited with code {child.poll()}")
-        try:
-            reply = json.loads(line)
-            return OracleScores(float(reply["qed"]), float(reply["sa"]), float(reply["ds"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-            raise ProtocolError(f"bad oracle reply {line.decode(errors='replace')!r}") from err
-
-    def score_mol(self, mol: ParsedMol) -> OracleScores:
-        """Scores of ``mol``, sent to the child as its SMILES text."""
-        return self.score_smiles(mol.smiles)
-
-    def close(self):
-        if self._child is not None and self._child.poll() is None:
-            self._child.terminate()
-            try:
-                self._child.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._child.kill()
-        self._child = None

@@ -5,7 +5,8 @@ an edge appends one block sampled from the predictor.  Rollouts complete
 the molecule and are rewarded with the negated docking surrogate when the
 molecule is valid and passes the drug-likeness gate, and with a fixed
 penalty otherwise.  Child capacity widens with the dispersion of child
-returns, so promising nodes are explored more broadly.
+returns, so promising nodes are explored more broadly.  The oracle scores
+in process, so a run performs every iteration of its budget.
 
 The root's capacity is fixed, so until it holds ``c_init`` children (or its
 candidates run dry) every iteration selects it, whatever the rewards.  Those
@@ -20,7 +21,6 @@ iteration is a wave of one.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -28,9 +28,7 @@ import numpy as np
 
 from .chem import Vocab, try_parse
 from .decode import DecodeConfig, Decoder, key_uniform, lane_keys
-from .oracle import ChildExited, OracleError, OracleScores, Timeout
-
-log = logging.getLogger(__name__)
+from .oracle import OracleScores
 
 # Rows decoded per call in the root phase's waves.  Larger waves raise the
 # peak memory of a predictor call, and 128 rows were no faster than 64.
@@ -43,10 +41,6 @@ class UnvisitedChild(ValueError):
 
 class NoNovelCandidate(RuntimeError):
     """Every sampled candidate block duplicated an existing sibling."""
-
-
-class OracleUnavailable(RuntimeError):
-    """The scoring backend died; search aborts with partial results."""
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,6 @@ class SearchOutcome:
     rollouts: list  # every valid rollout in discovery order
     best: SearchResult | None
     iterations: int
-    aborted: bool
     root: SearchNode
 
     def summary(self) -> dict:
@@ -281,19 +274,12 @@ class TreeSearch:
         return rows
 
     def _score(self, smiles: str) -> OracleScores | None:
-        """None for an invalid molecule; NaN scores, which no gate passes, when
-        the oracle fails on a valid one; channel loss is escalated, and is the
-        one verdict not kept for the run's next call with that SMILES."""
+        """The oracle's scores of ``smiles``, None for an invalid molecule;
+        kept for the run's next call with that SMILES."""
         if smiles in self._scores:
             return self._scores[smiles]
-        mol, scores = try_parse(smiles)[0], None
-        if mol is not None:
-            try:
-                scores = self.oracle.score_mol(mol)
-            except (ChildExited, Timeout) as failure:
-                raise OracleUnavailable(str(failure)) from failure
-            except OracleError:
-                scores = OracleScores(math.nan, math.nan, math.nan)
+        mol = try_parse(smiles)[0]
+        scores = None if mol is None else self.oracle.score_mol(mol)
         self._scores[smiles] = scores
         return scores
 
@@ -318,24 +304,22 @@ class TreeSearch:
         cfg = self.cfg
         root = self.make_root()
         rollouts: list[SearchResult] = []
-        done, aborted = 0, False
-        while done < cfg.n_max and not aborted:
+        done = 0
+        while done < cfg.n_max:
             path, leaf = self.select(root)
             width = 1
             if leaf is root:  # the root phase: see the module docstring
                 width = min(max(1, ROOT_WAVE_ROWS // max(cfg.m, cfg.n_sim)),
                             root.cap - len(root.children), cfg.n_max - done)
-            ran, aborted = self._wave(path, leaf, range(done, done + width), rollouts)
-            done += ran
-        return self._outcome(root, rollouts, done, aborted)
+            done += self._wave(path, leaf, range(done, done + width), rollouts)
+        return self._outcome(root, rollouts, done)
 
-    def _wave(self, path, leaf, iterations: range, rollouts) -> tuple[int, bool]:
+    def _wave(self, path, leaf, iterations: range, rollouts) -> int:
         """Run iterations that each select ``leaf`` by ``path``; returns how
-        many ran, which is fewer when the leaf runs out of novel candidates,
-        and whether the oracle was lost."""
+        many ran, which is fewer when the leaf runs out of novel candidates."""
         if leaf.terminal:  # scored once, when expansion created it
             backpropagate(path, leaf.cached_reward)
-            return 1, False
+            return 1
         children = []
         for iteration, ids in zip(iterations, self.candidates(leaf, iterations)):
             try:
@@ -344,19 +328,12 @@ class TreeSearch:
                 iterations = iterations[:len(children) + 1]
                 break
         for k, ids in enumerate(self.rollout_rows(children, iterations)):
-            try:
-                reward, results = self.simulate(children[k], iterations[k], ids)
-            except OracleUnavailable as failure:
-                log.error("oracle lost, flushing partial results: %s", failure)
-                # The tree as the failing iteration left it.
-                del leaf.children[len(leaf.children) - len(children) + k + 1:]
-                leaf.exhausted = False
-                return k + 1, True
+            reward, results = self.simulate(children[k], iterations[k], ids)
             rollouts.extend(results)
             backpropagate(path + [children[k]], reward)
-        return len(iterations), False
+        return len(iterations)
 
-    def _outcome(self, root, rollouts, iterations, aborted) -> SearchOutcome:
+    def _outcome(self, root, rollouts, iterations) -> SearchOutcome:
         passing: dict[str, SearchResult] = {}
         for res in rollouts:
             if res.reward == self.cfg.gate.r_pen:
@@ -370,7 +347,6 @@ class TreeSearch:
             rollouts=rollouts,
             best=ranked[0] if ranked else None,
             iterations=iterations,
-            aborted=aborted,
             root=root,
         )
 

@@ -59,11 +59,16 @@ def grid_checkpoint(tmp_path_factory):
 
 def test_train_with_no_example_fails(tmp_path, capsys, caplog):
     infile = tmp_path / "in.smi"
-    infile.write_text("C" * 47 + "\n")  # over the L - 2 = 46 body tokens
     out_path = tmp_path / "x.ckpt"
-    code, out, _ = run_cli(["train", "--in", str(infile), "--out", str(out_path)], capsys)
-    assert code == 2 and out == "" and not out_path.exists()
-    assert "no training examples" in caplog.text
+    for text, message in (("C" * 47 + "\n",  # over the L - 2 = 46 body tokens
+                           "no training examples (1 over-length skipped)"),
+                          ("", "no training examples")):
+        infile.write_text(text)
+        caplog.clear()
+        code, out, _ = run_cli(["train", "--in", str(infile), "--out", str(out_path)],
+                               capsys)
+        assert code == 2 and out == "" and not out_path.exists()
+        assert f"{infile}: {message}\n" in caplog.text
 
 
 def test_no_command_prints_help_and_fails(capsys):
@@ -208,8 +213,8 @@ def test_manifest_holds_the_settings_the_command_read(checkpoint, tmp_path, caps
 
 
 def test_cli_search_defaults_match_the_library():
-    # SearchConfig and GateConfig keep their own defaults for library callers;
-    # the CLI's must not drift from them.  sample.* is left out on purpose:
+    # The CLI reads its search.* and gate.* defaults from SearchConfig and
+    # GateConfig; this pins each key to its field.  sample.* is left out on purpose:
     # the CLI's L = 512 and temperature 1.1 differ from DecodeConfig's 72 and
     # 1.0, and the golden digests depend on DecodeConfig's.
     checked = 0
@@ -661,6 +666,37 @@ def test_an_output_path_in_a_missing_directory_fails_before_any_work(
     assert code == 2 and out == ""
     assert f"[Errno 2] No such file or directory: '{path}'" in caplog.text
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("sample", "--manifest"), ("search", "--rollouts"), ("train", "--out"),
+    ("curate", "--report")])
+def test_a_dash_output_path_fails_before_any_work(checkpoint, tmp_path, capsys, caplog,
+                                                  monkeypatch, command, flag):
+    # Only curate --out writes to stdout; these wrote a file named "-".
+    def work(*args, **kwargs):
+        raise AssertionError("the command began its work")
+
+    for name in ("run_search", "curate_stream", "Decoder", "pad_and_partition"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.smi").write_text("CCO\n")
+    argv = {"search": ["search", "--target", "parp1", "--checkpoint", checkpoint],
+            "sample": ["sample", "--checkpoint", checkpoint, "--n", "3"],
+            "train": ["train", "--toy", "10"],
+            "curate": ["curate", "--in", "in.smi"]}[command]
+    code, out, _ = run_cli(argv + [flag, "-"], capsys)
+    assert code == 2 and out == ""
+    assert "'-' names no file: only curate --out writes to stdout" in caplog.text
+    assert sorted(os.listdir(tmp_path)) == ["in.smi"]
+
+
+def test_curate_out_dash_writes_to_stdout(tmp_path, capsys):
+    infile = tmp_path / "in.smi"
+    infile.write_text("CC(=O)Nc1ccc(O)cc1\n")
+    code, out, _ = run_cli(["curate", "--in", str(infile), "--out", "-",
+                            "--report", str(tmp_path / "r.json")], capsys)
+    assert code == 0 and out == "CC(=O)Nc1ccc(O)cc1\n"
 
 
 @pytest.mark.parametrize("prefix,error", [

@@ -1,19 +1,13 @@
-"""Surrogate property scoring and the external child-process oracle."""
+"""Surrogate property scoring and target profiles."""
 
 import math
-import sys
-import time
 
 import pytest
 
 from blockmol.chem import DescriptorSet, descriptors, fingerprint, validate_smiles
 from blockmol.oracle import (
-    ChildExited,
-    ExternalOracle,
     OracleProfile,
-    ProtocolError,
     SurrogateOracle,
-    Timeout,
     list_profiles,
     load_profile,
     surrogate_qed,
@@ -106,86 +100,6 @@ def test_surrogate_oracle_scores_equal_with_given_descriptors():
     b = oracle.score_mol(mol, descriptors(mol), fingerprint(mol, oracle.profile.fp_width))
     assert (a.qed, a.sa, a.ds) == (b.qed, b.sa, b.ds)
     assert -18.0 <= a.ds <= 0.0 and 0.0 < a.qed <= 1.0 and 1.0 <= a.sa <= 10.0
-
-
-ECHO_CHILD = (
-    "import sys, json\n"
-    "for line in sys.stdin:\n"
-    "    json.loads(line)\n"
-    "    print(json.dumps({'qed': 0.7, 'sa': 3.0, 'ds': -9.5}), flush=True)\n"
-)
-
-
-def test_external_oracle_passthrough():
-    oracle = ExternalOracle([sys.executable, "-c", ECHO_CHILD], timeout=10.0)
-    try:
-        scores = oracle.score_smiles("CCO")
-        assert (scores.qed, scores.sa, scores.ds) == (0.7, 3.0, -9.5)
-        again = oracle.score_smiles("CCN")  # same child, second request
-        assert again.ds == -9.5
-    finally:
-        oracle.close()
-
-
-def test_external_oracle_bad_json():
-    child = "import sys\nsys.stdin.readline()\nprint('not json', flush=True)\n"
-    oracle = ExternalOracle([sys.executable, "-c", child], timeout=10.0)
-    try:
-        with pytest.raises(ProtocolError):
-            oracle.score_smiles("CCO")
-    finally:
-        oracle.close()
-
-
-def test_external_oracle_timeout():
-    child = "import time, sys\nsys.stdin.readline()\ntime.sleep(30)\n"
-    oracle = ExternalOracle([sys.executable, "-c", child], timeout=0.5)
-    try:
-        with pytest.raises(Timeout):
-            oracle.score_smiles("CCO")
-    finally:
-        oracle.close()
-
-
-def test_external_oracle_reads_a_reply_it_already_received():
-    # Both replies come in one write.  A buffered reader took the second one
-    # along with the first, and select() on the empty pipe then waited out
-    # the whole timeout.
-    child = ("import sys, time\nsys.stdin.readline()\n"
-             "sys.stdout.write('{\"qed\": 0.1, \"sa\": 2.0, \"ds\": -1.0}\\n"
-             "{\"qed\": 0.2, \"sa\": 3.0, \"ds\": -2.0}\\n')\n"
-             "sys.stdout.flush()\nsys.stdin.readline()\ntime.sleep(30)\n")
-    oracle = ExternalOracle([sys.executable, "-c", child], timeout=10.0)
-    try:
-        assert oracle.score_smiles("CCO").ds == -1.0
-        oracle.timeout = 0.5
-        assert oracle.score_smiles("CCN").ds == -2.0
-    finally:
-        oracle.close()
-
-
-def test_external_oracle_half_line_times_out():
-    # A reply that stops halfway made readline() block until the child
-    # exited, far past the timeout.
-    child = ("import sys, time\nsys.stdin.readline()\n"
-             "sys.stdout.write('{\"qed\": 0.7')\nsys.stdout.flush()\ntime.sleep(30)\n")
-    oracle = ExternalOracle([sys.executable, "-c", child], timeout=0.5)
-    try:
-        start = time.monotonic()
-        with pytest.raises(Timeout):
-            oracle.score_smiles("CCO")
-        assert time.monotonic() - start < 5.0
-    finally:
-        oracle.close()
-
-
-def test_external_oracle_dead_child():
-    oracle = ExternalOracle([sys.executable, "-c", "pass"], timeout=5.0)
-    try:
-        with pytest.raises(ChildExited):
-            oracle.score_smiles("CCO")
-    finally:
-        oracle.close()
 
 
 def test_profile_from_explicit_path(tmp_path):
