@@ -34,9 +34,7 @@ class UnknownCharacter(ChemError):
 
 
 class UnclosedRing(ChemError):
-    def __init__(self, message: str, position: int = -1, digit: int = -1):
-        super().__init__(message, position)
-        self.digit = digit
+    pass
 
 
 class UnbalancedBranch(ChemError):
@@ -52,9 +50,7 @@ class RingBondError(ChemError):
 
 
 class ValenceExceeded(ChemError):
-    def __init__(self, message: str, position: int = -1, atom_index: int = -1):
-        super().__init__(message, position)
-        self.atom_index = atom_index
+    pass
 
 
 class AromaticityError(ChemError):
@@ -96,12 +92,7 @@ class Token:
 PAD, BOS, EOS, MASK = "[PAD]", "[BOS]", "[EOS]", "[MASK]"
 CONTROL_TOKENS = (PAD, BOS, EOS, MASK)
 
-# Organic-subset symbols readable without brackets.
-TWO_LETTER = ("Cl", "Br")
-ONE_LETTER = frozenset("BCNOPSFI")
 AROMATIC_LETTER = frozenset("bcnops")
-BOND_CHARS = frozenset("-=#:/\\")
-DIGITS = frozenset("0123456789")  # str.isdigit also accepts "²", which int() rejects
 
 ATOMIC_WEIGHTS = {
     "H": 1.008, "B": 10.81, "C": 12.011, "N": 14.007, "O": 15.999,
@@ -133,7 +124,7 @@ _BRACKET_RE = re.compile(
     r"""\[
         (?P<isotope>\d+)?
         (?P<symbol>[A-Z][a-z]?|[a-z]{1,2})
-        (?P<chiral>@{1,2})?
+        (?:@{1,2})?
         (?P<hcount>H\d*)?
         (?P<charge>[+-]\d+|\++|-+)?
         (?::\d+)?
@@ -149,7 +140,7 @@ def max_valence(element: str, charge: int) -> int:
 
 
 def _parse_bracket(text: str, pos: int):
-    """Split a bracket-atom token into (element, aromatic, chiral, h, charge)."""
+    """Split a bracket-atom token into (element, aromatic, h, charge)."""
     m = _BRACKET_RE.match(text)
     if m is None:
         raise UnknownCharacter(f"malformed bracket atom {text!r}", pos)
@@ -171,8 +162,19 @@ def _parse_bracket(text: str, pos: int):
             charge = int(raw[1:]) if raw[1:].isdigit() else len(raw)
         else:
             charge = -(int(raw[1:]) if raw[1:].isdigit() else len(raw))
-    return element, aromatic, m.group("chiral") or "", hcount, charge
+    return element, aromatic, hcount, charge
 
+
+# One alternative per TokenKind, named by its value and tried in order: control
+# tokens before a bracket atom, Cl and Br before one letter; ASCII digits only.
+_LEXICON = re.compile(
+    "(?P<control>" + "|".join(map(re.escape, CONTROL_TOKENS)) + r""")
+    | (?P<atom>\[[^\]]*\] | Cl | Br | [BCNOPSFIbcnops])
+    | (?P<bond>[-=#:/\\])
+    | (?P<ring>[0-9] | %[0-9]{2})
+    | (?P<branch_open>\() | (?P<branch_close>\)) | (?P<dot>\.)""",
+    re.X | re.A,
+)
 
 # A token's kind follows from its text, and tokens are immutable, so one
 # Token serves every molecule with the same text at the same offset.  The
@@ -189,50 +191,28 @@ def tokenize(text: str) -> list[Token]:
     exactly.  Raises UnknownCharacter at the first unscannable offset.
     """
     out: list[Token] = []
-    memo = _TOKENS
+    memo, match = _TOKENS, _LEXICON.match
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch == "[":
-            for ctrl in CONTROL_TOKENS:
-                if text.startswith(ctrl, i):
-                    kind, j = TokenKind.CONTROL, i + len(ctrl)
-                    break
-            else:
-                j = text.find("]", i) + 1
-                if not j:
-                    raise UnknownCharacter("unterminated bracket atom", i)
-                kind = TokenKind.ATOM
-        elif text.startswith(TWO_LETTER, i):
-            kind, j = TokenKind.ATOM, i + 2
-        elif ch in ONE_LETTER or ch in AROMATIC_LETTER:
-            kind, j = TokenKind.ATOM, i + 1
-        elif ch in BOND_CHARS:
-            kind, j = TokenKind.BOND, i + 1
-        elif ch in DIGITS:
-            kind, j = TokenKind.RING, i + 1
-        elif ch == "%":
-            if i + 2 >= n or not DIGITS.issuperset(text[i + 1 : i + 3]):
+        m = match(text, i)
+        if m is None:
+            ch = text[i]
+            if ch == "[":
+                raise UnknownCharacter("unterminated bracket atom", i)
+            if ch == "%":
                 raise UnknownCharacter("'%' needs two digits", i)
-            kind, j = TokenKind.RING, i + 3
-        elif ch == "(":
-            kind, j = TokenKind.BRANCH_OPEN, i + 1
-        elif ch == ")":
-            kind, j = TokenKind.BRANCH_CLOSE, i + 1
-        elif ch == ".":
-            kind, j = TokenKind.DOT, i + 1
-        else:
             raise UnknownCharacter(f"unknown character {ch!r}", i)
-        key = (text[i:j], i)
+        key = (m.group(), i)
         tok = memo.get(key)
         if tok is None:
-            if kind is TokenKind.ATOM and ch == "[":
+            kind = TokenKind(m.lastgroup)
+            if kind is TokenKind.ATOM and key[0][0] == "[":
                 _parse_bracket(key[0], i)  # validates, raises UnknownCharacter
             tok = Token(kind, key[0], i)
             if len(memo) < _TOKEN_MEMO_SIZE:
                 memo[key] = tok
         out.append(tok)
-        i = j
+        i = m.end()
     return out
 
 
@@ -250,7 +230,6 @@ class Atom:
     charge: int = 0
     explicit_h: int = 0
     bracket: bool = False
-    chiral: str = ""
     pos: int = -1
 
 
@@ -259,7 +238,6 @@ class Bond:
     a: int
     b: int
     order: float  # 1, 1.5, 2, or 3
-    stereo: str = ""
     in_ring: bool = False
 
 
@@ -482,10 +460,10 @@ class Scan:
         self.bonded: set[tuple[int, int]] = set()  # bonded pairs, in _edge order
         # Bond orders per atom, aromatic at sigma order 1; an int until bonded.
         self.valence: list[float] = []
-        self.ring_open: dict[int, tuple] = {}  # digit -> (atom, order or None, stereo, pos)
+        self.ring_open: dict[int, tuple] = {}  # digit -> (atom, order or None, pos)
         self.branches: list[list] = []  # [prev, pos, atoms seen while on top]
         self.prev: int | None = None
-        self.pending: tuple[float, str, int] | None = None  # (order, stereo, pos)
+        self.pending: tuple[float, int] | None = None  # (order, pos)
 
 
 def scan(tokens: list[Token], state: Scan | None = None) -> Scan:
@@ -502,12 +480,11 @@ def scan(tokens: list[Token], state: Scan | None = None) -> Scan:
         if kind is ATOM:
             text = tok.text
             if text[0] == "[":
-                element, aromatic, chiral, hcount, charge = _parse_bracket(text, tok.pos)
-                atoms.append(Atom(element, aromatic, charge, hcount, True, chiral, tok.pos))
+                element, aromatic, hcount, charge = _parse_bracket(text, tok.pos)
+                atoms.append(Atom(element, aromatic, charge, hcount, True, tok.pos))
             else:
                 aromatic = text in AROMATIC_LETTER
-                atoms.append(Atom(text.upper() if aromatic else text, aromatic, 0, 0,
-                                  False, "", tok.pos))
+                atoms.append(Atom(text.upper() if aromatic else text, aromatic, pos=tok.pos))
             idx = len(atoms) - 1
             if prev is None:
                 valence.append(0)
@@ -517,7 +494,7 @@ def scan(tokens: list[Token], state: Scan | None = None) -> Scan:
                 bonded.add((prev, idx))
                 if pending:
                     order = pending[0]
-                    bonds.append(Bond(prev, idx, order, pending[1]))
+                    bonds.append(Bond(prev, idx, order))
                     sigma = 1.0 if order == 1.5 else order
                 else:  # aromatic (1.5) or single: sigma order 1 either way
                     bonds.append(Bond(prev, idx, 1.5 if aromatic and atoms[prev].aromatic
@@ -531,20 +508,19 @@ def scan(tokens: list[Token], state: Scan | None = None) -> Scan:
                 branches[-1][2] += 1
         elif kind is BOND:
             if pending is not None:
-                raise DanglingBond("two bond symbols in a row", pending[2])
+                raise DanglingBond("two bond symbols in a row", pending[1])
             if prev is None:
                 raise DanglingBond("bond with no preceding atom", tok.pos)
-            pending = (_BOND_ORDER[tok.text], tok.text if tok.text in "/\\" else "", tok.pos)
+            pending = (_BOND_ORDER[tok.text], tok.pos)
         elif kind is RING:
             if prev is None:
                 raise DanglingBond("ring bond with no preceding atom", tok.pos)
             digit = int(tok.text.lstrip("%"))
             if digit in ring_open:
-                open_idx, open_order, open_stereo, _ = ring_open.pop(digit)
+                open_idx, open_order, _ = ring_open.pop(digit)
                 order = pending[0] if pending else open_order
                 if pending and open_order is not None and pending[0] != open_order:
                     raise RingBondError(f"conflicting orders for ring {digit}", tok.pos)
-                stereo = pending[1] if pending else open_stereo
                 if open_idx == prev:
                     raise RingBondError("ring closure to the same atom", tok.pos)
                 edge = _edge(open_idx, prev)
@@ -553,32 +529,31 @@ def scan(tokens: list[Token], state: Scan | None = None) -> Scan:
                 bonded.add(edge)
                 if order is None:
                     order = 1.5 if atoms[open_idx].aromatic and atoms[prev].aromatic else 1.0
-                bonds.append(Bond(open_idx, prev, order, stereo))
+                bonds.append(Bond(open_idx, prev, order))
                 sigma = 1.0 if order == 1.5 else order
                 valence[open_idx] += sigma
                 valence[prev] += sigma
             else:
-                ring_open[digit] = (prev, pending[0] if pending else None,
-                                    pending[1] if pending else "", tok.pos)
+                ring_open[digit] = (prev, pending[0] if pending else None, tok.pos)
             pending = None
         elif kind is TokenKind.BRANCH_OPEN:
             if prev is None:
                 raise UnbalancedBranch("branch with no preceding atom", tok.pos)
             if pending is not None:
-                raise DanglingBond("bond symbol before '('", pending[2])
+                raise DanglingBond("bond symbol before '('", pending[1])
             branches.append([prev, tok.pos, 0])
         elif kind is TokenKind.BRANCH_CLOSE:
             if not branches:
                 raise UnbalancedBranch("')' without matching '('", tok.pos)
             if pending is not None:
-                raise DanglingBond("bond symbol before ')'", pending[2])
+                raise DanglingBond("bond symbol before ')'", pending[1])
             restore, bpos, seen = branches.pop()
             if seen == 0:
                 raise UnbalancedBranch("empty branch", tok.pos)
             prev = restore
         elif kind is TokenKind.DOT:
             if pending is not None:
-                raise DanglingBond("bond symbol before '.'", pending[2])
+                raise DanglingBond("bond symbol before '.'", pending[1])
             prev = None
         else:
             raise UnknownToken(f"control token {tok.text} inside molecule body", tok.pos)
@@ -594,13 +569,13 @@ def finish(state: Scan, tokens: list[Token]) -> ParsedMol:
     molecule takes the state's atoms and bonds: finish a state once."""
     leftovers: list[tuple[int, ChemError]] = []
     if state.pending is not None:
-        pos = state.pending[2]
+        pos = state.pending[1]
         leftovers.append((pos, DanglingBond("trailing bond symbol", pos)))
     if state.branches:
         bpos = min(p for _, p, _ in state.branches)
         leftovers.append((bpos, UnbalancedBranch("unclosed branch", bpos)))
-    for digit, (_, _, _, rpos) in state.ring_open.items():
-        leftovers.append((rpos, UnclosedRing(f"ring {digit} never closed", rpos, digit)))
+    for digit, (_, _, rpos) in state.ring_open.items():
+        leftovers.append((rpos, UnclosedRing(f"ring {digit} never closed", rpos)))
     if leftovers:
         leftovers.sort(key=lambda item: item[0])
         raise leftovers[0][1]
@@ -628,11 +603,10 @@ def finish(state: Scan, tokens: list[Token]) -> ParsedMol:
             raise AromaticityError(
                 "aromatic atom outside a closed aromatic 5- or 6-ring", atom.pos)
 
-    for i, (atom, sigma) in enumerate(zip(atoms, state.valence)):
+    for atom, sigma in zip(atoms, state.valence):
         total = sigma + atom.explicit_h
         if total > max_valence(atom.element, atom.charge):
-            raise ValenceExceeded(
-                f"{atom.element} with bond order {total}", atom.pos, i)
+            raise ValenceExceeded(f"{atom.element} with bond order {total}", atom.pos)
 
     return mol
 

@@ -492,8 +492,8 @@ def main(argv=None) -> int:
     except UsageError as usage:
         sys.stderr.write(f"error: {usage}\n")
         return 1
-    except (OSError, ValueError, RuntimeError) as failure:
-        log.error("%s", failure)
+    except (OSError, ValueError, RuntimeError, MemoryError) as failure:
+        log.error("%s", str(failure) or type(failure).__name__)
         return 2
 
 

@@ -470,21 +470,32 @@ def save_checkpoint(path, params: PredictorParams, vocab: Vocab, seed: int):
 
 def load_checkpoint(path, vocab: Vocab | None = None):
     """Returns (params, vocab, seed); verifies the stored vocabulary hash and
-    raises ValueError on a non-finite table entry."""
+    raises ValueError on a non-finite table entry, or naming ``path`` and
+    the field for one that is missing, mistyped or misshapen."""
     with open(path) as fh:
         record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: a checkpoint holds one JSON object")
+    for key, kind in (("vocab", list), ("vocab_hash", str), ("dim", int), ("window", int),
+                      ("seed", int)):
+        if not isinstance(record.get(key), kind) or isinstance(record[key], bool):
+            raise ValueError(f"{path}: field {key!r} is missing or not of type {kind.__name__}")
     tokens = tuple(record["vocab"])
+    if not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"{path}: field 'vocab' holds a token that is not a string")
     stored = Vocab(tokens)
     if stored.content_hash() != record["vocab_hash"]:
         raise VocabMismatch("checkpoint vocab hash does not match its token list")
     if vocab is not None and vocab.content_hash() != record["vocab_hash"]:
         raise VocabMismatch("checkpoint was built against a different vocabulary")
     v, d, w = len(tokens), record["dim"], record["window"]
-    params = PredictorParams(
-        np.array(record["embeddings"]).reshape(v, d),
-        np.array(record["gains"]).reshape(2 * w + 1, d),
-        np.array(record["out"]).reshape(d, v),
-        np.array(record["bias"]),
-    )
+    tables = {}
+    for name, shape in (("embeddings", (v, d)), ("gains", (2 * w + 1, d)),
+                        ("out", (d, v)), ("bias", (v,))):
+        try:
+            tables[name] = np.array(record[name], dtype=float).reshape(shape)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{path}: table {name!r} is not {shape} numbers") from None
+    params = PredictorParams(**tables)
     _require_finite(params)
     return params, stored, record["seed"]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chem import (DescriptorSet, Fingerprint, ParsedMol, descriptors,
-                   fingerprint, tanimoto, validate_smiles)
+                   fingerprint, tanimoto, try_parse, validate_smiles)
 
 PROFILE_DIR = Path(__file__).parent / "profiles"
 
@@ -65,18 +65,31 @@ class OracleProfile:
         return fingerprint(validate_smiles(self.seed_smiles), self.fp_width)
 
 
+# Each profile key and the JSON type of its value; only fp_width may be left out.
+_PROFILE_KEYS = {"name": "string", "threshold_ds": "number", "seed_smiles": "string",
+                 "size_optimum": "integer", "fp_width": "integer"}
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": int}
+
+
 def load_profile(name: str) -> OracleProfile:
+    """The bundled profile ``name``, or the one in the .json file ``name``.
+    Raises ValueError naming the file for an unknown, missing or mistyped
+    key, or a seed that does not parse."""
     path = Path(name) if name.endswith(".json") else PROFILE_DIR / f"{name}.json"
     if not path.exists():
         raise FileNotFoundError(f"no oracle profile {name!r}")
     record = json.loads(path.read_text())
-    return OracleProfile(
-        name=record["name"],
-        threshold_ds=float(record["threshold_ds"]),
-        seed_smiles=record["seed_smiles"],
-        size_optimum=int(record["size_optimum"]),
-        fp_width=int(record.get("fp_width", 2048)),
-    )
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: a profile holds one JSON object")
+    record.setdefault("fp_width", 2048)
+    for key in sorted(record.keys() ^ _PROFILE_KEYS.keys()):
+        raise ValueError(f"{path}: {'missing' if key in _PROFILE_KEYS else 'unknown'} key {key!r}")
+    for key, want in _PROFILE_KEYS.items():
+        if not isinstance(record[key], _JSON_TYPES[want]) or isinstance(record[key], bool):
+            raise ValueError(f"{path}: {key} must be a JSON {want}, got {record[key]!r}")
+    if (err := try_parse(record["seed_smiles"])[1]) is not None:
+        raise ValueError(f"{path}: seed_smiles does not parse: {err}")
+    return OracleProfile(**{**record, "threshold_ds": float(record["threshold_ds"])})
 
 
 def list_profiles() -> list[str]:

@@ -323,7 +323,7 @@ def parsed(run):
         mol = run()
     except ChemError as err:
         return type(err).__name__, err.position
-    return (mol.smiles, mol.rings, [(b.a, b.b, b.order, b.stereo, b.in_ring) for b in mol.bonds],
+    return (mol.smiles, mol.rings, [(b.a, b.b, b.order, b.in_ring) for b in mol.bonds],
             [(a.element, a.aromatic, a.charge, a.explicit_h, a.pos) for a in mol.atoms])
 
 

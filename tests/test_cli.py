@@ -272,6 +272,79 @@ def test_non_finite_checkpoint_fails_sample_and_search(checkpoint, tmp_path,
     assert "checkpoint table embeddings holds non-finite values" in caplog.text
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"version": 1}', "field 'vocab' is missing or not of type list"),
+    ("[1, 2]", "a checkpoint holds one JSON object"),
+])
+def test_malformed_checkpoint_fails_sample_and_search_naming_it(tmp_path, capsys, caplog,
+                                                                text, message):
+    broken = tmp_path / "broken.ckpt"
+    broken.write_text(text)
+    for argv in (["sample", "--checkpoint", str(broken), "--n", "3", "--length", "48"],
+                 ["search", "--target", "parp1", "--checkpoint", str(broken),
+                  "--budget", "5", "--m", "8", "--length", "32"]):
+        caplog.clear()
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 2 and stdout == "", argv[0]
+        assert f"{broken}: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", True, "field 'dim' is missing or not of type int"),
+    ("seed", None, "field 'seed' is missing or not of type int"),
+    ("gains", [0.5], "table 'gains' is not (9, 8) numbers"),
+    ("bias", ["x"], "table 'bias' is not (15,) numbers"),
+    ("vocab", ["[PAD]", "[BOS]", "[EOS]", "[MASK]", 7],
+     "field 'vocab' holds a token that is not a string"),
+])
+def test_checkpoint_field_of_the_wrong_type_or_shape_names_it(checkpoint, tmp_path, capsys,
+                                                             caplog, field, value, message):
+    record = json.loads(Path(checkpoint).read_text())
+    record[field] = value
+    broken = tmp_path / "field.ckpt"
+    broken.write_text(json.dumps(record))
+    code, stdout, _ = run_cli(["sample", "--checkpoint", str(broken), "--n", "3"], capsys)
+    assert code == 2 and stdout == ""
+    assert f"{broken}: {message}" in caplog.text
+
+
+def test_malformed_profile_fails_eval_and_search_naming_it(checkpoint, tmp_path, capsys,
+                                                          caplog):
+    samples = tmp_path / "s.smi"
+    samples.write_text("CCO\n")
+    for record, message in (({"name": "x"}, "missing key 'seed_smiles'"),
+                            ({"name": "x", "threshold_ds": -10.0, "seed_smiles": "C1CC",
+                              "size_optimum": 26},
+                             "seed_smiles does not parse: ring 1 never closed")):
+        profile = tmp_path / "bad.json"
+        profile.write_text(json.dumps(record))
+        for argv in (["eval", "--in", str(samples), "--target", str(profile)],
+                     ["search", "--target", str(profile), "--checkpoint", checkpoint,
+                      "--budget", "2", "--m", "8", "--length", "32"]):
+            caplog.clear()
+            code, stdout, _ = run_cli(argv, capsys)
+            assert code == 2 and stdout == "", argv[0]
+            assert f"{profile}: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("error, logged", [
+    (MemoryError("Unable to allocate 32.0 TiB for an array"),
+     "Unable to allocate 32.0 TiB for an array"),
+    (MemoryError(), "MemoryError"),  # no message: the class names the failure
+])
+def test_an_allocation_that_fails_exits_2(checkpoint, capsys, caplog, monkeypatch,
+                                          error, logged):
+    # numpy raises a MemoryError subclass when it cannot allocate, as for
+    # search --m 1099511627776; raised here so that nothing is allocated.
+    def no_memory(*_args, **_kwargs):
+        raise error
+    monkeypatch.setattr(cli, "run_search", no_memory)
+    code, stdout, _ = run_cli(["search", "--target", "parp1", "--checkpoint", checkpoint,
+                               "--budget", "2", "--m", "8", "--length", "32"], capsys)
+    assert code == 2 and stdout == ""
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [logged]
+
+
 def test_validate_reports_per_line(tmp_path, capsys):
     infile = tmp_path / "in.smi"
     infile.write_text("CCO\n\nCC(\nc1ccccc1\n")

@@ -1,11 +1,13 @@
 """Surrogate property scoring and target profiles."""
 
+import json
 import math
 
 import pytest
 
 from blockmol.chem import DescriptorSet, descriptors, fingerprint, validate_smiles
 from blockmol.oracle import (
+    PROFILE_DIR,
     OracleProfile,
     SurrogateOracle,
     list_profiles,
@@ -105,8 +107,6 @@ def test_surrogate_oracle_scores_equal_with_given_descriptors():
 def test_profile_from_explicit_path(tmp_path):
     src = load_profile("braf")
     copy = tmp_path / "braf_copy.json"
-    import json
-
     copy.write_text(json.dumps({
         "name": src.name, "threshold_ds": src.threshold_ds,
         "seed_smiles": src.seed_smiles, "size_optimum": src.size_optimum,
@@ -114,3 +114,38 @@ def test_profile_from_explicit_path(tmp_path):
     }))
     loaded = load_profile(str(copy))
     assert loaded == src
+
+
+@pytest.mark.parametrize("edit, message", [  # an edit to None drops the key
+    ({"threshold_ds": None}, "missing key 'threshold_ds'"),
+    ({"fpwidth": 1024}, "unknown key 'fpwidth'"),  # a misspelled fp_width
+    ({"size_optimum": "26"}, "size_optimum must be a JSON integer, got '26'"),
+    ({"size_optimum": 26.5}, "size_optimum must be a JSON integer, got 26.5"),
+    ({"fp_width": True}, "fp_width must be a JSON integer, got True"),
+    ({"threshold_ds": "-10"}, "threshold_ds must be a JSON number, got '-10'"),
+    ({"seed_smiles": "C1CC"}, "seed_smiles does not parse: ring 1 never closed"),
+])
+def test_malformed_profile_names_its_file_and_key(tmp_path, edit, message):
+    record = json.loads((PROFILE_DIR / "parp1.json").read_text())
+    record.update(edit)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({k: v for k, v in record.items() if v is not None}))
+    with pytest.raises(ValueError) as caught:
+        load_profile(str(path))
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_profile_that_is_not_an_object_names_its_file(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError) as caught:
+        load_profile(str(path))
+    assert str(caught.value) == f"{path}: a profile holds one JSON object"
+
+
+def test_profile_without_fp_width_takes_the_default(tmp_path):
+    record = json.loads((PROFILE_DIR / "fa7.json").read_text())
+    del record["fp_width"]
+    path = tmp_path / "fa7.json"
+    path.write_text(json.dumps(record))
+    assert load_profile(str(path)) == load_profile("fa7")
