@@ -2,13 +2,14 @@
 
 Data goes to stdout, diagnostics to stderr, so streams can be piped and
 compared byte for byte.  Exit codes: 0 success, 1 usage error, 2 runtime
-error.  Each setting is declared once, in ``SETTINGS``; its flag's --help
-names its config key and default.  A command resolves the keys it reads
-from the defaults, then a JSON config file of flat namespaced keys (e.g.
-"search.C"), then explicit flags.  An unknown key is a usage error and a
-value of the wrong type exits 2 naming its key; keys that only other
-commands read are checked, then ignored.  A --manifest records only the
-settings the command read.
+error.  Each setting is declared once, in ``SETTINGS``, with the interval
+its value lies in; its flag's --help names its config key, default and
+interval.  A command resolves the keys it reads from the defaults, then a
+JSON config file of flat namespaced keys (e.g. "search.C"), then explicit
+flags.  An unknown key is a usage error; a value of the wrong type, or
+outside its interval, exits 2 naming its key before any work.  Keys that
+only other commands read are checked, then ignored.  A --manifest records
+only the settings the command read, and the stream version.
 """
 
 from __future__ import annotations
@@ -25,48 +26,50 @@ import time
 
 import numpy as np
 
-from . import chem, data, diffusion, metrics, parallel
+from . import STREAM_VERSION, chem, data, diffusion, metrics, parallel
 from .chem import Vocab, tokenize, try_parse
 from .curate import CurationConfig, curate_stream
 from .decode import BudgetExhausted, DecodeConfig, Decoder, log_abort, write_jsonl
-from .fragment import FragmentConfig, pad_and_partition
+from .fragment import FragmentConfig, check_interval, pad_and_partition
 from .oracle import SurrogateOracle, list_profiles, load_profile
 from .search import GateConfig, SearchConfig, run_search
 
 log = logging.getLogger("blockmol")
 
-# config key -> (flag, or None if only a config file sets it, type or choices, default);
-# search.* and gate.* defaults are the library's, sample.* ones differ on purpose.
+# config key -> (flag or None (config file only), type or choices, default, interval or None);
+# search.*, gate.* and sample.* intervals and search.* and gate.* defaults are the library's.
 SETTINGS = {
-    "seed": ("--seed", int, 42),
-    "search.N_max": ("--budget", int, SearchConfig.n_max),
-    "search.C": ("--c", float, SearchConfig.c),
-    "search.lambda": ("--lam", float, SearchConfig.lam),
-    "search.beta": ("--beta", float, SearchConfig.beta),
-    "search.C_init": ("--c-init", int, SearchConfig.c_init),
-    "search.C_base": ("--c-base", int, SearchConfig.c_base),
-    "search.C_min": ("--c-min", int, SearchConfig.c_min),
-    "search.C_max": ("--c-max", int, SearchConfig.c_max),
-    "search.M": ("--m", int, SearchConfig.m),
-    "search.n_sim": ("--n-sim", int, SearchConfig.n_sim),
-    "search.D_max": ("--d-max", int, SearchConfig.d_max),
-    "gate.tau_qed": ("--qed", float, GateConfig.tau_qed),
-    "gate.tau_sa": ("--sa", float, GateConfig.tau_sa),
-    "gate.R_pen": (None, float, GateConfig.r_pen),
-    "sample.temperature": ("--temp", float, 1.1),
-    "sample.nucleus": ("--nucleus", float, 1.0),
-    "sample.K": ("--k-sample", int, 8),
-    "sample.L": ("--length", int, 512),
-    "sample.T": ("--steps", int, 128),
-    "sample.mode": ("--mode", ("confidence", "sample"), "confidence"),
-    "train.epochs": ("--epochs", int, 5),
-    "train.lr": ("--lr", float, 0.1),
-    "train.dim": ("--dim", int, 24),
-    "train.window": ("--window", int, 12),
-    "train.K": ("--block", int, 8),
-    "train.L": ("--length", int, 48),
+    "seed": ("--seed", int, 42, None),
+    "search.N_max": ("--budget", int, SearchConfig.n_max, SearchConfig.INTERVALS["n_max"]),
+    "search.C": ("--c", float, SearchConfig.c, SearchConfig.INTERVALS["c"]),
+    "search.lambda": ("--lam", float, SearchConfig.lam, SearchConfig.INTERVALS["lam"]),
+    "search.beta": ("--beta", float, SearchConfig.beta, SearchConfig.INTERVALS["beta"]),
+    "search.C_init": ("--c-init", int, SearchConfig.c_init, SearchConfig.INTERVALS["c_init"]),
+    "search.C_base": ("--c-base", int, SearchConfig.c_base, SearchConfig.INTERVALS["c_base"]),
+    "search.C_min": ("--c-min", int, SearchConfig.c_min, SearchConfig.INTERVALS["c_min"]),
+    "search.C_max": ("--c-max", int, SearchConfig.c_max, SearchConfig.INTERVALS["c_max"]),
+    "search.M": ("--m", int, SearchConfig.m, SearchConfig.INTERVALS["m"]),
+    "search.n_sim": ("--n-sim", int, SearchConfig.n_sim, SearchConfig.INTERVALS["n_sim"]),
+    "search.D_max": ("--d-max", int, SearchConfig.d_max, SearchConfig.INTERVALS["d_max"]),
+    "gate.tau_qed": ("--qed", float, GateConfig.tau_qed, GateConfig.INTERVALS["tau_qed"]),
+    "gate.tau_sa": ("--sa", float, GateConfig.tau_sa, GateConfig.INTERVALS["tau_sa"]),
+    "gate.R_pen": (None, float, GateConfig.r_pen, GateConfig.INTERVALS["r_pen"]),
+    "sample.temperature": ("--temp", float, 1.1, DecodeConfig.INTERVALS["temperature"]),
+    "sample.nucleus": ("--nucleus", float, 1.0, DecodeConfig.INTERVALS["nucleus_p"]),
+    "sample.K": ("--k-sample", int, 8, FragmentConfig.INTERVALS["block"]),
+    "sample.L": ("--length", int, 512, FragmentConfig.INTERVALS["length"]),
+    "sample.T": ("--steps", int, 128, DecodeConfig.INTERVALS["budget"]),
+    "sample.mode": ("--mode", ("confidence", "sample"), "confidence", None),
+    # Training's (d, L, 2L) offset gains hold <= 2**60 bytes (FragmentConfig), its gains 2**36.
+    "train.epochs": ("--epochs", int, 5, "[1, 2**63)"),
+    "train.lr": ("--lr", float, 0.1, "(0, inf)"),
+    "train.dim": ("--dim", int, 24, "[1, 2**16]"),
+    "train.window": ("--window", int, 12, "[0, 2**16]"),
+    "train.K": ("--block", int, 8, FragmentConfig.INTERVALS["block"]),
+    "train.L": ("--length", int, 48, FragmentConfig.INTERVALS["length"]),
 }
-DEFAULTS = {key: default for key, (_, _, default) in SETTINGS.items()}
+DEFAULTS = {key: default for key, (_, _, default, _) in SETTINGS.items()}
+N_INTERVAL = "[1, 2**20]"  # of sample's --n, which is no config key (see FragmentConfig)
 
 # The keys each command reads; its setting flags, settings and manifest hold no other,
 # and search, which always draws, reads no sample.mode.
@@ -118,14 +121,9 @@ def resolve(args) -> dict:
             _check_type(key, value)
         cfg.update((key, loaded[key]) for key in keys if key in loaded)
     cfg.update((key, vars(args)[key]) for key in keys if vars(args).get(key) is not None)
-    for key, value in cfg.items():  # NaN is left to each config's own range check
-        # abs, as math.isinf cannot convert an int too large for a float
-        if SETTINGS[key][1] is float and abs(value) > sys.float_info.max and \
-                (key, value) != ("gate.tau_sa", math.inf):  # +inf: no SA bound
-            raise ValueError(f"{key} must be finite, got {value!r}")
-        # numpy takes sizes and counts as C longs; the seed's readers take any int
-        if SETTINGS[key][1] is int and key != "seed" and not -2**63 <= value < 2**63:
-            raise ValueError(f"{key} must be within the int64 range, got {value!r}")
+    for key, value in cfg.items():
+        if SETTINGS[key][3]:
+            check_interval(key, value, SETTINGS[key][3])
     return cfg
 
 
@@ -140,10 +138,6 @@ def _numbered_lines(path, blank: bool = False):
     finally:
         if fh is not sys.stdin:
             fh.close()
-
-
-def _read_lines(path, blank: bool = False):
-    return (line for _, line in _numbered_lines(path, blank))
 
 
 def _load_samples(path) -> list[str]:
@@ -195,7 +189,7 @@ def _check_writable(*paths):
 def _manifest(path, command: str, cfg: dict, extra: dict):
     if not path:
         return
-    record = {"command": command, "config": cfg, **extra,
+    record = {"command": command, "stream_version": STREAM_VERSION, "config": cfg, **extra,
               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     text = json.dumps(record, indent=2, allow_nan=False)  # strict JSON, RFC 8259
     with open(path, "w") as fh:
@@ -208,7 +202,7 @@ def _manifest(path, command: str, cfg: dict, extra: dict):
 def cmd_validate(args) -> int:
     failures = total = 0
     # One verdict per input line: a blank line is an EmptyMolecule.
-    for total, smiles in enumerate(_read_lines(args.infile, blank=True), start=1):
+    for total, smiles in _numbered_lines(args.infile, blank=True):
         _, err = try_parse(smiles)
         if err is not None:
             failures += 1
@@ -227,7 +221,7 @@ def cmd_validate(args) -> int:
 def cmd_curate(args) -> int:
     _check_writable(None if args.out == "-" else args.out, args.report)
     cfg = CurationConfig()
-    accepted, report = curate_stream(_read_lines(args.infile), cfg)
+    accepted, report = curate_stream((line for _, line in _numbered_lines(args.infile)), cfg)
     if not report.input_count:  # all-rejected input still exits 0: its report says why
         raise ValueError(f"{args.infile}: no molecules to curate")
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
@@ -261,23 +255,12 @@ def _tokenized_corpus(lines, frag: FragmentConfig, source: str):
     return token_lists
 
 
-def _check_train_config(cfg: dict):
-    """Reject hyperparameters that cannot train, naming the offending key."""
-    for key, least in (("train.epochs", 1), ("train.dim", 1), ("train.window", 0)):
-        if cfg[key] < least:
-            raise ValueError(f"{key} must be an integer >= {least}, got {cfg[key]!r}")
-    lr = cfg["train.lr"]
-    if not math.isfinite(lr) or lr <= 0:
-        raise ValueError(f"train.lr must be a finite number > 0, got {lr!r}")
-
-
 def cmd_train(args) -> int:
     _check_writable(args.out, args.manifest)
     cfg = resolve(args)
-    _check_train_config(cfg)
     frag = FragmentConfig(cfg["train.L"], cfg["train.K"])
     lines = data.toy_corpus(args.toy) if args.infile is None \
-        else list(_read_lines(args.infile))
+        else [line for _, line in _numbered_lines(args.infile)]
     token_lists = _tokenized_corpus(lines, frag, args.infile or "toy corpus")
     vocab = Vocab.build(token_lists)
     corpus = np.array([pad_and_partition(t, frag, vocab) for t in token_lists],
@@ -329,8 +312,7 @@ def _sample_prefix(decoder: Decoder, text: str | None) -> list | None:
 
 def cmd_sample(args) -> int:
     cfg = resolve(args)
-    if args.n < 1:
-        raise ValueError(f"n must be >= 1, got --n {args.n}")
+    check_interval("--n", args.n, N_INTERVAL)
     _check_writable(args.manifest)
     if cfg["sample.mode"] == "confidence" and args.seed is not None:
         log.warning("sample: --seed changes nothing in confidence mode, which "
@@ -415,10 +397,11 @@ def cmd_eval(args) -> int:
 def _add_settings(p, command: str):
     """A flag for each setting ``command`` reads, then --config and --manifest."""
     for key in COMMAND_KEYS[command]:
-        flag, kind, default = SETTINGS[key]
+        flag, kind, default, interval = SETTINGS[key]
         if flag:
             typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            p.add_argument(flag, dest=key, help=f"config key {key}, default {default}",
+            within = f", in {interval}" if interval else ""
+            p.add_argument(flag, dest=key, help=f"config key {key}, default {default}{within}",
                            **typed)
     p.add_argument("--config", help="JSON file of config keys")
     p.add_argument("--manifest", help="JSON record of the run and the settings it read")
@@ -450,7 +433,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("sample", help="generate molecules from a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=int, default=1000, help=f"molecules to generate, in {N_INTERVAL}")
     p.add_argument("--prefix", default=None)
     _add_settings(p, "sample")
     p.set_defaults(func=cmd_sample)

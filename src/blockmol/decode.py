@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diffusion
 from .chem import _FNV_PRIME, UnknownToken, Vocab, fnv1a64, try_parse
-from .fragment import FragmentConfig, TooLong, reassemble
+from .fragment import ConfigError, FragmentConfig, TooLong, check_fields, reassemble
 
 log = logging.getLogger(__name__)
 
@@ -156,21 +156,13 @@ class DecodeConfig:
     nucleus_p: float = 1.0
     mode: str = "confidence"  # or "sample": token drawn from the adjusted row
     seed: int = 0
+    INTERVALS = {"budget": "[1, 2**63)", "temperature": "(0, inf)", "nucleus_p": "(0, 1]"}
 
     def __post_init__(self):
-        if self.block < 1:
-            raise diffusion.OutOfRange(f"block must be >= 1, got {self.block}")
-        if self.length % self.block:
-            raise diffusion.OutOfRange(
-                f"length {self.length} not divisible by block {self.block}")
-        if self.budget < 1:
-            raise diffusion.OutOfRange("budget must be >= 1")
-        if not self.temperature > 0.0:
-            raise diffusion.OutOfRange(f"temperature must be > 0, got {self.temperature}")
-        if not 0.0 < self.nucleus_p <= 1.0:
-            raise diffusion.OutOfRange(f"nucleus_p must lie in (0, 1], got {self.nucleus_p}")
+        FragmentConfig(self.length, self.block)  # checks block, length and K | L
+        check_fields(self)
         if self.mode not in ("confidence", "sample"):
-            raise diffusion.OutOfRange(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
 
     @property
     def fragment(self) -> FragmentConfig:

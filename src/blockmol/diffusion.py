@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chem import Vocab
-from .fragment import ConfigError, FragmentConfig
+from .fragment import ConfigError, FragmentConfig, check_interval
 
 T_CLIP = 1e-4
 
@@ -210,8 +210,7 @@ class Nucleus(NamedTuple):
 def nucleus_cut(probs: np.ndarray, p: float) -> Nucleus:
     """Each row's smallest descending-probability set with cumulative mass >= p.
     At p = 1 every entry is kept with mass 1, so the rows expand to themselves."""
-    if not 0.0 < p <= 1.0:
-        raise OutOfRange(f"nucleus p={p} outside (0, 1]")
+    check_interval("nucleus p", p, "(0, 1]")
     n, width = probs.shape
     if p == 1.0:
         return Nucleus(probs, np.full(n, width), np.zeros(n), np.ones(n))
@@ -471,7 +470,7 @@ def save_checkpoint(path, params: PredictorParams, vocab: Vocab, seed: int):
 def load_checkpoint(path, vocab: Vocab | None = None):
     """Returns (params, vocab, seed); verifies the stored vocabulary hash and
     raises ValueError on a non-finite table entry, or naming ``path`` and
-    the field for one that is missing, mistyped or misshapen."""
+    the field for one that is missing, mistyped, out of range or misshapen."""
     with open(path) as fh:
         record = json.load(fh)
     if not isinstance(record, dict):
@@ -480,6 +479,8 @@ def load_checkpoint(path, vocab: Vocab | None = None):
                       ("seed", int)):
         if not isinstance(record.get(key), kind) or isinstance(record[key], bool):
             raise ValueError(f"{path}: field {key!r} is missing or not of type {kind.__name__}")
+    for key, interval in (("dim", "[1, 2**63)"), ("window", "[0, 2**63)")):
+        check_interval(f"{path}: field {key!r}", record[key], interval)
     tokens = tuple(record["vocab"])
     if not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"{path}: field 'vocab' holds a token that is not a string")

@@ -8,7 +8,10 @@ same padded layout.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,16 +30,37 @@ class IncompleteSequence(ValueError):
     pass
 
 
+@lru_cache(maxsize=1024)  # training builds a FragmentConfig per step, of the same sizes
+def check_interval(name: str, value, interval: str):
+    """Raise ConfigError naming ``name`` unless ``value`` lies in ``interval``, such as
+    "[1, 2**16]" or "(-inf, inf]", compared exactly; NaN and ints beyond floats lie in none."""
+    lo, hi = (float(e) if "inf" in e else 2 ** int(e[3:]) if e[:3] == "2**" else int(e)
+              for e in interval[1:-1].split(", "))
+    x = math.nan if isinstance(value, int) and abs(value) > sys.float_info.max else value
+    if not ((lo <= x if interval[0] == "[" else lo < x)
+            and (x <= hi if interval[-1] == "]" else x < hi)):
+        raise ConfigError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def check_fields(config):
+    """``check_interval`` on each field that ``type(config).INTERVALS`` declares, in order."""
+    for name, interval in type(config).INTERVALS.items():
+        check_interval(name, getattr(config, name), interval)
+
+
 @dataclass(frozen=True)
 class FragmentConfig:
     """Sequence length and block size; length must be a multiple of block."""
 
     length: int
     block: int
+    # A decode call holds rows x L x d and rows x K x V arrays of 8 bytes, rows
+    # <= 2**20 (--n, search.M, search.n_sim): <= 2**59 bytes for d <= 2**16
+    # (train.dim), and 2**39 x V.  Training's largest, d x L x 2L x 8, is 2**60.
+    INTERVALS = {"length": "[2, 2**20]", "block": "[1, 2**16]"}
 
     def __post_init__(self):
-        if self.length < 2 or self.block < 1:
-            raise ConfigError("need length >= 2 and block >= 1")
+        check_fields(self)
         if self.length % self.block:
             raise ConfigError(f"length {self.length} not divisible by block {self.block}")
 

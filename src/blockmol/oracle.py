@@ -74,7 +74,7 @@ _JSON_TYPES = {"string": str, "number": (int, float), "integer": int}
 def load_profile(name: str) -> OracleProfile:
     """The bundled profile ``name``, or the one in the .json file ``name``.
     Raises ValueError naming the file for an unknown, missing or mistyped
-    key, or a seed that does not parse."""
+    key, a seed that does not parse, or an fp_width ``fingerprint`` rejects."""
     path = Path(name) if name.endswith(".json") else PROFILE_DIR / f"{name}.json"
     if not path.exists():
         raise FileNotFoundError(f"no oracle profile {name!r}")
@@ -87,8 +87,13 @@ def load_profile(name: str) -> OracleProfile:
     for key, want in _PROFILE_KEYS.items():
         if not isinstance(record[key], _JSON_TYPES[want]) or isinstance(record[key], bool):
             raise ValueError(f"{path}: {key} must be a JSON {want}, got {record[key]!r}")
-    if (err := try_parse(record["seed_smiles"])[1]) is not None:
+    mol, err = try_parse(record["seed_smiles"])
+    if err is not None:
         raise ValueError(f"{path}: seed_smiles does not parse: {err}")
+    try:
+        fingerprint(mol, record["fp_width"])
+    except ValueError as err:
+        raise ValueError(f"{path}: fp_width {record['fp_width']!r}: {err}") from None
     return OracleProfile(**{**record, "threshold_ds": float(record["threshold_ds"])})
 
 

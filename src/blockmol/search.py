@@ -28,6 +28,7 @@ import numpy as np
 
 from .chem import Vocab, try_parse
 from .decode import DecodeConfig, Decoder, key_uniform, lane_keys
+from .fragment import ConfigError, check_fields
 from .oracle import OracleScores
 
 # Rows decoded per call in the root phase's waves.  Larger waves raise the
@@ -48,15 +49,12 @@ class GateConfig:
     tau_qed: float = 0.5
     tau_sa: float = 5.0
     r_pen: float = -1.0
+    # Gated rewards are -ds >= 0, so any negative penalty sits strictly
+    # below every achievable gated reward.
+    INTERVALS = {"tau_qed": "(-inf, inf)", "tau_sa": "(-inf, inf]", "r_pen": "(-inf, 0)"}
 
     def __post_init__(self):
-        # Gated rewards are -ds >= 0, so any negative penalty sits strictly
-        # below every achievable gated reward.
-        if not self.r_pen < 0.0:
-            raise ValueError(f"penalty reward must be negative: {self.r_pen}")
-        for name in ("tau_qed", "tau_sa"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got nan")
+        check_fields(self)
 
     def passes(self, scores: OracleScores) -> bool:
         return scores.qed >= self.tau_qed and scores.sa <= self.tau_sa
@@ -77,23 +75,17 @@ class SearchConfig:
     d_max: int = 100  # depth cap in blocks
     decode: DecodeConfig = DecodeConfig()  # its seed keys every search draw
     gate: GateConfig = GateConfig()
+    # A node of capacity 0 never gets a child.  A decode call takes at most
+    # max(ROOT_WAVE_ROWS, m or n_sim) rows, so rows <= 2**20 (FragmentConfig).
+    INTERVALS = {"n_max": "[0, 2**63)", "c": "(-inf, inf)", "lam": "[0, 1]",
+                 "beta": "(-inf, inf)", "c_init": "[1, 2**63)", "c_base": "[1, 2**63)",
+                 "c_min": "[1, 2**63)", "c_max": "[1, 2**63)", "m": "[1, 2**20]",
+                 "n_sim": "[1, 2**20]", "d_max": "[1, 2**63)"}
 
     def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0: {self.n_max}")
-        for name in ("c", "beta"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got nan")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0,1]: {self.lam}")
-        # A node of capacity 0 never gets a child.
-        for name in ("c_init", "c_base", "c_min"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
+        check_fields(self)
         if self.c_min > self.c_max:
-            raise ValueError(f"need c_min <= c_max: {self.c_min} > {self.c_max}")
-        if self.m < 1 or self.n_sim < 1 or self.d_max < 1:
-            raise ValueError("m, n_sim, and d_max must be >= 1")
+            raise ConfigError(f"need c_min <= c_max: {self.c_min} > {self.c_max}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmol import cli, metrics, parallel
+from blockmol import cli, fragment, metrics, parallel
 from blockmol.cli import DEFAULTS, SETTINGS, main
 from blockmol.data import toy_candidates
 from blockmol.decode import BudgetExhausted, Decoder
@@ -218,12 +218,13 @@ def test_cli_search_defaults_match_the_library():
     # the CLI's L = 512 and temperature 1.1 differ from DecodeConfig's 72 and
     # 1.0, and the golden digests depend on DecodeConfig's.
     checked = 0
-    for key, (_, _, default) in SETTINGS.items():
+    for key, (_, _, default, interval) in SETTINGS.items():
         group, name = key.split(".") if "." in key else (None, key)
         library = {"search": SearchConfig(), "gate": GateConfig()}.get(group)
         if library is not None:
             field = {"lambda": "lam"}.get(name, name.lower())
             assert getattr(library, field) == default, key
+            assert interval == type(library).INTERVALS[field], key
             checked += 1
     assert checked == 14
 
@@ -296,6 +297,10 @@ def test_malformed_checkpoint_fails_sample_and_search_naming_it(tmp_path, capsys
     ("bias", ["x"], "table 'bias' is not (15,) numbers"),
     ("vocab", ["[PAD]", "[BOS]", "[EOS]", "[MASK]", 7],
      "field 'vocab' holds a token that is not a string"),
+    # Before, numpy's reshape read -1 as "infer": these loaded and sampled, exit 0.
+    ("dim", -1, "field 'dim' must lie in [1, 2**63), got -1"),
+    ("window", -1, "field 'window' must lie in [0, 2**63), got -1"),
+    ("dim", 0, "field 'dim' must lie in [1, 2**63), got 0"),
 ])
 def test_checkpoint_field_of_the_wrong_type_or_shape_names_it(checkpoint, tmp_path, capsys,
                                                              caplog, field, value, message):
@@ -583,6 +588,13 @@ def test_sample_prefix_rejects_control_tokens(checkpoint, capsys, caplog, prefix
     assert f"prefix token {token} at offset {offset} is a control token" in caplog.text
 
 
+# The config key, or flag, that names each library field in the CLI's message.
+FIELD_KEYS = {"block": "sample.K", "temperature": "sample.temperature", "n_max": "search.N_max",
+              "c": "search.C", "beta": "search.beta", "tau_qed": "gate.tau_qed",
+              "tau_sa": "gate.tau_sa", "c_init": "search.C_init", "n": "--n",
+              "c_min": "search.C_min"}
+
+
 @pytest.mark.parametrize("command,flags,field", [
     ("sample", ["--k-sample", "0"], "block"),
     ("search", ["--k-sample", "0"], "block"),
@@ -613,8 +625,8 @@ def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, 
     code, stdout, _ = run_cli(argv + flags, capsys)  # a later flag wins
     assert code == 2 and stdout == ""
     assert not out.exists()
-    assert any(r.getMessage().startswith(f"{field} must") for r in caplog.records), \
-        caplog.text
+    name = FIELD_KEYS.get(field, field)
+    assert any(r.getMessage().startswith(f"{name} must") for r in caplog.records), caplog.text
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -627,7 +639,7 @@ def test_sample_of_no_molecule_exits_2_naming_the_flag(checkpoint, tmp_path, cap
                                "48", "--manifest", str(manifest)], capsys)
     assert code == 2 and stdout == ""
     assert not manifest.exists()
-    assert f"n must be >= 1, got --n {n}" in caplog.text
+    assert f"--n must lie in [1, 2**20], got {n}" in caplog.text
 
 
 @pytest.mark.parametrize("command,flags,key", [
@@ -661,8 +673,96 @@ def test_infinite_settings_exit_2_before_the_run(checkpoint, tmp_path, capsys, c
                                               str(manifest)], capsys)
     assert code == 2 and stdout == ""
     assert not manifest.exists() and not out.exists()
-    bound = "finite" if SETTINGS[key][1] is float else "within the int64 range"
-    assert f"{key} must be {bound}" in caplog.text
+    assert f"{key} must lie in {SETTINGS[key][3]}, got " in caplog.text
+
+
+def _ends(interval):
+    """(lo, hi) of an interval as SETTINGS writes it: "inf", an integer or b**k."""
+    ends = []
+    for text in interval[1:-1].split(", "):
+        base, _, power = text.partition("**")
+        ends.append(float(text) if "inf" in text else int(base) ** int(power or 1))
+    return ends
+
+
+def _around(interval, kind):
+    """(the value at or just inside each end of the interval, the values just
+    outside each end), as ``kind``; NaN lies outside every float interval."""
+    inside, outside = [], [math.nan] if kind is float else []
+    for end, closed, out in zip(_ends(interval), (interval[0] == "[", interval[-1] == "]"),
+                                (-1, 1)):
+        if not closed:
+            outside.append(kind(end))
+            inside.append(end - out if kind is int else
+                          math.nextafter(float(end), -out * math.inf))
+        elif kind is int:
+            inside.append(end)
+            outside.append(end + out)
+        else:
+            inside.append(float(end))
+            if not math.isinf(end):  # nothing lies beyond a closed infinite end
+                outside.append(math.nextafter(float(end), out * math.inf))
+    return inside, outside
+
+
+INTERVAL_KEYS = [key for key in SETTINGS if SETTINGS[key][3]]
+
+
+@pytest.mark.parametrize("key", INTERVAL_KEYS + ["--n"])
+def test_a_value_at_or_just_inside_each_end_is_accepted(key, checkpoint, capsys, caplog,
+                                                        monkeypatch):
+    if key == "--n":  # a flag, checked once resolve is done, before the checkpoint loads
+        def loaded(path):
+            raise RuntimeError("checks passed")
+
+        monkeypatch.setattr(cli.diffusion, "load_checkpoint", loaded)
+        for n in _around(cli.N_INTERVAL, int)[0]:
+            caplog.clear()
+            assert run_cli(["sample", "--checkpoint", checkpoint, "--n", str(n)], capsys)[0] == 2
+            assert "checks passed" in caplog.text
+        return
+    command = next(c for c, keys in cli.COMMAND_KEYS.items() if key in keys)
+    inside, _ = _around(SETTINGS[key][3], SETTINGS[key][1])
+    assert len(inside) == 2
+    for value in inside:
+        args = argparse.Namespace(command=command, config=None, **{key: value})
+        assert cli.resolve(args)[key] == value
+
+
+def test_every_default_lies_in_its_interval():
+    for key in INTERVAL_KEYS:
+        fragment.check_interval(key, DEFAULTS[key], SETTINGS[key][3])
+    n = cli.build_parser().parse_args(["sample", "--checkpoint", "c"]).n
+    fragment.check_interval("--n", n, cli.N_INTERVAL)
+
+
+def _outside_cases():
+    for key in INTERVAL_KEYS:
+        flag, kind, _, interval = SETTINGS[key]
+        for value in _around(interval, kind)[1]:
+            yield key, value
+    for value in _around(cli.N_INTERVAL, int)[1]:
+        yield "--n", value
+    # numpy's bare "array is too big" before, and "Unable to allocate 384. TiB"
+    yield from (("search.M", 2**62), ("sample.L", 2**62), ("--n", 2**62),
+                ("search.M", 1099511627776), ("train.window", 2**40))
+
+
+@pytest.mark.parametrize("key,value", list(_outside_cases()))
+def test_a_value_outside_its_interval_exits_2_naming_the_key(
+        key, value, checkpoint, tmp_path, capsys, caplog):
+    flag, kind, _, interval = SETTINGS.get(key, ("--n", int, None, cli.N_INTERVAL))
+    command = "sample" if key == "--n" else next(
+        c for c, keys in cli.COMMAND_KEYS.items() if key in keys)
+    manifest, cfg = tmp_path / "m.json", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({} if flag else {key: value}))
+    argv = _argv(command, checkpoint, tmp_path)
+    code, stdout, _ = run_cli(argv + ([f"{flag}={value!r}"] if flag else []) + [
+        "--config", str(cfg), "--manifest", str(manifest)], capsys)
+    assert code == 2 and stdout == ""
+    assert not manifest.exists() and not (tmp_path / "t.ckpt").exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{key} must lie in {interval}, got {value!r}"]
 
 
 def test_an_infinite_sa_bound_runs_and_is_recorded_as_null(checkpoint, tmp_path, capsys):

@@ -1,0 +1,83 @@
+"""The command line's output bytes, pinned by sha256 for the recorded stream version.
+
+The library goldens (``TRAIN_DIGEST``, the decode goldens, ``SEARCH_DIGEST``)
+pin the trainer, the decoder and the search.  This pins the layer on top:
+JSON rendering, the join of forked chunks, eval's report, the checkpoint
+file.  It rebuilds the benchmark predictor in this process (every 62nd
+``data.toy_candidates(3)`` entry, ``train --epochs 2 --seed 0``) and reruns
+the benchmark's ``sample``, ``search`` and ``eval`` commands on it.
+
+The digests are those of numpy 2.4.6 with OpenBLAS 0.3.31 on a 2-core
+x86-64 VM, like the library goldens: other BLAS builds may round the
+predictor's sums differently.  A change that moves a random stream bumps
+``STREAM_VERSION`` and adds its table here; the test fails until it does both.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
+from blockmol import STREAM_VERSION, data
+from blockmol.cli import main
+
+DIGESTS = {
+    1: {
+        "checkpoint":
+            "efadf61b8049768351dbcde88d02cc510ef10e56cd081eede7b95484d7fdbb39",
+        "train stdout":
+            "306d78de8bc27de26a9220c1bbba012d3d3e1ec3594ec6a3375eb01f8a8f4f43",
+        "sample --mode sample --seed 51000":
+            "5fce732d731b9b44efa847747107274eb7f380094c97a1174298107cc9359bca",
+        "sample --mode confidence":
+            "23d15c2d1b6f65c33867c0a926da86401a60fd948381bd69be60ca203a263481",
+        "search --seed 42":
+            "34b45390432bbea4a389429fe764faa4201c50efc5164b5d7319a3ebe03517ce",
+        "search --rollouts":
+            "567549c9a1145d9937c68229c3e8053681e4d9563bd034dadc7b2437f879f810",
+        "eval of the sample":
+            "579a50df782ea8d0c00d02fa2be022455c2dea3cd7776af06d38325c4616005c",
+        "eval of the rollouts":
+            "922bb0ab7d3b84343846cdc6dc68e23f2b6fc9491d566301c8bd61209a2ec576",
+    },
+}
+
+DECODE_FLAGS = ["--nucleus", "0.95", "--temp", "1.0", "--length", "48", "--steps", "130"]
+SEARCH_FLAGS = ["--m", "8", "--n-sim", "8", "--c", "3.0", "--c-init", "100",
+                "--beta", "8.0", "--c-max", "64"]
+
+
+def _stdout(argv, manifest=None) -> bytes:
+    """The command's stdout; with a --manifest, which must name the stream version."""
+    out = io.StringIO()
+    if manifest:
+        manifest.unlink(missing_ok=True)
+    with redirect_stdout(out):
+        assert main(argv + (["--manifest", str(manifest)] if manifest else [])) == 0, argv
+    if manifest:
+        assert json.loads(manifest.read_text())["stream_version"] == STREAM_VERSION
+    return out.getvalue().encode()
+
+
+def test_cli_outputs_keep_their_bytes(tmp_path):
+    corpus, ckpt = tmp_path / "corpus.smi", tmp_path / "predictor.ckpt"
+    manifest = tmp_path / "manifest.json"
+    corpus.write_text("".join(s + "\n" for s in data.toy_candidates(3)[::62]))
+    outputs = {"train stdout": _stdout(["train", "--in", str(corpus), "--out", str(ckpt),
+                                        "--epochs", "2", "--seed", "0"], manifest)}
+    outputs["checkpoint"] = ckpt.read_bytes()
+    sample = ["sample", "--checkpoint", str(ckpt), "--n", "2000"] + DECODE_FLAGS
+    outputs["sample --mode sample --seed 51000"] = _stdout(
+        sample + ["--mode", "sample", "--seed", "51000"], manifest)
+    outputs["sample --mode confidence"] = _stdout(sample + ["--mode", "confidence"])
+    rollouts = tmp_path / "rollouts.jsonl"
+    outputs["search --seed 42"] = _stdout(
+        ["search", "--target", "parp1", "--checkpoint", str(ckpt), "--budget", "1000",
+         "--seed", "42", "--rollouts", str(rollouts)] + SEARCH_FLAGS + DECODE_FLAGS, manifest)
+    outputs["search --rollouts"] = rollouts.read_bytes()
+    sampled = tmp_path / "sample.jsonl"
+    sampled.write_bytes(outputs["sample --mode sample --seed 51000"])
+    for name, path in (("eval of the sample", sampled), ("eval of the rollouts", rollouts)):
+        outputs[name] = _stdout(["eval", "--in", str(path), "--target", "parp1"])
+    got = {name: hashlib.sha256(out).hexdigest() for name, out in outputs.items()}
+    assert got == DIGESTS[STREAM_VERSION]

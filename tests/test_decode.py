@@ -31,6 +31,7 @@ from blockmol.decode import (
     write_jsonl,
 )
 from blockmol.diffusion import OutOfRange, PredictorParams
+from blockmol.fragment import ConfigError
 
 
 def test_key_uniform_is_deterministic_and_keyed():
@@ -111,18 +112,18 @@ def test_gcd_select_respects_mask():
 
 
 def test_decode_config_validation():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ConfigError):
         DecodeConfig(block=8, length=44)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ConfigError):
         DecodeConfig(budget=0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ConfigError):
         DecodeConfig(temperature=0.0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ConfigError):
         DecodeConfig(mode="greedy")
     for field, bad in (("block", dict(block=0)), ("block", dict(block=-8)),
                        ("temperature", dict(temperature=math.nan)),
                        ("nucleus_p", dict(nucleus_p=math.nan))):
-        with pytest.raises(OutOfRange, match=field):
+        with pytest.raises(ConfigError, match=field):
             DecodeConfig(**bad)
 
 

@@ -124,6 +124,9 @@ def test_profile_from_explicit_path(tmp_path):
     ({"fp_width": True}, "fp_width must be a JSON integer, got True"),
     ({"threshold_ds": "-10"}, "threshold_ds must be a JSON number, got '-10'"),
     ({"seed_smiles": "C1CC"}, "seed_smiles does not parse: ring 1 never closed"),
+    # Before, these loaded, and failed only when an oracle was built, naming no file.
+    ({"fp_width": 1000}, "fp_width 1000: width must be a power of two >= 256"),
+    ({"fp_width": 128}, "fp_width 128: width must be a power of two >= 256"),
 ])
 def test_malformed_profile_names_its_file_and_key(tmp_path, edit, message):
     record = json.loads((PROFILE_DIR / "parp1.json").read_text())

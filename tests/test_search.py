@@ -119,7 +119,7 @@ def test_search_config_validation():
                        ("tau_sa", dict(tau_sa=math.nan))):
         with pytest.raises(ValueError, match=f"^{field} must"):
             GateConfig(**bad)
-    with pytest.raises(ValueError, match="penalty"):
+    with pytest.raises(ValueError, match="^r_pen must"):
         GateConfig(r_pen=math.nan)
 
 
