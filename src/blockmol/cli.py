@@ -258,6 +258,7 @@ def _tokenized_corpus(lines, frag: FragmentConfig, source: str):
 def cmd_train(args) -> int:
     _check_writable(args.out, args.manifest)
     cfg = resolve(args)
+    check_interval("--toy", args.toy, data.TOY_INTERVAL)
     frag = FragmentConfig(cfg["train.L"], cfg["train.K"])
     lines = data.toy_corpus(args.toy) if args.infile is None \
         else [line for _, line in _numbered_lines(args.infile)]
@@ -365,6 +366,8 @@ def cmd_search(args) -> int:
         decode=_decode_config(cfg, "sample"),
         gate=GateConfig(cfg["gate.tau_qed"], cfg["gate.tau_sa"], cfg["gate.R_pen"]))
     outcome = run_search(search_cfg, params, vocab, SurrogateOracle(profile))
+    log.info("search: %d iterations, %d rollouts skipped from a dead prefix",
+             outcome.iterations, outcome.dead_rollouts)
     for result in outcome.results:
         sys.stdout.write(result.to_json_line() + "\n")
     sys.stdout.write(json.dumps(outcome.summary()) + "\n")
@@ -377,7 +380,8 @@ def cmd_search(args) -> int:
     # A search runs its whole budget; perfbench's check_search still reads "aborted".
     _manifest(args.manifest, "search", cfg,
               {"target": profile.name, "checkpoint": args.checkpoint,
-               "iterations": outcome.iterations, "aborted": False})
+               "iterations": outcome.iterations, "aborted": False,
+               "dead_rollouts": outcome.dead_rollouts})
     return 0
 
 
@@ -426,7 +430,7 @@ def build_parser() -> Parser:
     p.add_argument("--in", dest="infile", default=None,
                    help="SMILES file; omit to use the built-in toy corpus")
     p.add_argument("--toy", type=int, default=500,
-                   help="toy corpus size when --in is omitted")
+                   help=f"toy corpus size when --in is omitted, in {data.TOY_INTERVAL}")
     p.add_argument("--out", required=True, help="checkpoint path")
     _add_settings(p, "train")
     p.set_defaults(func=cmd_train)

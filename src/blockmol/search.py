@@ -13,9 +13,22 @@ candidates run dry) every iteration selects it, whatever the rewards.  Those
 iterations run in waves of ``ROOT_WAVE_ROWS // max(m, n_sim)``: one decode
 call for the wave's candidate blocks, the children picked in iteration order,
 one call for their rollouts, then scoring and backpropagation in iteration
-order.  This is exact: every row draws with its own lane key, and a row's
-decoding does not depend on the rows decoded beside it.  Every later
-iteration is a wave of one.
+order.  Every later iteration is a wave of one.  Every row draws with its own
+lane key, but the predictor rounds a row by the number N of rows in its call:
+measured with numpy 2.4.6 and OpenBLAS 0.3.31, a row's logits are
+bit-identical for every N >= 2 at windows of up to 24 tokens and for every N
+in [2, 150] at 32 to 48, while N = 1 differs from all of them.  So a wave
+gives the bytes of its iterations run one at a time while every call of both
+holds at least 2 rows, and at most 150 at windows of 32 or more.
+
+A non-terminal child whose prefix already fails ``chem.scan`` is dead: an
+error a prefix shows is the whole molecule's, so its rollouts can only earn
+the penalty.  When every open child of a wave is dead, their rollouts are not
+decoded and each earns the penalty at once, as MCTS-Solver (Winands,
+Bjornsson and Saito 2008) stops simulating a node whose value is proven.  A
+dead child beside a live one keeps its rows in the call, since taking them
+out could move a live row's call into another size class, and so its floats.
+The outcome counts the skipped rollouts as ``dead_rollouts``.
 """
 
 from __future__ import annotations
@@ -26,9 +39,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chem import Vocab, try_parse
+from .chem import ChemError, Vocab, scan, tokenize, try_parse
 from .decode import DecodeConfig, Decoder, key_uniform, lane_keys
-from .fragment import ConfigError, check_fields
+from .fragment import ConfigError, check_fields, reassemble
 from .oracle import OracleScores
 
 # Rows decoded per call in the root phase's waves.  Larger waves raise the
@@ -166,6 +179,7 @@ class SearchOutcome:
     best: SearchResult | None
     iterations: int
     root: SearchNode
+    dead_rollouts: int  # open children whose rollouts were skipped: see dead()
 
     def summary(self) -> dict:
         return {
@@ -186,6 +200,7 @@ class TreeSearch:
         self._frag = cfg.decode.fragment
         self._last_block = min(self._frag.num_blocks, cfg.d_max)
         self._scores: dict[str, OracleScores | None] = {}  # _score's, by SMILES
+        self.dead_rollouts = 0
 
     def make_root(self) -> SearchNode:
         return SearchNode(partial=self._decoder.frame(1)[0], depth=0, cap=self.cfg.c_init)
@@ -247,15 +262,31 @@ class TreeSearch:
 
     # -- phase 3
 
+    def dead(self, node: SearchNode) -> bool:
+        """Whether the scan of ``node``'s prefix raises.  An error a prefix
+        shows is the whole molecule's, so no completion of it parses."""
+        try:
+            scan(tokenize("".join(reassemble(node.partial, self._decoder.vocab))))
+        except ChemError:
+            return True
+        return False
+
     def rollout_rows(self, children: list[SearchNode], iterations: range) -> list[np.ndarray]:
         """Each child's rows to score: a terminal child's own sequence, the
         others' n_sim completions, decoded in one call from a stream disjoint
         from expansion's, lane ``iteration * n_sim + j`` drawing completion j.
-        The children share one depth."""
+        The children share one depth.  When every open child is dead, the
+        open children get no rows, as their completions could only earn
+        the penalty; one live child keeps every row in the call (see the
+        module docstring)."""
         cfg = self.cfg
         rows = [ch.partial[None, :] for ch in children]
         open_ = [k for k, ch in enumerate(children) if not ch.terminal]
-        if open_:
+        if open_ and all(self.dead(children[k]) for k in open_):
+            self.dead_rollouts += len(open_)
+            for k in open_:
+                rows[k] = rows[k][:0]
+        elif open_:
             ids = np.repeat(np.stack([children[k].partial for k in open_]), cfg.n_sim, axis=0)
             lanes = (np.array([iterations[k] for k in open_])[:, None] * cfg.n_sim
                      + np.arange(cfg.n_sim)).ravel()
@@ -340,6 +371,7 @@ class TreeSearch:
             best=ranked[0] if ranked else None,
             iterations=iterations,
             root=root,
+            dead_rollouts=self.dead_rollouts,
         )
 
 

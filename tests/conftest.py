@@ -1,7 +1,7 @@
 """Shared fixtures: the curated toy corpus and predictors trained on it, a
 runner for the command line in a child process, and a check that no test
 leaves a child process behind; the predictor's full-distribution form,
-which only tests read; and a fork counter.
+which only tests read; a fork counter; and the library's golden digests.
 
 Corpus construction and training are the slow parts of the suite, so both
 are session-scoped and memoized per seed.
@@ -29,6 +29,25 @@ TRAIN_LR = 0.1
 TRAIN_EPOCHS = 5
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# The library's golden digests, by the stream version they belong to:
+# TRAIN_DIGEST pins training (tests/test_diffusion.py), the others the decoder
+# and the search (tests/test_decode_golden.py).  They are numpy 2.4.6 with
+# OpenBLAS 0.3.31's, like tests/test_cli_digests.py's.  A change that moves a
+# random stream bumps STREAM_VERSION and adds its table here and there.
+GOLDENS = {
+    1: {
+        "TRAIN_DIGEST": "7c8254df93c46368ae143785d44031e37c492db89c7c25db6ccf8eeb4c0f8c8a",
+        "SAMPLE_DIGEST": "55e7833c9d0dbf29a26df286ef849b19e7fbb1a5a565f161a70eeaf25261e428",
+        "CONFIDENCE_DIGEST":
+            "b9d6713dc2c95d99c44bd6f7a89422d3b62c5ef745ccef62e8c2db16265ac692",
+        "SEARCH_DIGEST": "a3642407f64f83f6fa7823aae95c5257934d048e21decb604f7936bc1cc600ba",
+        "WARM_SAMPLE_DIGEST":
+            "80ab3478147c1746f732f9339fca2fcb40634236decc49eb923a808a79dbebf7",
+        "CONFIDENCE_NUCLEUS_DIGEST":
+            "d84ba869e42710703703cd1504640b8acab3dcc9e848fb1c6c6797d9ca6e13e2",
+    },
+}
 
 
 def pooled(params, windows, positions, targets):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmol import cli, fragment, metrics, parallel
+from blockmol import cli, data, fragment, metrics, parallel
 from blockmol.cli import DEFAULTS, SETTINGS, main
 from blockmol.data import toy_candidates
 from blockmol.decode import BudgetExhausted, Decoder
@@ -592,7 +592,7 @@ def test_sample_prefix_rejects_control_tokens(checkpoint, capsys, caplog, prefix
 FIELD_KEYS = {"block": "sample.K", "temperature": "sample.temperature", "n_max": "search.N_max",
               "c": "search.C", "beta": "search.beta", "tau_qed": "gate.tau_qed",
               "tau_sa": "gate.tau_sa", "c_init": "search.C_init", "n": "--n",
-              "c_min": "search.C_min"}
+              "c_min": "search.C_min", "toy corpus size": "--toy"}
 
 
 @pytest.mark.parametrize("command,flags,field", [
@@ -640,6 +640,21 @@ def test_sample_of_no_molecule_exits_2_naming_the_flag(checkpoint, tmp_path, cap
     assert code == 2 and stdout == ""
     assert not manifest.exists()
     assert f"--n must lie in [1, 2**20], got {n}" in caplog.text
+
+
+@pytest.mark.parametrize("toy", ["0", "602", "100000"])
+def test_a_toy_size_beyond_the_grid_exits_2_naming_the_flag(tmp_path, capsys, caplog, toy):
+    # Before, "--toy 100000" curated the grid, then exited 2 with "toy grid
+    # yields only 601 curated molecules", naming neither the flag nor its bound.
+    out = tmp_path / "t.ckpt"
+    code, stdout, _ = run_cli(["train", "--toy", toy, "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"--toy must lie in [1, 601], got {toy}"]
+
+
+def test_the_toy_interval_ends_at_the_curated_grid():
+    assert data.TOY_INTERVAL == f"[1, {len(data._curated(3))}]"
 
 
 @pytest.mark.parametrize("command,flags,key", [

@@ -1,21 +1,23 @@
 """The command line's output bytes, pinned by sha256 for the recorded stream version.
 
-The library goldens (``TRAIN_DIGEST``, the decode goldens, ``SEARCH_DIGEST``)
-pin the trainer, the decoder and the search.  This pins the layer on top:
-JSON rendering, the join of forked chunks, eval's report, the checkpoint
-file.  It rebuilds the benchmark predictor in this process (every 62nd
+The library goldens (``GOLDENS`` in tests/conftest.py: ``TRAIN_DIGEST``, the
+decode goldens, ``SEARCH_DIGEST``) pin the trainer, the decoder and the
+search.  This pins the layer on top: JSON rendering, the join of forked
+chunks, eval's report, the checkpoint file.  It rebuilds the benchmark predictor in this process (every 62nd
 ``data.toy_candidates(3)`` entry, ``train --epochs 2 --seed 0``) and reruns
 the benchmark's ``sample``, ``search`` and ``eval`` commands on it.
 
 The digests are those of numpy 2.4.6 with OpenBLAS 0.3.31 on a 2-core
 x86-64 VM, like the library goldens: other BLAS builds may round the
 predictor's sums differently.  A change that moves a random stream bumps
-``STREAM_VERSION`` and adds its table here; the test fails until it does both.
+``STREAM_VERSION`` and adds its table here and to ``GOLDENS``; the tests fail
+until it does both.
 """
 
 import hashlib
 import io
 import json
+import logging
 from contextlib import redirect_stdout
 
 from blockmol import STREAM_VERSION, data
@@ -59,7 +61,8 @@ def _stdout(argv, manifest=None) -> bytes:
     return out.getvalue().encode()
 
 
-def test_cli_outputs_keep_their_bytes(tmp_path):
+def test_cli_outputs_keep_their_bytes(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="blockmol")
     corpus, ckpt = tmp_path / "corpus.smi", tmp_path / "predictor.ckpt"
     manifest = tmp_path / "manifest.json"
     corpus.write_text("".join(s + "\n" for s in data.toy_candidates(3)[::62]))
@@ -75,6 +78,10 @@ def test_cli_outputs_keep_their_bytes(tmp_path):
         ["search", "--target", "parp1", "--checkpoint", str(ckpt), "--budget", "1000",
          "--seed", "42", "--rollouts", str(rollouts)] + SEARCH_FLAGS + DECODE_FLAGS, manifest)
     outputs["search --rollouts"] = rollouts.read_bytes()
+    # At stream version 1, 91 of the search's rollouts start from a dead prefix.
+    record = json.loads(manifest.read_text())
+    assert (record["iterations"], record["dead_rollouts"]) == (1000, 91)
+    assert "search: 1000 iterations, 91 rollouts skipped from a dead prefix" in caplog.messages
     sampled = tmp_path / "sample.jsonl"
     sampled.write_bytes(outputs["sample --mode sample --seed 51000"])
     for name, path in (("eval of the sample", sampled), ("eval of the rollouts", rollouts)):

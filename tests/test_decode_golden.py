@@ -4,9 +4,10 @@
 per-row step, but both share the predictor's pooling and nucleus code;
 these digests pin what the decoder actually emits, so a change to the
 predictor, the nucleus truncation, the decode step or any random stream
-moves one of them.  A
-change meant to keep decoded output byte-identical leaves all three as they
-are; one that moves a random stream updates them and says so.
+moves one of them.  A change meant to keep decoded output byte-identical
+leaves them as they are; one that moves a random stream bumps
+``STREAM_VERSION`` and adds the new digests to ``GOLDENS`` (tests/conftest.py)
+under it.
 """
 
 import hashlib
@@ -15,22 +16,20 @@ import json
 import numpy as np
 import pytest
 
-from blockmol import data, diffusion
+from blockmol import STREAM_VERSION, data, diffusion
 from blockmol.chem import Vocab, tokenize
 from blockmol.decode import DecodeConfig, Decoder
 from blockmol.fragment import FragmentConfig, pad_and_partition
 from blockmol.oracle import SurrogateOracle, load_profile
 from blockmol.search import SearchConfig, run_search
+from conftest import GOLDENS
 
 LENGTH, BLOCK, BUDGET = 48, 8, 130
 
-SAMPLE_DIGEST = "55e7833c9d0dbf29a26df286ef849b19e7fbb1a5a565f161a70eeaf25261e428"
-CONFIDENCE_DIGEST = "b9d6713dc2c95d99c44bd6f7a89422d3b62c5ef745ccef62e8c2db16265ac692"
-SEARCH_DIGEST = "a3642407f64f83f6fa7823aae95c5257934d048e21decb604f7936bc1cc600ba"
-# The paths the three digests above skip: a temperature other than 1, and a
-# nucleus cut in confidence mode.
-WARM_SAMPLE_DIGEST = "80ab3478147c1746f732f9339fca2fcb40634236decc49eb923a808a79dbebf7"
-CONFIDENCE_NUCLEUS_DIGEST = "d84ba869e42710703703cd1504640b8acab3dcc9e848fb1c6c6797d9ca6e13e2"
+# The digests, by name: see GOLDENS.  WARM_SAMPLE_DIGEST and
+# CONFIDENCE_NUCLEUS_DIGEST pin the paths the other three skip: a temperature
+# other than 1, and a nucleus cut in confidence mode.
+DIGESTS = GOLDENS[STREAM_VERSION]
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +66,7 @@ def test_sample_mode_digest(predictor):
     dec = Decoder(params, decode_config(nucleus_p=0.95, mode="sample", seed=51000), vocab)
     records = dec.generate(600)
     assert len(records) == 600
-    assert digest(record_lines(records)) == SAMPLE_DIGEST
+    assert digest(record_lines(records)) == DIGESTS["SAMPLE_DIGEST"]
 
 
 def test_confidence_mode_digest(predictor):
@@ -79,7 +78,7 @@ def test_confidence_mode_digest(predictor):
         for cut in (0, 3, 9):
             lines += record_lines(dec.generate(2, toks[:cut] or None))
     assert len(lines) == 240
-    assert digest(lines) == CONFIDENCE_DIGEST
+    assert digest(lines) == DIGESTS["CONFIDENCE_DIGEST"]
 
 
 def test_sample_mode_digest_at_temperature(predictor):
@@ -88,7 +87,7 @@ def test_sample_mode_digest_at_temperature(predictor):
                                         seed=51000), vocab)
     records = dec.generate(600)
     assert len(records) == 600
-    assert digest(record_lines(records)) == WARM_SAMPLE_DIGEST
+    assert digest(record_lines(records)) == DIGESTS["WARM_SAMPLE_DIGEST"]
 
 
 def test_confidence_mode_digest_under_nucleus(predictor):
@@ -99,7 +98,7 @@ def test_confidence_mode_digest_under_nucleus(predictor):
         for cut in (0, 3, 9):
             lines += record_lines(dec.generate(2, toks[:cut] or None))
     assert len(lines) == 240
-    assert digest(lines) == CONFIDENCE_NUCLEUS_DIGEST
+    assert digest(lines) == DIGESTS["CONFIDENCE_NUCLEUS_DIGEST"]
 
 
 def test_search_rollouts_digest(predictor):
@@ -109,4 +108,4 @@ def test_search_rollouts_digest(predictor):
     outcome = run_search(cfg, params, vocab, SurrogateOracle(load_profile("parp1")))
     assert outcome.iterations == 150
     lines = [r.to_json_line() for r in outcome.rollouts]
-    assert digest(lines) == SEARCH_DIGEST
+    assert digest(lines) == DIGESTS["SEARCH_DIGEST"]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockmol import diffusion
+from blockmol import STREAM_VERSION, diffusion
 from blockmol.chem import Vocab, tokenize
 from blockmol.diffusion import (
     EmptyCorpus,
@@ -33,7 +33,7 @@ from blockmol.diffusion import (
     train,
 )
 from blockmol.fragment import ConfigError, FragmentConfig, pad_and_partition
-from conftest import TRAIN_K, full_predict
+from conftest import GOLDENS, TRAIN_K, full_predict
 
 
 def test_schedule_values():
@@ -554,19 +554,16 @@ def test_train_stops_at_the_first_non_finite_nelbo(corpus, vocab, monkeypatch):
     assert len(history) == 1 and not math.isfinite(history[0])
 
 
-# sha256 over the trained tables' bytes and the history's bytes (numpy 2.4,
-# x86-64).  Training must reproduce it bit for bit, so any change to
-# loss_gradient's arithmetic, however small, fails here.
-TRAIN_DIGEST = "7c8254df93c46368ae143785d44031e37c492db89c7c25db6ccf8eeb4c0f8c8a"
-
-
 def test_train_is_pinned_to_a_golden_digest(corpus, vocab):
     params = PredictorParams.init(len(vocab), dim=8, window=4, seed=5)
     out, history = train(params, corpus[:40], TRAIN_K, epochs=2, lr=0.1, seed=5)
     digest = hashlib.sha256()
     for table in (out.embeddings, out.gains, out.out, out.bias, np.asarray(history)):
         digest.update(table.tobytes())
-    assert digest.hexdigest() == TRAIN_DIGEST, history
+    # TRAIN_DIGEST, over the trained tables' bytes and the history's bytes.
+    # Training must reproduce it bit for bit, so any change to loss_gradient's
+    # arithmetic, however small, fails here.
+    assert digest.hexdigest() == GOLDENS[STREAM_VERSION]["TRAIN_DIGEST"], history
 
 
 def test_checkpoint_roundtrip(tmp_path, corpus, vocab):

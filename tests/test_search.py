@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blockmol.chem import Vocab, try_parse, validate_smiles
 from blockmol.decode import DecodeConfig
@@ -322,3 +324,100 @@ def test_result_json_line_cleans_nan():
     parsed = json.loads(res.to_json_line())
     assert parsed["ds"] is None and parsed["qed"] is None
     assert parsed["smiles"] == "CCO" and parsed["iteration"] == 7
+
+
+def _tree(node):
+    """Every node's statistics and identity, in depth-first order."""
+    out, stack = [], [node]
+    while stack:
+        nd = stack.pop()
+        out.append((nd.depth, nd.block_key, nd.terminal, nd.n, nd.r_bar, nd.r_max,
+                    nd.cached_reward, nd.partial.tobytes()))
+        stack.extend(reversed(nd.children))
+    return out
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_max=120, m=8, n_sim=4, c_init=1),  # every wave has one child
+    dict(n_max=120, m=8, n_sim=4, c_init=40),  # root waves of 8 children, then waves of one
+])
+def test_skipping_dead_rollouts_changes_nothing_but_the_work(search_setup, monkeypatch, shape):
+    params, vocab, oracle, decode = search_setup
+    cfg = SearchConfig(decode=decode, **shape)
+    waves = []  # per rollout_rows call: the dead verdict of each open child
+    rollout_rows = TreeSearch.rollout_rows
+
+    def spy(self, children, iterations):
+        waves.append([self.dead(ch) for ch in children if not ch.terminal])
+        return rollout_rows(self, children, iterations)
+
+    monkeypatch.setattr(TreeSearch, "rollout_rows", spy)
+    skipped = run_search(cfg, params, vocab, oracle)
+    monkeypatch.setattr(TreeSearch, "dead", lambda self, node: False)
+    decoded = run_search(cfg, params, vocab, oracle)
+
+    assert skipped.dead_rollouts == sum(len(w) for w in waves if w and all(w)) > 0
+    assert decoded.dead_rollouts == 0
+    if shape["c_init"] > 1:  # a root wave that mixed live and dead children
+        assert any(len(w) > 1 and any(w) and not all(w) for w in waves)
+    assert skipped.results == decoded.results
+    assert skipped.rollouts == decoded.rollouts
+    assert skipped.best == decoded.best
+    assert skipped.iterations == decoded.iterations == cfg.n_max
+    assert _tree(skipped.root) == _tree(decoded.root)
+
+
+def test_a_dead_child_gets_no_rollout_rows_and_the_penalty(vocab, monkeypatch):
+    search, cfg = stats_search(vocab, n_sim=4)
+    root = search.make_root()
+    dead, live = (SearchNode(partial=root.partial.copy(), depth=1, cap=1) for _ in range(2))
+    dead.partial[1:3] = [vocab.id("C"), vocab.id(")")]  # ')' without matching '('
+    live.partial[1:3] = [vocab.id("C"), vocab.id("C")]
+    assert search.dead(dead) and not search.dead(live)
+    decoded = []
+    monkeypatch.setattr(search._decoder, "run_blocks",
+                        lambda ids, *args: decoded.append(ids.shape[0]))
+
+    rows = search.rollout_rows([dead], range(5, 6))
+    assert decoded == [] and rows[0].shape == (0, cfg.decode.length)
+    assert search.simulate(dead, 5, rows[0]) == (cfg.gate.r_pen, [])
+    assert dead.cached_reward == cfg.gate.r_pen
+    assert search.dead_rollouts == 1
+
+    # Beside a live child, the dead child's rows share the call.
+    rows = search.rollout_rows([dead, live], range(6, 8))
+    assert decoded == [2 * cfg.n_sim] and [r.shape[0] for r in rows] == [4, 4]
+    assert search.dead_rollouts == 1
+
+
+@pytest.fixture(scope="module")
+def benchmark_search():
+    """A search over the benchmark predictor's vocabulary: every 62nd grid candidate."""
+    from blockmol import data
+    from blockmol.chem import tokenize
+    from blockmol.diffusion import PredictorParams
+
+    vocab = Vocab.build([tokenize(s) for s in data.toy_candidates(3)[::62]])
+    cfg = SearchConfig(decode=DecodeConfig(block=8, length=32, budget=64))
+    return TreeSearch(cfg, PredictorParams.zeros(len(vocab), dim=4, window=2), vocab, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_completion_of_a_dead_row_fails_to_parse(benchmark_search, draw):
+    from blockmol.fragment import reassemble
+
+    search = benchmark_search
+    vocab = search._decoder.vocab
+    length = search.cfg.decode.length
+    # Body ids: every token but MASK, with PAD and BOS among them; the
+    # prefix holds no EOS, as a non-terminal child holds none.
+    body = st.sampled_from([i for i in range(len(vocab)) if i != Vocab.MASK_ID])
+    prefix = draw.draw(st.lists(body.filter(lambda i: i != Vocab.EOS_ID), max_size=length - 2))
+    row = np.full(length, Vocab.PAD_ID, dtype=np.int64)
+    row[0] = Vocab.BOS_ID
+    row[1:1 + len(prefix)] = prefix
+    assume(search.dead(SearchNode(partial=row.copy(), depth=1, cap=1)))
+    tail = draw.draw(st.lists(body, max_size=length - 1 - len(prefix)))
+    row[1 + len(prefix):1 + len(prefix) + len(tail)] = tail
+    assert try_parse("".join(reassemble(row, vocab)))[0] is None
