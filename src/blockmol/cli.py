@@ -323,14 +323,17 @@ def cmd_sample(args) -> int:
     prefix = _sample_prefix(decoder, args.prefix)
 
     def lines(lo: int, hi: int):
-        """Rows lo..hi as JSON lines, or the BudgetExhausted that stopped them."""
+        """Rows lo..hi as JSON lines with the predictor rows and row-steps their
+        decoding took, or the BudgetExhausted that stopped them."""
+        counts = decoder.predicted_rows, decoder.row_steps
         try:
             records = decoder.decode(hi - lo, prefix, first_lane=lo)
         except BudgetExhausted as err:
             return err
         out = io.StringIO()
         write_jsonl(records, out, cfg["seed"])
-        return out.getvalue()
+        return (out.getvalue(), decoder.predicted_rows - counts[0],
+                decoder.row_steps - counts[1])
 
     # Rows draw with their own lanes, so the chunks join to the same bytes
     # whatever their count.
@@ -344,7 +347,9 @@ def cmd_sample(args) -> int:
         log.error("sample: decoding was aborted, so no molecule was written; "
                   "raise --steps (sample.T)")
         return 2
-    sys.stdout.write("".join(chunks))
+    texts, rows, steps = zip(*chunks)
+    log.info("sample: %s predictor rows for %s row-steps", f"{sum(rows):,}", f"{sum(steps):,}")
+    sys.stdout.write("".join(texts))
     _manifest(args.manifest, "sample", cfg, {"checkpoint": args.checkpoint, "n": args.n})
     return 0
 

@@ -10,6 +10,14 @@ would read the time that ``first_hitting_step`` advances.  Sequences are
 mode's token draws are keyed by (seed, lane, block, step), each row
 carrying its own lane key, so trajectories do not depend on how sequences
 are batched.
+
+Rows with equal windows get equal predictions, so a block that starts with at
+least ``GROUP_ROWS`` pending rows groups them by window and runs the predictor
+and the nucleus read-off once per group: every row starts from BOS, and rows
+that draw alike stay alike.  Each row still draws against its own uniform,
+and a group splits by the tokens its rows draw.  A call serving two or more
+rows hands the predictor at least two, since a row alone rounds differently
+from a row beside others.
 """
 
 from __future__ import annotations
@@ -25,6 +33,13 @@ from .chem import _FNV_PRIME, UnknownToken, Vocab, fnv1a64, try_parse
 from .fragment import ConfigError, FragmentConfig, TooLong, check_fields, reassemble
 
 log = logging.getLogger(__name__)
+
+
+# The fewest pending rows a block groups by window.  Grouping costs two sorts a
+# step: on the benchmark predictor, one block at a 24-token window ran as fast
+# for 8 equal rows and 2% slower for 16 distinct ones, but 1.13x faster for 12
+# rows of 2 starts and 1.25x for 16 rows of one.
+GROUP_ROWS = 16
 
 
 class ZeroMasked(ValueError):
@@ -147,6 +162,16 @@ def _confidence(nucleus: diffusion.Nucleus, tokens: np.ndarray) -> np.ndarray:
     return conf
 
 
+def _groups(keys: np.ndarray):
+    """Each group's first index in the (n,) or (n, 1) ``keys`` and each key's
+    group, the equal keys forming one group; slices that keep every row its
+    own group when no two keys are equal, since groups only ever split."""
+    _, first, group = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    if first.shape[0] == keys.shape[0]:
+        return slice(None), slice(None)
+    return first, group
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     block: int = 8
@@ -191,6 +216,9 @@ class Decoder:
         self.vocab = vocab
         self._table = diffusion.visible_table(params)
         self._tokens = np.arange(params.vocab_size) != Vocab.MASK_ID
+        self._fragment = cfg.fragment
+        # Predictor rows computed, and rows served by them, summed over steps.
+        self.predicted_rows = self.row_steps = 0
         positions = np.arange(cfg.length)
         # Block b's offset gains are the last (b + 1) * K columns of the last block's.
         self._gain = diffusion.offset_gains(params, positions, positions[-cfg.block:])
@@ -223,6 +251,11 @@ class Decoder:
         place, never masking a position below ``start``.  ``keys`` holds each
         row's ``lane_keys`` state, which keys its sample-mode draws.
 
+        When the block starts with at least ``GROUP_ROWS`` pending rows, rows
+        with equal windows share one predictor row and its nucleus read-off;
+        each row still draws, commits and ends on its own.  Otherwise each row
+        is its own group.
+
         Raises BudgetExhausted before touching ``ids`` when any unfinished row
         would need more predictor calls than the per-block budget.
         """
@@ -238,25 +271,33 @@ class Decoder:
             raise BudgetExhausted(steps, cfg.budget, b)
         block = ids[:, b * K : hi]  # a view: commits land in ids
         ids[live, start:hi] = Vocab.MASK_ID
+        masked = block == Vocab.MASK_ID
+        rows = masked.any(axis=1).nonzero()[0]
         # Built once per block, in sample mode: every step's draw uniforms.
         if cfg.mode == "sample":
-            pending = np.nonzero((block == Vocab.MASK_ID).any(axis=1))[0]
             u_draw = np.zeros((block.shape[0], steps))
-            u_draw[pending] = lane_uniforms(step_keys(keys[pending], b, steps), 0xD0)
+            u_draw[rows] = lane_uniforms(step_keys(keys[rows], b, steps), 0xD0)
+        first = group = slice(None)  # each row its own group
+        if rows.shape[0] >= GROUP_ROWS:
+            windows = np.ascontiguousarray(ids[rows, :hi])
+            first, group = _groups(windows.view(np.dtype((np.void, windows.itemsize * hi))))
         gain = self._gain[:, :, cfg.length - hi:]
         for step in range(steps):
-            masked = block == Vocab.MASK_ID
-            rows = masked.any(axis=1).nonzero()[0]
             if rows.shape[0] == 0:
                 break
-            masked = masked[rows]
-            nucleus = diffusion.predict(self.params, ids[rows, :hi], gain, self._table, masked,
+            reps = rows[first]
+            if reps.shape[0] == 1 < rows.shape[0]:  # one row alone would round otherwise
+                reps = np.repeat(reps, 2)
+            self.predicted_rows += reps.shape[0]
+            self.row_steps += rows.shape[0]
+            masked = masked[reps]
+            nucleus = diffusion.predict(self.params, ids[reps, :hi], gain, self._table, masked,
                                         cfg.temperature, cfg.nucleus_p)
             conf = np.zeros(masked.shape)
             conf[masked] = _confidence(nucleus, self._tokens)
             j, conf = gcd_select(conf, masked)
             pair = masked.cumsum() - 1  # each masked pair's row in the cut
-            top = diffusion.nucleus_expand(nucleus, pair[np.arange(rows.shape[0]) * K + j])
+            top = diffusion.nucleus_expand(nucleus, pair[np.arange(reps.shape[0]) * K + j])
             del nucleus  # not to be held beside the next predict call's arrays
             # Absorbing-state convention: the decoder never commits MASK itself,
             # otherwise a masked slot could survive its own reveal step.
@@ -266,20 +307,25 @@ class Decoder:
                 # so the count of entries <= u is the index of the first above u.
                 mass = np.add.reduce(top, axis=1, keepdims=True)
                 np.divide(top, mass, out=top, where=mass > 0.0)
-                above = top.cumsum(axis=1) > u_draw[rows, step][:, None]
+                above = top.cumsum(axis=1)[group] > u_draw[rows, step][:, None]
                 above[:, -1] = True
                 v = above.argmax(axis=1)
             else:
-                v = top.argmax(axis=1)
+                v = top.argmax(axis=1)[group]
             # A row whose nucleus kept only MASK has nothing to commit: it ends.
-            v[conf == 0.0] = Vocab.EOS_ID
-            block[rows, j] = v
+            v[conf[group] == 0.0] = Vocab.EOS_ID
+            block[rows, j[group]] = v
             ended = rows[v == Vocab.EOS_ID]
             if ended.shape[0]:  # EOS from the first MASK or EOS on: one clean tail
                 tail = ids[ended]
                 over = np.logical_or.accumulate(
                     (tail == Vocab.MASK_ID) | (tail == Vocab.EOS_ID), axis=1)
                 ids[ended] = np.where(over, Vocab.EOS_ID, tail)
+            masked = block == Vocab.MASK_ID
+            pending = masked.any(axis=1)
+            if isinstance(group, np.ndarray):  # a group splits by the token its rows drew
+                first, group = _groups((group * len(self.vocab) + v)[pending[rows]])
+            rows = pending.nonzero()[0]
 
     # -- whole-sequence decoding
 
@@ -312,7 +358,7 @@ class Decoder:
         """
         ids = self.frame(n, prefix)
         start = 1 + len(prefix or ())
-        self.run_blocks(ids, start // self.cfg.block, self.cfg.fragment.num_blocks,
+        self.run_blocks(ids, start // self.cfg.block, self._fragment.num_blocks,
                         lane_keys(self.cfg.seed, np.arange(first_lane, first_lane + n)),
                         start)
         return self.records(ids)
@@ -322,7 +368,7 @@ class Decoder:
         block count then runs to the block of its first EOS, which is the block
         where it finished: the prefix holds no control token."""
         out = []
-        frag = self.cfg.fragment
+        frag = self._fragment
         eos = ids == Vocab.EOS_ID
         done = eos.any(axis=1)
         ends = np.argmax(eos, axis=1) // frag.block + 1

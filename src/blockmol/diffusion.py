@@ -59,9 +59,9 @@ def draw_block_times(num_blocks: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(rng.uniform(0.0, 1.0, num_blocks), T_CLIP, 1.0)
 
 
-def _partition(ids, ts) -> FragmentConfig:
-    """The block partition of (..., L) ids under (..., B) block times."""
-    L, B = np.shape(ids)[-1], np.shape(ts)[-1]
+@lru_cache(maxsize=8)
+def _partition(L: int, B: int) -> FragmentConfig:
+    """The block partition of L ids under B block times, built once per layout."""
     if not B or L % B:
         raise ConfigError(f"{B} block times do not divide length {L}")
     return FragmentConfig(L, L // B)
@@ -73,7 +73,7 @@ def draw_noise(ids: np.ndarray, ts: np.ndarray, rng: np.random.Generator) -> np.
     of its block b.  Rows draw their uniforms in order, so one (n, L) call
     consumes the stream as n (L,) calls do."""
     _check_times(ts)
-    block = _partition(ids, ts).block
+    block = _partition(np.shape(ids)[-1], np.shape(ts)[-1]).block
     noised = ids.copy()
     noised[rng.random(ids.shape) < np.repeat(ts, block, axis=-1)] = Vocab.MASK_ID
     return noised
@@ -313,7 +313,7 @@ def _forward(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
     Returns one LossReport per example and the intermediates that the
     backward pass reuses.
     """
-    cfg = _partition(ids, ts)
+    cfg = _partition(ids.shape[1], ts.shape[1])
     (n, L), B = ids.shape, cfg.num_blocks
     layout = _train_layout(cfg, params.window)
     visible = visible_table(params)

@@ -30,7 +30,7 @@ class IncompleteSequence(ValueError):
     pass
 
 
-@lru_cache(maxsize=1024)  # training builds a FragmentConfig per step, of the same sizes
+@lru_cache(maxsize=1024)  # predict checks its nucleus p on every call
 def check_interval(name: str, value, interval: str):
     """Raise ConfigError naming ``name`` unless ``value`` lies in ``interval``, such as
     "[1, 2**16]" or "(-inf, inf]", compared exactly; NaN and ints beyond floats lie in none."""

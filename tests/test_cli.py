@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmol import cli, data, fragment, metrics, parallel
+from blockmol import cli, data, decode, fragment, metrics, parallel
 from blockmol.cli import DEFAULTS, SETTINGS, main
 from blockmol.data import toy_candidates
 from blockmol.decode import BudgetExhausted, Decoder
@@ -926,6 +926,30 @@ def test_sample_lines_do_not_depend_on_the_process_count(checkpoint, capsys, cap
         code, out, _ = run_cli(["-v"] + argv, capsys)
         assert code == 0 and out == want
         assert f"sample: processes {count}, rows per chunk {sizes}" in caplog.messages
+
+
+def test_sample_logs_its_predictor_rows_against_its_row_steps(checkpoint, capsys, caplog,
+                                                              monkeypatch):
+    argv = ["sample", "--checkpoint", checkpoint, "--n", "200", "--length", "48",
+            "--mode", "sample", "--seed", "11"]
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0
+    caplog.set_level(logging.INFO, logger="blockmol")
+    counts = {}
+    for count, group_rows in ((1, decode.GROUP_ROWS), (2, decode.GROUP_ROWS), (2, 201)):
+        force_processes(monkeypatch, count)
+        monkeypatch.setattr(decode, "GROUP_ROWS", group_rows)
+        caplog.clear()
+        code, out, _ = run_cli(["-v"] + argv, capsys)
+        assert code == 0 and out == want
+        [line] = [m for m in caplog.messages if "row-steps" in m]
+        rows, steps = re.fullmatch(r"sample: ([\d,]+) predictor rows for ([\d,]+) row-steps",
+                                   line).groups()
+        counts[count, group_rows] = int(rows.replace(",", "")), int(steps.replace(",", ""))
+    (one, _), (two, _), (each, steps) = counts.values()
+    # Chunks share no predictor rows, and every row-step is its own row's.
+    assert {counts[key][1] for key in counts} == {steps} and steps >= 1000
+    assert one < two < each == steps
 
 
 def test_sample_below_the_minimum_chunk_forks_nothing(checkpoint, capsys, monkeypatch):

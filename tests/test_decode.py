@@ -215,6 +215,38 @@ def test_sampling_block_size_decoupled_from_training(trained42, vocab):
 
 
 @pytest.mark.parametrize("mode", ["confidence", "sample"])
+def test_a_call_serving_several_rows_hands_the_predictor_several(trained42, vocab,
+                                                                 monkeypatch, mode):
+    # One row alone in a predictor call rounds otherwise than beside others,
+    # so a group serving several rows is not handed over alone.
+    predict, calls = diffusion.predict, []
+
+    def spy(params, windows, *args):
+        calls.append((windows.shape[0], dec.row_steps))
+        return predict(params, windows, *args)
+
+    monkeypatch.setattr(diffusion, "predict", spy)
+    cfg = DecodeConfig(block=8, length=48, budget=64, mode=mode, seed=5)
+    runs = {}
+    for rows in (0, 10**6):  # every block grouped, and none
+        monkeypatch.setattr(decode, "GROUP_ROWS", rows)
+        dec = Decoder(trained42, cfg, vocab)
+        calls.clear()
+        records = [dec.decode(12), dec.decode(12, ["C", "C", "("]), dec.decode(1)]
+        given = np.array([n for n, _ in calls])
+        served = np.diff([0] + [steps for _, steps in calls])
+        assert (given >= np.minimum(served, 2)).all() and (given <= served).all()
+        assert (dec.predicted_rows, dec.row_steps) == (given.sum(), served.sum())
+        runs[rows] = records, given, served
+    (records, given, served), (want, given_each, served_each) = runs.values()
+    assert records == want
+    assert np.array_equal(served, served_each) and np.array_equal(given_each, served_each)
+    assert given.sum() < served.sum()
+    if mode == "confidence":  # its rows never part, so every call gets two
+        assert np.array_equal(given, np.minimum(served, 2))
+
+
+@pytest.mark.parametrize("mode", ["confidence", "sample"])
 def test_row_whose_nucleus_keeps_only_mask_ends(vocab, mode):
     # MASK holds more than half of every row's mass, so the p = 0.5 nucleus
     # keeps it alone and nothing is left once the decoder zeroes it.

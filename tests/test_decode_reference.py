@@ -182,6 +182,33 @@ def test_draws_at_the_top_of_the_unit_interval_match_the_reference(monkeypatch, 
             dec=Decoder(params, cfg, VOCAB), prefix=[], lanes=list(range(16)), resume=None))
 
 
+@settings(max_examples=100, deadline=None)
+@given(decode_problems())
+def test_grouped_decoding_matches_per_row_reference(problem):
+    # Every block groups its rows by window, however few, so the tiled rows of
+    # ``resume="tile"`` share predictor rows from the first step on.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode, "GROUP_ROWS", 0)
+        test_decode_block_matches_per_row_reference.hypothesis.inner_test(problem)
+
+
+def coarse_params(draw, dim, window):
+    """``coarse_problems``' tables: values -1, 0 and 1, few distinct output
+    columns, and a MASK bias, so that tokens tie exactly."""
+    V = len(VOCAB)
+
+    def table(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                      min_size=size, max_size=size))).reshape(shape)
+
+    columns = table(dim, draw(st.integers(1, 3)))
+    picks = draw(st.lists(st.integers(0, columns.shape[1] - 1), min_size=V, max_size=V))
+    bias = np.zeros(V)
+    bias[Vocab.MASK_ID] = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    return PredictorParams(table(V, dim), table(2 * window + 1, dim), columns[:, picks], bias)
+
+
 @st.composite
 def coarse_problems(draw):
     """Decode problems whose tables take the values -1, 0 and 1, with few
@@ -197,19 +224,7 @@ def coarse_problems(draw):
         nucleus_p=draw(st.sampled_from([0.5, 0.95, 1.0])),
         mode=draw(st.sampled_from(["confidence", "sample"])),
         seed=draw(st.integers(-2**40, 2**40)))
-    V, dim, window = len(VOCAB), draw(st.integers(1, 4)), draw(st.integers(1, 4))
-
-    def table(*shape):
-        size = int(np.prod(shape))
-        return np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
-                                      min_size=size, max_size=size))).reshape(shape)
-
-    columns = table(dim, draw(st.integers(1, 3)))
-    picks = draw(st.lists(st.integers(0, columns.shape[1] - 1), min_size=V, max_size=V))
-    bias = np.zeros(V)
-    bias[Vocab.MASK_ID] = draw(st.sampled_from([0.0, 1.0, 4.0]))
-    params = PredictorParams(table(V, dim), table(2 * window + 1, dim), columns[:, picks],
-                             bias)
+    params = coarse_params(draw, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     rows = draw(st.integers(1, 12))
     return dict(
         dec=Decoder(params, cfg, VOCAB),
@@ -336,3 +351,66 @@ def test_pooled_equals_einsum(n, s, j, dim, seed):
     assert np.array_equal(got, want)
     # The layout of h decides how the next matmul sums, so compare it too.
     assert np.array_equal(got @ params.out + params.bias, want @ params.out + params.bias)
+
+
+# --- grouping rows by window -------------------------------------------------
+
+
+@st.composite
+def tiled_problems(draw):
+    """Up to 200 rows tiled from a few distinct starts of one length, some
+    ended, on random or coarse tables, in both modes."""
+    block = draw(st.sampled_from([4, 8]))
+    length = block * draw(st.integers(1, 4))
+    prefix_len = draw(st.integers(0, min(length - 2, 2 * block)))
+    cfg = DecodeConfig(
+        block=block, length=length, budget=block,
+        temperature=draw(st.sampled_from([0.5, 1.0, 1.1])),
+        nucleus_p=draw(st.sampled_from([0.3, 0.5, 0.95, 1.0])),
+        mode=draw(st.sampled_from(["confidence", "sample"])),
+        seed=draw(st.integers(-2**40, 2**40)))
+    dim, window = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        params = coarse_params(draw, dim, window)
+    else:
+        params = PredictorParams.init(len(VOCAB), dim, window, seed=draw(st.integers(0, 2**16)),
+                                      scale=draw(st.sampled_from([0.1, 1.0, 3.0])))
+    dec = Decoder(params, cfg, VOCAB)
+    starts = draw(st.lists(st.lists(st.sampled_from(BODY), min_size=prefix_len,
+                                    max_size=prefix_len), min_size=1, max_size=4))
+    starts = np.concatenate([dec.frame(1, prefix) for prefix in starts])
+    for row in starts:  # a start may already hold an EOS, as an ended row does
+        at = draw(st.one_of(st.none(), st.integers(1 + prefix_len, length - 1)))
+        if at is not None:
+            row[at:] = Vocab.EOS_ID
+    n = draw(st.integers(1, 200))
+    tile = np.arange(n) % len(starts) if draw(st.booleans()) else np.arange(n) * len(starts) // n
+    lanes = draw(LANES) + np.arange(n)
+    return dict(dec=dec, ids=starts[tile], start=1 + prefix_len,
+                lanes=lanes[::-1] if draw(st.booleans()) else lanes)
+
+
+ONE_GROUP = Decoder(PredictorParams.init(len(VOCAB), 6, 3, seed=7, scale=3.0),
+                    DecodeConfig(block=8, length=32, budget=8, nucleus_p=0.95), VOCAB)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiled_problems())
+@example(dict(  # 150 rows of one start, in one group that never splits
+    dec=ONE_GROUP, ids=ONE_GROUP.frame(150, ["C", "C"]), start=3, lanes=np.arange(150)))
+def test_grouped_decoding_matches_ungrouped(problem):
+    dec, start = problem["dec"], problem["start"]
+    keys = lane_keys(dec.cfg.seed, problem["lanes"])
+    got = {}
+    for rows in (0, len(keys) + 1):  # every block grouped, and none
+        ids = problem["ids"].copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decode, "GROUP_ROWS", rows)
+            blocks = []
+            for b in range(start // dec.cfg.block, dec.cfg.fragment.num_blocks):
+                dec.decode_block(ids, b, keys, start)
+                blocks.append(ids.copy())
+        got[rows] = blocks, dec.records(ids)
+    (grouped, records), (ungrouped, want) = got.values()
+    assert all(np.array_equal(a, b) for a, b in zip(grouped, ungrouped))
+    assert records == want

@@ -345,14 +345,23 @@ def gradient_problems(draw):
 
 
 def _close_to(grads, want):
+    # Rounding scales with the largest entry of any table: one table's own
+    # largest can be a near cancellation, 1e-6 or less, of much larger terms.
+    scale = max(np.abs(table).max() for table in want.values())
     for field, table in want.items():
         got = getattr(grads, field)
         assert got.shape == table.shape
-        assert np.abs(got - table).max() <= 1e-12 * np.abs(table).max(), field
+        assert np.abs(got - table).max() <= 1e-12 * scale, field
 
 
 @settings(max_examples=200, deadline=None)
 @given(gradient_problems())
+@example((  # 1 dim, 5 tokens, all PAD: the PAD embedding's gradient cancels to 7.5e-05
+    PredictorParams.init(5, dim=1, window=4, seed=36104, scale=0.5),
+    [(np.zeros(8, dtype=np.int64), np.array([0.8439629058096753, 0.32655356831544124]),
+      np.array([3, 3, 0, 0, 3, 3, 3, 3])),
+     (np.zeros(8, dtype=np.int64), np.array([0.4974845294732847, 0.32866130693327145]),
+      np.zeros(8, dtype=np.int64))]))
 def test_batched_gradient_matches_per_example_reference(problem):
     params, examples = problem
     refs = [ref_loss_gradient(params, *ex) for ex in examples]
