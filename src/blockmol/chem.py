@@ -881,8 +881,5 @@ class Vocab:
     def encode(self, tokens) -> list[int]:
         return [self.id(t.text if isinstance(t, Token) else t) for t in tokens]
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[i] for i in ids]
-
     def content_hash(self) -> str:
         return f"{fnv1a64(chr(0).join(self.tokens).encode()):016x}"

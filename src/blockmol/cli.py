@@ -371,8 +371,9 @@ def cmd_search(args) -> int:
         decode=_decode_config(cfg, "sample"),
         gate=GateConfig(cfg["gate.tau_qed"], cfg["gate.tau_sa"], cfg["gate.R_pen"]))
     outcome = run_search(search_cfg, params, vocab, SurrogateOracle(profile))
-    log.info("search: %d iterations, %d rollouts skipped from a dead prefix",
-             outcome.iterations, outcome.dead_rollouts)
+    log.info("search: %d iterations, %d rollouts skipped from a dead prefix, "
+             "%d terminal reselections", outcome.iterations, outcome.dead_rollouts,
+             outcome.terminal_reselections)
     for result in outcome.results:
         sys.stdout.write(result.to_json_line() + "\n")
     sys.stdout.write(json.dumps(outcome.summary()) + "\n")
@@ -386,7 +387,8 @@ def cmd_search(args) -> int:
     _manifest(args.manifest, "search", cfg,
               {"target": profile.name, "checkpoint": args.checkpoint,
                "iterations": outcome.iterations, "aborted": False,
-               "dead_rollouts": outcome.dead_rollouts})
+               "dead_rollouts": outcome.dead_rollouts,
+               "terminal_reselections": outcome.terminal_reselections})
     return 0
 
 

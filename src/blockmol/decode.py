@@ -246,10 +246,11 @@ class Decoder:
 
     # -- core block step
 
-    def decode_block(self, ids: np.ndarray, b: int, keys: np.ndarray, start: int = 1):
+    def decode_block(self, ids: np.ndarray, b: int, keys: np.ndarray | None, start: int = 1):
         """Resolve every masked position of block b in the rows of ``ids``, in
         place, never masking a position below ``start``.  ``keys`` holds each
-        row's ``lane_keys`` state, which keys its sample-mode draws.
+        row's ``lane_keys`` state, which keys its sample-mode draws; confidence
+        mode reads none, and takes None.
 
         When the block starts with at least ``GROUP_ROWS`` pending rows, rows
         with equal windows share one predictor row and its nucleus read-off;
@@ -330,7 +331,7 @@ class Decoder:
     # -- whole-sequence decoding
 
     def run_blocks(self, ids: np.ndarray, first_block: int, last_block: int,
-                   keys: np.ndarray, start: int = 1):
+                   keys: np.ndarray | None, start: int = 1):
         for b in range(first_block, last_block):
             if (ids == Vocab.EOS_ID).any(axis=1).all():
                 break
@@ -358,9 +359,9 @@ class Decoder:
         """
         ids = self.frame(n, prefix)
         start = 1 + len(prefix or ())
-        self.run_blocks(ids, start // self.cfg.block, self._fragment.num_blocks,
-                        lane_keys(self.cfg.seed, np.arange(first_lane, first_lane + n)),
-                        start)
+        lanes = np.arange(first_lane, first_lane + n)  # confidence mode draws nothing
+        keys = lane_keys(self.cfg.seed, lanes) if self.cfg.mode == "sample" else None
+        self.run_blocks(ids, start // self.cfg.block, self._fragment.num_blocks, keys, start)
         return self.records(ids)
 
     def records(self, ids: np.ndarray) -> list[GenRecord]:

@@ -302,28 +302,33 @@ def _train_layout(cfg: FragmentConfig, window: int) -> _TrainLayout:
     return layout
 
 
-def _forward(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
-             noised: np.ndarray):
-    """The forward pass of the blockwise NELBO, for every block of a stack of
-    examples at once.
+def loss_gradient(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
+                  noised: np.ndarray) -> tuple[list[LossReport], PredictorParams]:
+    """The blockwise NELBO of each of n examples, and the closed-form gradient
+    of their sum with respect to every table, from one forward and one
+    backward pass.
 
     ``ids`` (n, L), ``ts`` (n, B) and ``noised`` (n, L) hold one row per
-    example.  Every noised row attends, under the training mask, the visible
-    tokens of its own block and the clean tokens of the blocks before it.
-    Returns one LossReport per example and the intermediates that the
-    backward pass reuses.
+    example.  An example's NELBO is sum_b weight(t_b) * CE(true tokens at
+    masked slots of b): every noised row attends, under the training mask,
+    the visible tokens of its own block and the clean tokens of the blocks
+    before it.  The gradient comes as a PredictorParams of the same shapes.
+    For masked position j with weight w and true token y:
+      dL/dlogits_j = w * (softmax(logits_j) - onehot(y))
+    and the chain rule pushes that through out, bias, gains, embeddings.
     """
     cfg = _partition(ids.shape[1], ts.shape[1])
     (n, L), B = ids.shape, cfg.num_blocks
+    d, V = params.dim, params.vocab_size
     layout = _train_layout(cfg, params.window)
     visible = visible_table(params)
     concat = np.concatenate([noised, ids], axis=1)  # (n, 2L)
     # The offset gains under the training mask, laid out (d, L, 2L).
-    table = np.vstack([params.gains, np.zeros(params.dim)]).T
+    table = np.vstack([params.gains, np.zeros(d)]).T
     gain = np.take(table, layout.offset, axis=1)
     # One matmul per example: numpy takes another BLAS routine for one column
     # than for several, so a batched call would round an example's NELBO
-    # differently from nelbo_loss on that example alone.
+    # differently from a call on that example alone.
     h = np.concatenate([_pooled(row[None], gain, visible) for row in concat])  # (n, L, d)
     probs = _softmax(h @ params.out + params.bias)
 
@@ -334,32 +339,6 @@ def _forward(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
     logp = np.log(np.where(masked, picked, 1.0)).reshape(n, B, cfg.block)
     per_block = -weights * logp.sum(axis=2)
     reports = [LossReport(float(pb.sum()), pb) for pb in per_block]
-    return reports, (layout, concat, gain, visible, h, probs, row_weight)
-
-
-def nelbo_loss(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
-               noised: np.ndarray) -> LossReport:
-    """Blockwise NELBO of one example, (L,) ids under (B,) times:
-    sum_b weight(t_b) * CE(true tokens at masked slots of b), with the clean
-    prefix x^{<b} as each block's context."""
-    return _forward(params, ids[None], ts[None], noised[None])[0][0]
-
-
-def loss_gradient(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
-                  noised: np.ndarray) -> tuple[list[LossReport], PredictorParams]:
-    """nelbo_loss of each of n examples and the closed-form gradient of their
-    sum with respect to every table, from one forward and one backward pass.
-
-    ``ids`` (n, L), ``ts`` (n, B) and ``noised`` (n, L) hold one row per
-    example.  The gradient comes as a PredictorParams of the same shapes.
-    For masked position j with weight w and true token y:
-      dL/dlogits_j = w * (softmax(logits_j) - onehot(y))
-    and the chain rule pushes that through out, bias, gains, embeddings.
-    """
-    reports, (layout, concat, gain, visible, h, probs, row_weight) = _forward(
-        params, ids, ts, noised)
-    n, L = ids.shape
-    d, V = params.dim, params.vocab_size
     dlogits = (probs * row_weight[:, :, None]).reshape(n * L, V)
     dlogits[np.arange(n * L), ids.ravel()] -= row_weight.ravel()
 

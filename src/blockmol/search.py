@@ -13,13 +13,15 @@ candidates run dry) every iteration selects it, whatever the rewards.  Those
 iterations run in waves of ``ROOT_WAVE_ROWS // max(m, n_sim)``: one decode
 call for the wave's candidate blocks, the children picked in iteration order,
 one call for their rollouts, then scoring and backpropagation in iteration
-order.  Every later iteration is a wave of one.  Every row draws with its own
-lane key, but the predictor rounds a row by the number N of rows in its call:
-measured with numpy 2.4.6 and OpenBLAS 0.3.31, a row's logits are
-bit-identical for every N >= 2 at windows of up to 24 tokens and for every N
-in [2, 150] at 32 to 48, while N = 1 differs from all of them.  So a wave
-gives the bytes of its iterations run one at a time while every call of both
-holds at least 2 rows, and at most 150 at windows of 32 or more.
+order.  Every later iteration is a wave of one.  So every child is visited in
+the wave that creates it, and selection only ever compares visited children.
+Every row draws with its own lane key, but the predictor rounds a row by the
+number N of rows in its call: measured with numpy 2.4.6 and OpenBLAS 0.3.31,
+a row's logits are bit-identical for every N >= 2 at windows of up to 24
+tokens and for every N in [2, 150] at 32 to 48, while N = 1 differs from all
+of them.  So a wave gives the bytes of its iterations run one at a time while
+every call of both holds at least 2 rows, and at most 150 at windows of 32 or
+more.
 
 A non-terminal child whose prefix already fails ``chem.scan`` is dead: an
 error a prefix shows is the whole molecule's, so its rollouts can only earn
@@ -28,7 +30,9 @@ decoded and each earns the penalty at once, as MCTS-Solver (Winands,
 Bjornsson and Saito 2008) stops simulating a node whose value is proven.  A
 dead child beside a live one keeps its rows in the call, since taking them
 out could move a live row's call into another size class, and so its floats.
-The outcome counts the skipped rollouts as ``dead_rollouts``.
+The outcome counts the skipped rollouts as ``dead_rollouts``, and the
+iterations that reselect a terminal leaf, which only back up its cached
+reward, as ``terminal_reselections``.
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ from .oracle import OracleScores
 # Rows decoded per call in the root phase's waves.  Larger waves raise the
 # peak memory of a predictor call, and 128 rows were no faster than 64.
 ROOT_WAVE_ROWS = 64
-
-
-class UnvisitedChild(ValueError):
-    """UCT is undefined for a child with zero visits."""
 
 
 class NoNovelCandidate(RuntimeError):
@@ -120,15 +120,8 @@ class SearchNode:
         return self.exhausted or len(self.children) >= self.cap
 
 
-def uct_score(child: SearchNode, parent_n: int, lam: float, c: float) -> float:
-    if child.n < 1:
-        raise UnvisitedChild("UCT needs at least one visit")
-    if parent_n < 1:
-        raise UnvisitedChild("parent must have been visited")
-    return _uct(child, math.log(parent_n), lam, c)
-
-
-def _uct(child: SearchNode, log_parent_n: float, lam: float, c: float) -> float:
+def uct(child: SearchNode, log_parent_n: float, lam: float, c: float) -> float:
+    """lam * r_bar + (1 - lam) * r_max + c * sqrt(log_parent_n / n) of a visited child."""
     return lam * child.r_bar + (1.0 - lam) * child.r_max + c * math.sqrt(log_parent_n / child.n)
 
 
@@ -163,13 +156,8 @@ class SearchResult:
     iteration: int
 
     def to_json_line(self) -> str:
-        def clean(x):
-            return x if math.isfinite(x) else None
-        return json.dumps({
-            "smiles": self.smiles, "reward": clean(self.reward),
-            "ds": clean(self.ds), "qed": clean(self.qed), "sa": clean(self.sa),
-            "depth": self.depth, "iteration": self.iteration,
-        })
+        """The fields as one strict JSON object; a non-finite score raises."""
+        return json.dumps(vars(self), allow_nan=False)
 
 
 @dataclass
@@ -180,6 +168,7 @@ class SearchOutcome:
     iterations: int
     root: SearchNode
     dead_rollouts: int  # open children whose rollouts were skipped: see dead()
+    terminal_reselections: int  # iterations that only backed up a terminal leaf's reward
 
     def summary(self) -> dict:
         return {
@@ -200,7 +189,7 @@ class TreeSearch:
         self._frag = cfg.decode.fragment
         self._last_block = min(self._frag.num_blocks, cfg.d_max)
         self._scores: dict[str, OracleScores | None] = {}  # _score's, by SMILES
-        self.dead_rollouts = 0
+        self.dead_rollouts = self.terminal_reselections = 0
 
     def make_root(self) -> SearchNode:
         return SearchNode(partial=self._decoder.frame(1)[0], depth=0, cap=self.cfg.c_init)
@@ -215,12 +204,9 @@ class TreeSearch:
                                         self.cfg.c_min, self.cfg.c_max)
             if node.terminal or not node.fully_expanded:
                 return path, node
-            unvisited = [ch for ch in node.children if ch.n == 0]
-            if unvisited:
-                node = unvisited[0]
-            else:  # the first child of highest score, all of them visited
-                log_n, lam, c = math.log(node.n), self.cfg.lam, self.cfg.c
-                node = max(node.children, key=lambda ch: _uct(ch, log_n, lam, c))
+            # The first child of highest score: _wave visits each child it creates.
+            log_n, lam, c = math.log(node.n), self.cfg.lam, self.cfg.c
+            node = max(node.children, key=lambda ch: uct(ch, log_n, lam, c))
             path.append(node)
 
     # -- phase 2
@@ -341,6 +327,7 @@ class TreeSearch:
         """Run iterations that each select ``leaf`` by ``path``; returns how
         many ran, which is fewer when the leaf runs out of novel candidates."""
         if leaf.terminal:  # scored once, when expansion created it
+            self.terminal_reselections += 1
             backpropagate(path, leaf.cached_reward)
             return 1
         children = []
@@ -372,6 +359,7 @@ class TreeSearch:
             iterations=iterations,
             root=root,
             dead_rollouts=self.dead_rollouts,
+            terminal_reselections=self.terminal_reselections,
         )
 
 

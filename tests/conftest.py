@@ -1,7 +1,8 @@
 """Shared fixtures: the curated toy corpus and predictors trained on it, a
 runner for the command line in a child process, and a check that no test
 leaves a child process behind; the predictor's full-distribution form,
-which only tests read; a fork counter; and the library's golden digests.
+which only tests read; one example's NELBO; a fork counter; and the
+library's golden digests.
 
 Corpus construction and training are the slow parts of the suite, so both
 are session-scoped and memoized per seed.
@@ -55,6 +56,12 @@ def pooled(params, windows, positions, targets):
     window columns ``targets``, with its constants built here."""
     return diffusion._pooled(windows, diffusion.offset_gains(params, positions, targets),
                              diffusion.visible_table(params))
+
+
+def one_nelbo(params, ids, ts, noised):
+    """The LossReport of one (L,) example under (B,) times: ``loss_gradient``,
+    the one NELBO entry point, on a batch of that example alone."""
+    return diffusion.loss_gradient(params, ids[None], ts[None], noised[None])[0][0]
 
 
 def full_predict(params, windows, positions, active, temperature=1.0, nucleus_p=1.0):

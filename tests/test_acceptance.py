@@ -38,9 +38,9 @@ from blockmol.search import (
     adaptive_cap,
     backpropagate,
     run_search,
-    uct_score,
+    uct,
 )
-from conftest import TRAIN_K
+from conftest import TRAIN_K, one_nelbo
 from test_diffusion import nelbo_loop
 
 
@@ -148,7 +148,7 @@ def test_criterion_03_loss_and_gradient(capsys, corpus, vocab):
             rng = np.random.default_rng(1000 + i)
             ts = diffusion.draw_block_times(num_blocks, rng)
             noised = diffusion.draw_noise(ids, ts, rng)
-            fast = diffusion.nelbo_loss(params, ids, ts, noised)
+            fast = one_nelbo(params, ids, ts, noised)
             slow_nelbo, slow_per_block = nelbo_loop(params, ids, ts, noised)
             assert abs(fast.nelbo - slow_nelbo) <= 1e-9, i
             assert np.abs(fast.per_block - slow_per_block).max() <= 1e-9, i
@@ -179,9 +179,9 @@ def test_criterion_03_loss_and_gradient(capsys, corpus, vocab):
             analytic = float(getattr(grads, field)[idx])
             orig = float(table[idx])
             table[idx] = orig + h
-            up = diffusion.nelbo_loss(params, ids, ts, noised).nelbo
+            up = one_nelbo(params, ids, ts, noised).nelbo
             table[idx] = orig - h
-            down = diffusion.nelbo_loss(params, ids, ts, noised).nelbo
+            down = one_nelbo(params, ids, ts, noised).nelbo
             table[idx] = orig
             numeric = (up - down) / (2 * h)
             denom = max(abs(analytic), abs(numeric), 1e-6)
@@ -269,9 +269,8 @@ def test_criterion_07_search_arithmetic(capsys, trained, vocab):
             sn.n, sn.r_bar, sn.r_max = n, r_bar, r_max
             return sn
 
-        # 0.5*1 + 0.5*2 + 2.1*sqrt(ln e / 1) = 3.6
-        assert uct_score(node(1, 1.0, 2.0), math.e, 0.5, 2.1) == \
-            pytest.approx(3.6, abs=1e-12)
+        # 0.5*1 + 0.5*2 + 2.1*sqrt(ln e / 1) = 3.6, with ln e = 1
+        assert uct(node(1, 1.0, 2.0), 1.0, 0.5, 2.1) == pytest.approx(3.6, abs=1e-12)
 
         parent = node(3, 0.0)
         parent.cap = 5

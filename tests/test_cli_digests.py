@@ -78,10 +78,13 @@ def test_cli_outputs_keep_their_bytes(tmp_path, caplog):
         ["search", "--target", "parp1", "--checkpoint", str(ckpt), "--budget", "1000",
          "--seed", "42", "--rollouts", str(rollouts)] + SEARCH_FLAGS + DECODE_FLAGS, manifest)
     outputs["search --rollouts"] = rollouts.read_bytes()
-    # At stream version 1, 91 of the search's rollouts start from a dead prefix.
+    # At stream version 1, 91 of the search's rollouts start from a dead prefix,
+    # and 422 of its iterations reselect a terminal leaf.
     record = json.loads(manifest.read_text())
-    assert (record["iterations"], record["dead_rollouts"]) == (1000, 91)
-    assert "search: 1000 iterations, 91 rollouts skipped from a dead prefix" in caplog.messages
+    assert (record["iterations"], record["dead_rollouts"],
+            record["terminal_reselections"]) == (1000, 91, 422)
+    assert ("search: 1000 iterations, 91 rollouts skipped from a dead prefix, "
+            "422 terminal reselections") in caplog.messages
     sampled = tmp_path / "sample.jsonl"
     sampled.write_bytes(outputs["sample --mode sample --seed 51000"])
     for name, path in (("eval of the sample", sampled), ("eval of the rollouts", rollouts)):

@@ -172,6 +172,22 @@ def test_gcd_batch_lanes_identical(trained42, vocab):
     assert recs[0].smiles == dec.generate(1)[0].smiles
 
 
+@pytest.mark.parametrize("mode", ["confidence", "sample"])
+def test_only_sample_mode_builds_lane_keys(trained42, vocab, monkeypatch, mode):
+    dec = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64, mode=mode, seed=3),
+                  vocab)
+    want = [dec.decode(20), dec.decode(4, ["C", "C", "("], first_lane=7)]
+    built = []
+
+    def spy(seed, lanes):
+        built.append(len(lanes))
+        return lane_keys(seed, lanes)
+
+    monkeypatch.setattr("blockmol.decode.lane_keys", spy)
+    assert [dec.decode(20), dec.decode(4, ["C", "C", "("], first_lane=7)] == want
+    assert built == ([20, 4] if mode == "sample" else [])
+
+
 def test_sample_mode_rerun_identity(trained42, vocab):
     cfg = DecodeConfig(block=8, length=48, budget=64, mode="sample", seed=77)
     a = Decoder(trained42, cfg, vocab).generate(6)

@@ -23,7 +23,6 @@ from blockmol.diffusion import (
     draw_noise,
     load_checkpoint,
     loss_gradient,
-    nelbo_loss,
     nelbo_weight,
     nucleus_expand,
     nucleus_truncate,
@@ -33,7 +32,7 @@ from blockmol.diffusion import (
     train,
 )
 from blockmol.fragment import ConfigError, FragmentConfig, pad_and_partition
-from conftest import GOLDENS, TRAIN_K, full_predict
+from conftest import GOLDENS, TRAIN_K, full_predict, one_nelbo
 
 
 def test_schedule_values():
@@ -184,7 +183,7 @@ def test_uniform_predictor_single_mask_nelbo():
         noised[1] = Vocab.MASK_ID
         params = PredictorParams.zeros(size, dim=3, window=2)
         ts = np.array([0.5, 0.5])
-        report = nelbo_loss(params, ids, ts, noised)
+        report = one_nelbo(params, ids, ts, noised)
         assert report.nelbo == pytest.approx(2.0 * math.log(size), abs=1e-12)
         assert report.per_block[1] == 0.0  # the second block holds no MASK
 
@@ -205,7 +204,7 @@ def _block_ce(params, ids, noised, b, K):
 
 
 def nelbo_loop(params, ids, ts, noised):
-    """Block-by-block reference for nelbo_loss of one (L,) example under (B,)
+    """Block-by-block reference for the NELBO of one (L,) example under (B,)
     times: (nelbo, per_block)."""
     weights = nelbo_weight(ts)
     per_block = np.zeros(len(ts))
@@ -221,24 +220,11 @@ def test_nelbo_loop_equals_vectorized(corpus, vocab):
     for ids in corpus[:10]:
         ts = draw_block_times(len(ids) // TRAIN_K, rng)
         noised = draw_noise(ids, ts, rng)
-        report = nelbo_loss(params, ids, ts, noised)
+        report = one_nelbo(params, ids, ts, noised)
         nelbo, per_block = nelbo_loop(params, ids, ts, noised)
         worst = max(worst, abs(report.nelbo - nelbo),
                     np.abs(report.per_block - per_block).max())
     assert worst <= 1e-9
-
-
-def test_loss_gradient_reports_nelbo_loss(corpus, vocab):
-    rng = np.random.default_rng(12)
-    params = PredictorParams.init(len(vocab), dim=8, window=4, seed=3)
-    for ids in corpus[:5]:
-        ts = draw_block_times(len(ids) // TRAIN_K, rng)
-        noised = draw_noise(ids, ts, rng)
-        reports, _ = loss_gradient(params, ids[None], ts[None], noised[None])
-        loss = nelbo_loss(params, ids, ts, noised)
-        assert len(reports) == 1
-        assert reports[0].nelbo == loss.nelbo
-        assert np.array_equal(reports[0].per_block, loss.per_block)
 
 
 def ref_loss_gradient(params, ids, ts, noised):
@@ -299,7 +285,7 @@ def ref_train(params, corpus, block, epochs, lr, seed, clip=diffusion.GRAD_CLIP)
             else:
                 ts = np.clip(1.0 - prev_ts, T_CLIP, 1.0)
             noised = draw_noise(ids, ts, rng)
-            total += nelbo_loss(params, ids, ts, noised).nelbo
+            total += one_nelbo(params, ids, ts, noised).nelbo
             grads = ref_loss_gradient(params, ids, ts, noised)
             grads = [grads[f] for f in ("embeddings", "gains", "out", "bias")]
             if acc is None:
@@ -365,7 +351,7 @@ def _close_to(grads, want):
 def test_batched_gradient_matches_per_example_reference(problem):
     params, examples = problem
     refs = [ref_loss_gradient(params, *ex) for ex in examples]
-    losses = [nelbo_loss(params, *ex) for ex in examples]
+    losses = [one_nelbo(params, *ex) for ex in examples]
 
     reports, grads = loss_gradient(params, *(x[None] for x in examples[0]))
     _close_to(grads, refs[0])
@@ -388,8 +374,6 @@ def test_block_times_that_do_not_divide_the_length_raise(blocks):
         draw_noise(ids, ts, np.random.default_rng(0))
     with pytest.raises(ConfigError, match=f"{blocks} block times"):
         loss_gradient(params, ids, ts, ids)
-    with pytest.raises(ConfigError, match=f"{blocks} block times"):
-        nelbo_loss(params, ids[0], ts[0], ids[0])
 
 
 def test_train_matches_one_example_per_step_reference(corpus, vocab):
@@ -418,9 +402,9 @@ def test_gradient_matches_finite_differences(corpus, vocab):
         analytic = getattr(grads, field)[idx]
         orig = table[idx]
         table[idx] = orig + h
-        up = nelbo_loss(params, ids, ts, noised).nelbo
+        up = one_nelbo(params, ids, ts, noised).nelbo
         table[idx] = orig - h
-        down = nelbo_loss(params, ids, ts, noised).nelbo
+        down = one_nelbo(params, ids, ts, noised).nelbo
         table[idx] = orig
         numeric = (up - down) / (2 * h)
         denom = max(abs(analytic), 1e-8)

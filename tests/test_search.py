@@ -19,11 +19,10 @@ from blockmol.search import (
     SearchNode,
     SearchResult,
     TreeSearch,
-    UnvisitedChild,
     adaptive_cap,
     backpropagate,
     run_search,
-    uct_score,
+    uct,
 )
 
 
@@ -34,25 +33,18 @@ def node(n=0, r_bar=0.0, r_max=-math.inf, cap=8, **kw):
 
 
 def test_uct_hand_value():
-    # lam=0.5, mean 1, max 2, C=2.1, parent visits e, child visits 1:
+    # lam=0.5, mean 1, max 2, C=2.1, parent visits e (ln e = 1), child visits 1:
     # 0.5*1 + 0.5*2 + 2.1*sqrt(ln e / 1) = 3.6
     child = node(n=1, r_bar=1.0, r_max=2.0)
-    assert uct_score(child, math.e, 0.5, 2.1) == pytest.approx(3.6, abs=1e-12)
-    assert uct_score(child, 1, 0.5, 2.1) == 1.5  # ln 1 = 0: no exploration term
+    assert uct(child, 1.0, 0.5, 2.1) == pytest.approx(3.6, abs=1e-12)
+    assert uct(child, 0.0, 0.5, 2.1) == 1.5  # ln 1 = 0: no exploration term
 
 
 def test_uct_boundaries():
     child = node(n=4, r_bar=3.0, r_max=7.0)
-    mean_only = uct_score(child, 10, 1.0, 2.1)
+    mean_only = uct(child, math.log(10), 1.0, 2.1)
     assert mean_only == pytest.approx(3.0 + 2.1 * math.sqrt(math.log(10) / 4))
-    assert uct_score(child, 10, 0.0, 0.0) == 7.0  # pure max ranking
-
-
-def test_uct_unvisited_raises():
-    with pytest.raises(UnvisitedChild):
-        uct_score(node(n=0), 5, 0.5, 2.1)
-    with pytest.raises(UnvisitedChild):
-        uct_score(node(n=1), 0, 0.5, 2.1)
+    assert uct(child, math.log(10), 0.0, 0.0) == 7.0  # pure max ranking
 
 
 def test_adaptive_cap_hand_values():
@@ -160,16 +152,6 @@ def test_select_fresh_root_and_hand_tree(vocab):
     assert not leaf.fully_expanded
 
 
-def test_select_prefers_unvisited_in_creation_order(vocab):
-    search, _ = stats_search(vocab, c_min=2, c_max=2)
-    root = search.make_root()
-    first, second = node(n=0), node(n=0)
-    root.children = [first, second]
-    root.cap, root.n = 2, 1
-    _, leaf = search.select(root)
-    assert leaf is first
-
-
 def test_select_tie_breaks_to_earlier_child(vocab):
     search, _ = stats_search(vocab, c_min=2, c_max=2)
     root = search.make_root()
@@ -191,7 +173,7 @@ def test_argmax_invariance_under_joint_scaling(vocab):
             scores = []
             for n, r_bar, r_max in stats:
                 ch = node(n=n, r_bar=factor * r_bar, r_max=factor * r_max)
-                scores.append(uct_score(ch, parent_n, 0.5, c_value))
+                scores.append(uct(ch, math.log(parent_n), 0.5, c_value))
             return int(np.argmax(scores))
 
         assert pick(2.1, 1.0) == pick(2.1 * scale, scale)
@@ -317,13 +299,50 @@ def test_expand_marks_exhausted_when_candidates_repeat(search_setup):
     assert 1 <= len(root.children) <= cfg.m
 
 
-def test_result_json_line_cleans_nan():
-    import json
+@pytest.mark.parametrize("field", ["reward", "ds", "qed", "sa"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_result_json_line_rejects_a_non_finite_score(field, bad):
+    scores = dict(reward=-1.0, ds=-7.25, qed=0.5, sa=2.0)
+    assert SearchResult("CCO", **scores, depth=2, iteration=7).to_json_line() == (
+        '{"smiles": "CCO", "reward": -1.0, "ds": -7.25, "qed": 0.5, "sa": 2.0, '
+        '"depth": 2, "iteration": 7}')
+    scores[field] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        SearchResult("CCO", **scores, depth=2, iteration=7).to_json_line()
 
-    res = SearchResult("CCO", -1.0, math.nan, math.nan, math.nan, 2, 7)
-    parsed = json.loads(res.to_json_line())
-    assert parsed["ds"] is None and parsed["qed"] is None
-    assert parsed["smiles"] == "CCO" and parsed["iteration"] == 7
+
+def _nodes(root):
+    """Every node under ``root``, root first."""
+    out, stack = [], [root]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(out[-1].children)
+    return out
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_max=120, m=8, n_sim=8, c_init=40),  # root waves of 8 children, then waves of one
+    dict(n_max=120, m=8, n_sim=1, c_init=1),  # every wave has one child
+])
+def test_select_only_ever_sees_visited_children(search_setup, monkeypatch, shape):
+    # Each wave backpropagates every child it creates before the next select.
+    params, vocab, oracle, decode = search_setup
+    calls = []
+    select = TreeSearch.select
+
+    def spy(self, root):
+        unvisited = [nd for nd in _nodes(root)[1:] if nd.n < 1]
+        assert not unvisited, f"select call {len(calls)} sees {len(unvisited)} unvisited"
+        calls.append(len(root.children))
+        return select(self, root)
+
+    monkeypatch.setattr(TreeSearch, "select", spy)
+    out = run_search(SearchConfig(decode=decode, **shape), params, vocab, oracle)
+    assert out.iterations == shape["n_max"] and len(_nodes(out.root)) > 20
+    if shape["c_init"] > 1:
+        assert calls[1] == 8  # the first root wave made 8 children
+    else:
+        assert len(calls) == out.iterations
 
 
 def _tree(node):

@@ -5,24 +5,27 @@ unless it is an entry point (``cmd_*``, ``main``, a dunder) or an
 exemption below, each with its reason.  The scan matches names, so a
 helper that loses its last caller fails here until it is deleted or
 exempted; a name that src reads off numpy or the standard library (such
-as ``np.zeros``) counts as no reference.
+as ``np.zeros``) counts as no reference.  An exemption kept because the
+benchmark's tracer wraps it is checked against ``TRACED`` in
+perfbench/spans.py, read with ast.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "blockmol"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "blockmol"
+SPANS = ROOT / "perfbench" / "spans.py"
 
+TRACED_REASON = "perfbench/spans.py TRACED wraps it by name"
 # module.qualified name -> why it stays in src with no src reference
 EXEMPT = {
-    "diffusion.nucleus_truncate": "perfbench/spans.py TRACED wraps it by name",
-    "decode.Decoder.generate": "perfbench/spans.py TRACED wraps it by name",
-    "metrics.hit_metrics": "perfbench/spans.py TRACED wraps it by name",
-    "decode.first_hitting_step": "criterion 4's subject, and TRACED wraps it by name",
-    "diffusion.nelbo_loss": "criterion 3's subject, the one-example form of loss_gradient",
-    "search.uct_score": "criterion 7's subject",
-    "search.UnvisitedChild": "what uct_score raises, so criterion 7's subject too",
-    "diffusion.PredictorParams.zeros": "criterion 6 builds its predictor with it",
+    "diffusion.nucleus_truncate": TRACED_REASON,
+    "decode.Decoder.generate": TRACED_REASON,
+    "metrics.hit_metrics": TRACED_REASON,
+    "decode.first_hitting_step": f"{TRACED_REASON}; criterion 4's subject",
+    "diffusion.PredictorParams.zeros":
+        "criterion 6 and four other tests build uniform predictors with it",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -63,3 +66,20 @@ def test_every_src_definition_has_a_src_reference_or_a_reason():
         and not (name.startswith("__") and name.endswith("__"))}
     # An exemption that src references again is stale: drop it.
     assert unreferenced == set(EXEMPT)
+
+
+def _traced() -> set:
+    """The "module.name" of every function perfbench/spans.py's TRACED wraps."""
+    for node in ast.parse(SPANS.read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and targets == ["TRACED"]:
+            return {f"{module}.{name}"
+                    for module, names in ast.literal_eval(node.value).items() for name in names}
+    raise AssertionError(f"no TRACED assignment in {SPANS}")
+
+
+def test_each_tracer_reason_names_a_traced_function():
+    # A stale reason fails, and so does an exemption that could cite the tracer but does not.
+    traced = _traced()
+    assert {name for name, why in EXEMPT.items() if TRACED_REASON in why} == \
+        {name for name in EXEMPT if name in traced} != set()
