@@ -7,9 +7,9 @@ its value lies in; its flag's --help names its config key, default and
 interval.  A command resolves the keys it reads from the defaults, then a
 JSON config file of flat namespaced keys (e.g. "search.C"), then explicit
 flags.  An unknown key is a usage error; a value of the wrong type, or
-outside its interval, exits 2 naming its key before any work.  Keys that
-only other commands read are checked, then ignored.  A --manifest records
-only the settings the command read, and the stream version.
+outside its interval, exits 2 naming its key (and file) before any work.
+Keys that only other commands read are checked alike, then ignored.  A
+--manifest records only the settings the command read, and the stream version.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import STREAM_VERSION, chem, data, diffusion, metrics, parallel
 from .chem import Vocab, tokenize, try_parse
 from .curate import CurationConfig, curate_stream
 from .decode import BudgetExhausted, DecodeConfig, Decoder, log_abort, write_jsonl
-from .fragment import FragmentConfig, check_interval, pad_and_partition
+from .fragment import FragmentConfig, check_interval, check_record, pad_and_partition
 from .oracle import SurrogateOracle, list_profiles, load_profile
 from .search import GateConfig, SearchConfig, run_search
 
@@ -93,18 +93,6 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_type(key: str, value):
-    """A config file value must have its key's type; an int passes for a float."""
-    kind = SETTINGS[key][1]
-    if isinstance(kind, tuple):
-        ok, want = value in kind, f"one of {', '.join(kind)}"
-    else:
-        ok = not isinstance(value, bool) and isinstance(value, (int, kind))
-        want = "a number" if kind is float else "an integer"
-    if not ok:
-        raise ValueError(f"{key} must be {want}, got {value!r}")
-
-
 def resolve(args) -> dict:
     """The settings ``args.command`` reads: defaults <- config file <- flags."""
     keys = COMMAND_KEYS[args.command]
@@ -112,19 +100,18 @@ def resolve(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.config}: a config file holds one JSON object")
+        check_record(loaded, {}, args.config)  # one JSON object, whose keys come next
         unknown = sorted(set(loaded) - set(SETTINGS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in loaded.items():
-            _check_type(key, value)
+        check_record(loaded, {key: (SETTINGS[key][1], SETTINGS[key][3]) for key in loaded},
+                     args.config)
         cfg.update((key, loaded[key]) for key in keys if key in loaded)
-    cfg.update((key, vars(args)[key]) for key in keys if vars(args).get(key) is not None)
-    for key, value in cfg.items():
+    flags = {key: vars(args)[key] for key in keys if vars(args).get(key) is not None}
+    for key, value in flags.items():
         if SETTINGS[key][3]:
             check_interval(key, value, SETTINGS[key][3])
-    return cfg
+    return cfg | flags
 
 
 def _numbered_lines(path, blank: bool = False):

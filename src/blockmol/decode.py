@@ -61,9 +61,9 @@ class BudgetExhausted(RuntimeError):
 _U64 = (1 << 64) - 1
 
 
-def _avalanche(h: int) -> int:
-    # splitmix64 finalizer: FNV alone leaves high bits structured on the
-    # short sequential keys used here, which skews the uniforms.
+def _avalanche(h):
+    # splitmix64 finalizer of an int or a uint64 array: FNV alone leaves high
+    # bits structured on the short sequential keys used here, skewing the uniforms.
     h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _U64
     h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _U64
     return h ^ (h >> 31)
@@ -94,15 +94,10 @@ def lane_uniforms(keys: np.ndarray, *parts: int) -> np.ndarray:
     """``key_uniform(seed, lane, *parts)`` for every lane state in ``keys``
     (of any shape, from ``lane_keys`` or ``step_keys``).
 
-    Each state continues over the ``,part,...`` suffix the lanes share; the
-    finalizer then runs in numpy's wrapping uint64 arithmetic.
+    Each state continues over the ``,part,...`` suffix the lanes share;
+    ``_avalanche`` then runs in numpy's wrapping uint64 arithmetic.
     """
-    h = _extend(keys, b"".join(b"," + str(int(p)).encode() for p in parts))
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(0x94D049BB133111EB)
-    h ^= h >> np.uint64(31)
+    h = _avalanche(_extend(keys, b"".join(b"," + str(int(p)).encode() for p in parts)))
     return np.maximum(h >> np.uint64(11), np.uint64(1)).astype(np.float64) * 2.0**-53
 
 
@@ -181,7 +176,9 @@ class DecodeConfig:
     nucleus_p: float = 1.0
     mode: str = "confidence"  # or "sample": token drawn from the adjusted row
     seed: int = 0
-    INTERVALS = {"budget": "[1, 2**63)", "temperature": "(0, inf)", "nucleus_p": "(0, 1]"}
+    # Below the floor, logits / temperature may overflow to inf, and softmax
+    # then returns NaN rows, which decode to garbage rather than fail.
+    INTERVALS = {"budget": "[1, 2**63)", "temperature": "[2**-20, inf)", "nucleus_p": "(0, 1]"}
 
     def __post_init__(self):
         FragmentConfig(self.length, self.block)  # checks block, length and K | L

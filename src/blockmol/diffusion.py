@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chem import Vocab
-from .fragment import ConfigError, FragmentConfig, check_interval
+from .fragment import ConfigError, FragmentConfig, check_interval, check_record
 
 T_CLIP = 1e-4
 
@@ -418,6 +418,9 @@ def train(params: PredictorParams, corpus: np.ndarray, block: int, epochs: int,
 # --- checkpoints ---------------------------------------------------------------
 
 CHECKPOINT_VERSION = 1
+# The checkpoint's scalar fields and vocabulary: key -> (JSON type, interval or None).
+_CHECKPOINT_FIELDS = {"vocab": (list, None), "vocab_hash": (str, None), "seed": (int, None),
+                      "dim": (int, "[1, 2**63)"), "window": (int, "[0, 2**63)")}
 
 
 def _require_finite(params: PredictorParams):
@@ -452,14 +455,7 @@ def load_checkpoint(path, vocab: Vocab | None = None):
     the field for one that is missing, mistyped, out of range or misshapen."""
     with open(path) as fh:
         record = json.load(fh)
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: a checkpoint holds one JSON object")
-    for key, kind in (("vocab", list), ("vocab_hash", str), ("dim", int), ("window", int),
-                      ("seed", int)):
-        if not isinstance(record.get(key), kind) or isinstance(record[key], bool):
-            raise ValueError(f"{path}: field {key!r} is missing or not of type {kind.__name__}")
-    for key, interval in (("dim", "[1, 2**63)"), ("window", "[0, 2**63)")):
-        check_interval(f"{path}: field {key!r}", record[key], interval)
+    check_record(record, _CHECKPOINT_FIELDS, path)
     tokens = tuple(record["vocab"])
     if not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"{path}: field 'vocab' holds a token that is not a string")

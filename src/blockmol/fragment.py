@@ -42,6 +42,31 @@ def check_interval(name: str, value, interval: str):
         raise ConfigError(f"{name} must lie in {interval}, got {value!r}")
 
 
+_JSON = {str: (str, "string"), int: (int, "integer"), float: ((int, float), "number"),
+         list: (list, "array")}  # field type -> (the Python types that pass, JSON name)
+
+
+def check_record(record, fields: dict, where: str):
+    """Raise ConfigError naming ``where`` unless ``record`` is a JSON object that holds
+    each key of ``fields``, mapped to (type or tuple of choices, interval or None), with a
+    value of its type (a bool is no number, an int passes for a float) in its interval."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where}: must hold one JSON object")
+    for key, (kind, interval) in fields.items():
+        if key not in record:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        value = record[key]
+        if isinstance(kind, tuple):
+            ok, want = value in kind, f"one of {', '.join(kind)}"
+        else:
+            types, name = _JSON[kind]
+            ok, want = isinstance(value, types) and not isinstance(value, bool), f"a JSON {name}"
+        if not ok:
+            raise ConfigError(f"{where}: {key} must be {want}, got {value!r}")
+        if interval:
+            check_interval(f"{where}: {key}", value, interval)
+
+
 def check_fields(config):
     """``check_interval`` on each field that ``type(config).INTERVALS`` declares, in order."""
     for name, interval in type(config).INTERVALS.items():

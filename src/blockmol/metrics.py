@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import parallel
-from .chem import Fingerprint, WidthMismatch, descriptors, fingerprint, try_parse
-from .oracle import OracleScores, SurrogateOracle
+from .chem import Fingerprint, WidthMismatch
+from .oracle import Scored, SurrogateOracle
 
 
 class EmptySet(ValueError):
@@ -35,14 +35,6 @@ PAIR_BLOCK_BYTES = 1 << 20  # size of one row block's AND in mean_pairwise_tanim
 # 28.0 -> 21.6; seed-51000 sample lines (17% valid, so cheaper) 128 6.9 ->
 # 10.7, 192 10.9 -> 11.7, 256 15.9 -> 13.3.
 MIN_CHUNK_MOLECULES = 64
-
-
-@dataclass(frozen=True)
-class Scored:
-    """One unique valid sample with its scores and fingerprint."""
-    smiles: str
-    scores: OracleScores
-    fp: Fingerprint
 
 
 @dataclass(frozen=True)
@@ -68,16 +60,6 @@ class EvalReport:
         return asdict(self)
 
 
-def _score(smiles: str, oracle: SurrogateOracle) -> Scored | None:
-    """One SMILES parsed, fingerprinted and scored; None when it does not parse.
-    Only the scores and the fingerprint outlive the call, not the molecule."""
-    mol, err = try_parse(smiles)
-    if err is not None:
-        return None
-    fp = fingerprint(mol, oracle.profile.fp_width)
-    return Scored(smiles, oracle.score_mol(mol, descriptors(mol), fp), fp)
-
-
 def _score_unique(samples, oracle: SurrogateOracle) -> tuple[int, list[Scored]]:
     """(valid count, one Scored per unique valid sample in first-seen order).
 
@@ -88,8 +70,7 @@ def _score_unique(samples, oracle: SurrogateOracle) -> tuple[int, list[Scored]]:
     """
     distinct = list(dict.fromkeys(samples))
     verdicts = dict(zip(distinct, parallel.map_rows(
-        lambda smiles: _score(smiles, oracle), distinct, MIN_CHUNK_MOLECULES,
-        "eval", "molecules")))
+        oracle.score, distinct, MIN_CHUNK_MOLECULES, "eval", "molecules")))
     valid = sum(verdicts[smiles] is not None for smiles in samples)
     return valid, [s for s in verdicts.values() if s is not None]
 

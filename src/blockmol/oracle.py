@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .chem import (DescriptorSet, Fingerprint, ParsedMol, descriptors,
                    fingerprint, tanimoto, try_parse, validate_smiles)
+from .fragment import check_record
 
 PROFILE_DIR = Path(__file__).parent / "profiles"
 
@@ -65,28 +66,26 @@ class OracleProfile:
         return fingerprint(validate_smiles(self.seed_smiles), self.fp_width)
 
 
-# Each profile key and the JSON type of its value; only fp_width may be left out.
-_PROFILE_KEYS = {"name": "string", "threshold_ds": "number", "seed_smiles": "string",
-                 "size_optimum": "integer", "fp_width": "integer"}
-_JSON_TYPES = {"string": str, "number": (int, float), "integer": int}
+# Each profile key, sorted, with its JSON type and interval; only fp_width may be left
+# out, and ``fingerprint`` judges it.  size_optimum's bound keeps ds's arithmetic finite.
+_PROFILE_FIELDS = {"fp_width": (int, None), "name": (str, None), "seed_smiles": (str, None),
+                   "size_optimum": (int, "[0, 2**20]"), "threshold_ds": (float, "(-inf, inf)")}
 
 
 def load_profile(name: str) -> OracleProfile:
     """The bundled profile ``name``, or the one in the .json file ``name``.
     Raises ValueError naming the file for an unknown, missing or mistyped
-    key, a seed that does not parse, or an fp_width ``fingerprint`` rejects."""
+    key, a value outside its interval, a seed that does not parse, or an
+    fp_width ``fingerprint`` rejects."""
     path = Path(name) if name.endswith(".json") else PROFILE_DIR / f"{name}.json"
     if not path.exists():
         raise FileNotFoundError(f"no oracle profile {name!r}")
     record = json.loads(path.read_text())
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: a profile holds one JSON object")
+    check_record(record, {}, str(path))  # one JSON object, whose keys come next
     record.setdefault("fp_width", 2048)
-    for key in sorted(record.keys() ^ _PROFILE_KEYS.keys()):
-        raise ValueError(f"{path}: {'missing' if key in _PROFILE_KEYS else 'unknown'} key {key!r}")
-    for key, want in _PROFILE_KEYS.items():
-        if not isinstance(record[key], _JSON_TYPES[want]) or isinstance(record[key], bool):
-            raise ValueError(f"{path}: {key} must be a JSON {want}, got {record[key]!r}")
+    for key in sorted(record.keys() - _PROFILE_FIELDS.keys()):
+        raise ValueError(f"{path}: unknown key {key!r}")
+    check_record(record, _PROFILE_FIELDS, str(path))
     mol, err = try_parse(record["seed_smiles"])
     if err is not None:
         raise ValueError(f"{path}: seed_smiles does not parse: {err}")
@@ -101,8 +100,16 @@ def list_profiles() -> list[str]:
     return sorted(p.stem for p in PROFILE_DIR.glob("*.json"))
 
 
+@dataclass(frozen=True)
+class Scored:
+    """One valid SMILES with its scores and fingerprint."""
+    smiles: str
+    scores: OracleScores
+    fp: Fingerprint
+
+
 class SurrogateOracle:
-    """Scores parsed molecules with the closed-form surrogates."""
+    """Scores molecules with the closed-form surrogates."""
 
     def __init__(self, profile: OracleProfile):
         self.profile = profile
@@ -126,3 +133,12 @@ class SurrogateOracle:
             sa=surrogate_sa(d),
             ds=-(DS_SIMILARITY_WEIGHT * sim + DS_SIZE_WEIGHT * size),
         )
+
+    def score(self, smiles: str) -> Scored | None:
+        """``smiles`` parsed, fingerprinted and scored, None when it does not parse;
+        only the scores and the fingerprint outlive the call, not the molecule."""
+        mol, err = try_parse(smiles)
+        if err is not None:
+            return None
+        fp = fingerprint(mol, self.profile.fp_width)
+        return Scored(smiles, self.score_mol(mol, descriptors(mol), fp), fp)

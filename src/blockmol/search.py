@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chem import ChemError, Vocab, scan, tokenize, try_parse
+from .chem import ChemError, Vocab, scan, tokenize
 from .decode import DecodeConfig, Decoder, key_uniform, lane_keys
 from .fragment import ConfigError, check_fields, reassemble
 from .oracle import OracleScores
@@ -284,13 +284,11 @@ class TreeSearch:
 
     def _score(self, smiles: str) -> OracleScores | None:
         """The oracle's scores of ``smiles``, None for an invalid molecule;
-        kept for the run's next call with that SMILES."""
-        if smiles in self._scores:
-            return self._scores[smiles]
-        mol = try_parse(smiles)[0]
-        scores = None if mol is None else self.oracle.score_mol(mol)
-        self._scores[smiles] = scores
-        return scores
+        kept, without the fingerprint, for the run's next call with that SMILES."""
+        if smiles not in self._scores:
+            scored = self.oracle.score(smiles)
+            self._scores[smiles] = None if scored is None else scored.scores
+        return self._scores[smiles]
 
     def simulate(self, node: SearchNode, iteration: int, ids: np.ndarray):
         """(best reward over the rollout rows ``ids``, per-rollout SearchResults)."""

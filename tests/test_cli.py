@@ -17,6 +17,7 @@ from blockmol import cli, data, decode, fragment, metrics, parallel
 from blockmol.cli import DEFAULTS, SETTINGS, main
 from blockmol.data import toy_candidates
 from blockmol.decode import BudgetExhausted, Decoder
+from blockmol.oracle import PROFILE_DIR, SurrogateOracle
 from blockmol.search import GateConfig, SearchConfig
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -142,6 +143,7 @@ def test_train_rejects_hyperparameters_that_cannot_train(flags, key, tmp_path,
 @pytest.mark.parametrize("record", [
     {"train.epochs": 0}, {"train.lr": -0.1}, {"train.dim": 0},
     {"train.window": -1}, {"train.epochs": 1.5}, {"train.lr": "0.1"},
+    {"search.M": 0},  # before, only search rejected it: a key other commands read
 ])
 def test_train_rejects_such_config_keys_too(record, tmp_path, capsys, caplog):
     cfg = tmp_path / "cfg.json"
@@ -185,7 +187,8 @@ def test_config_value_of_the_wrong_type_exits_2_naming_the_key(
     (key, value), = record.items()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1
-    assert errors[0].startswith(f"{key} must be ") and errors[0].endswith(f"got {value!r}")
+    assert errors[0].startswith(f"{cfg}: {key} must be ")
+    assert errors[0].endswith(f"got {value!r}")
 
 
 def test_manifest_holds_the_settings_the_command_read(checkpoint, tmp_path, capsys):
@@ -274,8 +277,8 @@ def test_non_finite_checkpoint_fails_sample_and_search(checkpoint, tmp_path,
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"version": 1}', "field 'vocab' is missing or not of type list"),
-    ("[1, 2]", "a checkpoint holds one JSON object"),
+    ('{"version": 1}', "missing key 'vocab'"),
+    ("[1, 2]", "must hold one JSON object"),
 ])
 def test_malformed_checkpoint_fails_sample_and_search_naming_it(tmp_path, capsys, caplog,
                                                                 text, message):
@@ -291,16 +294,16 @@ def test_malformed_checkpoint_fails_sample_and_search_naming_it(tmp_path, capsys
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("dim", True, "field 'dim' is missing or not of type int"),
-    ("seed", None, "field 'seed' is missing or not of type int"),
+    ("dim", True, "dim must be a JSON integer, got True"),
+    ("seed", None, "seed must be a JSON integer, got None"),
     ("gains", [0.5], "table 'gains' is not (9, 8) numbers"),
     ("bias", ["x"], "table 'bias' is not (15,) numbers"),
     ("vocab", ["[PAD]", "[BOS]", "[EOS]", "[MASK]", 7],
      "field 'vocab' holds a token that is not a string"),
     # Before, numpy's reshape read -1 as "infer": these loaded and sampled, exit 0.
-    ("dim", -1, "field 'dim' must lie in [1, 2**63), got -1"),
-    ("window", -1, "field 'window' must lie in [0, 2**63), got -1"),
-    ("dim", 0, "field 'dim' must lie in [1, 2**63), got 0"),
+    ("dim", -1, "dim must lie in [1, 2**63), got -1"),
+    ("window", -1, "window must lie in [0, 2**63), got -1"),
+    ("dim", 0, "dim must lie in [1, 2**63), got 0"),
 ])
 def test_checkpoint_field_of_the_wrong_type_or_shape_names_it(checkpoint, tmp_path, capsys,
                                                              caplog, field, value, message):
@@ -317,18 +320,33 @@ def test_malformed_profile_fails_eval_and_search_naming_it(checkpoint, tmp_path,
                                                           caplog):
     samples = tmp_path / "s.smi"
     samples.write_text("CCO\n")
+    parp1 = json.loads((PROFILE_DIR / "parp1.json").read_text())
+    # Before, a NaN or infinite threshold_ds ran eval to exit 0 with hit_ratio 0.0,
+    # and 10**400 as threshold_ds or size_optimum ended in an OverflowError traceback.
+    big = f"{10**400}"
     for record, message in (({"name": "x"}, "missing key 'seed_smiles'"),
                             ({"name": "x", "threshold_ds": -10.0, "seed_smiles": "C1CC",
                               "size_optimum": 26},
-                             "seed_smiles does not parse: ring 1 never closed")):
+                             "seed_smiles does not parse: ring 1 never closed"),
+                            ({**parp1, "threshold_ds": math.nan},
+                             "threshold_ds must lie in (-inf, inf), got nan"),
+                            ({**parp1, "threshold_ds": math.inf},
+                             "threshold_ds must lie in (-inf, inf), got inf"),
+                            ({**parp1, "threshold_ds": -math.inf},
+                             "threshold_ds must lie in (-inf, inf), got -inf"),
+                            ({**parp1, "threshold_ds": 10**400},
+                             f"threshold_ds must lie in (-inf, inf), got {big}"),
+                            ({**parp1, "size_optimum": 10**400},
+                             f"size_optimum must lie in [0, 2**20], got {big}")):
         profile = tmp_path / "bad.json"
         profile.write_text(json.dumps(record))
         for argv in (["eval", "--in", str(samples), "--target", str(profile)],
                      ["search", "--target", str(profile), "--checkpoint", checkpoint,
                       "--budget", "2", "--m", "8", "--length", "32"]):
             caplog.clear()
-            code, stdout, _ = run_cli(argv, capsys)
+            code, stdout, err = run_cli(argv, capsys)
             assert code == 2 and stdout == "", argv[0]
+            assert "Traceback" not in err + caplog.text
             assert f"{profile}: {message}" in caplog.text
 
 
@@ -609,6 +627,8 @@ FIELD_KEYS = {"block": "sample.K", "temperature": "sample.temperature", "n_max":
     ("sample", ["--n", "-3"], "n"),
     ("search", ["--c-init", "10", "--c-min", "0", "--c-max", "0"], "c_min"),
     ("search", ["--c-min", "-3", "--c-max", "-1"], "c_min"),
+    ("sample", ["--mode", "sample", "--temp", "1e-320"], "temperature"),
+    ("search", ["--temp", "1e-320"], "temperature"),
 ])
 def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, caplog,
                                                   command, flags, field):
@@ -617,6 +637,8 @@ def test_invalid_settings_exit_2_naming_the_field(checkpoint, tmp_path, capsys, 
     # "train --toy -1" trained on 600 molecules, "--c-init 0" wrote only a
     # summary line and a manifest that claimed one iteration, and "--c-min 0"
     # let a node's capacity fall to 0, so 300 iterations made 12 rollouts.
+    # "--temp 1e-320" overflowed logits / T, and softmax's NaN rows printed
+    # lines of 47 's' tokens with exit 0.
     out = tmp_path / "t.ckpt"
     argv = {"sample": ["sample", "--checkpoint", checkpoint, "--n", "3", "--length", "48"],
             "search": ["search", "--target", "parp1", "--checkpoint", checkpoint,
@@ -760,7 +782,8 @@ def _outside_cases():
         yield "--n", value
     # numpy's bare "array is too big" before, and "Unable to allocate 384. TiB"
     yield from (("search.M", 2**62), ("sample.L", 2**62), ("--n", 2**62),
-                ("search.M", 1099511627776), ("train.window", 2**40))
+                ("search.M", 1099511627776), ("train.window", 2**40),
+                ("sample.temperature", 0.0))  # the end of the interval before its floor
 
 
 @pytest.mark.parametrize("key,value", list(_outside_cases()))
@@ -777,7 +800,8 @@ def test_a_value_outside_its_interval_exits_2_naming_the_key(
     assert code == 2 and stdout == ""
     assert not manifest.exists() and not (tmp_path / "t.ckpt").exists()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == [f"{key} must lie in {interval}, got {value!r}"]
+    where = "" if flag else f"{cfg}: "  # a config file's value names the file too
+    assert errors == [f"{where}{key} must lie in {interval}, got {value!r}"]
 
 
 def test_an_infinite_sa_bound_runs_and_is_recorded_as_null(checkpoint, tmp_path, capsys):
@@ -1024,15 +1048,15 @@ def test_eval_below_the_minimum_chunk_forks_nothing(tmp_path, capsys, monkeypatc
 
 def test_an_eval_chunk_failing_in_a_child_exits_2_and_leaves_no_child(tmp_path, capsys,
                                                                       caplog, monkeypatch):
-    score = metrics._score
+    score = SurrogateOracle.score
 
-    def failing(smiles, oracle):
+    def failing(oracle, smiles):
         if smiles == "CCO":
             raise ValueError("no such molecule")
-        return score(smiles, oracle)
+        return score(oracle, smiles)
 
     force_processes(monkeypatch, 3)
-    monkeypatch.setattr(metrics, "_score", failing)
+    monkeypatch.setattr(SurrogateOracle, "score", failing)
     infile = tmp_path / "in.smi"
     infile.write_text("\n".join(EVAL_LINES) + "\n")
     code, out, _ = run_cli(["eval", "--in", str(infile), "--target", "parp1"], capsys)

@@ -21,7 +21,9 @@ import logging
 from contextlib import redirect_stdout
 
 from blockmol import STREAM_VERSION, data
+from blockmol.chem import validate_smiles
 from blockmol.cli import main
+from blockmol.oracle import SurrogateOracle, load_profile
 
 DIGESTS = {
     1: {
@@ -61,22 +63,32 @@ def _stdout(argv, manifest=None) -> bytes:
     return out.getvalue().encode()
 
 
+def _train(tmp_path, manifest=None):
+    """(the benchmark predictor's checkpoint, train's stdout)."""
+    corpus, ckpt = tmp_path / "corpus.smi", tmp_path / "predictor.ckpt"
+    corpus.write_text("".join(s + "\n" for s in data.toy_candidates(3)[::62]))
+    return ckpt, _stdout(["train", "--in", str(corpus), "--out", str(ckpt), "--epochs", "2",
+                          "--seed", "0"], manifest)
+
+
+def _search(ckpt, rollouts, manifest=None) -> bytes:
+    """The benchmark search's stdout; its rollouts go to ``rollouts``."""
+    return _stdout(["search", "--target", "parp1", "--checkpoint", str(ckpt), "--budget",
+                    "1000", "--seed", "42", "--rollouts", str(rollouts)]
+                   + SEARCH_FLAGS + DECODE_FLAGS, manifest)
+
+
 def test_cli_outputs_keep_their_bytes(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="blockmol")
-    corpus, ckpt = tmp_path / "corpus.smi", tmp_path / "predictor.ckpt"
     manifest = tmp_path / "manifest.json"
-    corpus.write_text("".join(s + "\n" for s in data.toy_candidates(3)[::62]))
-    outputs = {"train stdout": _stdout(["train", "--in", str(corpus), "--out", str(ckpt),
-                                        "--epochs", "2", "--seed", "0"], manifest)}
-    outputs["checkpoint"] = ckpt.read_bytes()
+    ckpt, train_stdout = _train(tmp_path, manifest)
+    outputs = {"train stdout": train_stdout, "checkpoint": ckpt.read_bytes()}
     sample = ["sample", "--checkpoint", str(ckpt), "--n", "2000"] + DECODE_FLAGS
     outputs["sample --mode sample --seed 51000"] = _stdout(
         sample + ["--mode", "sample", "--seed", "51000"], manifest)
     outputs["sample --mode confidence"] = _stdout(sample + ["--mode", "confidence"])
     rollouts = tmp_path / "rollouts.jsonl"
-    outputs["search --seed 42"] = _stdout(
-        ["search", "--target", "parp1", "--checkpoint", str(ckpt), "--budget", "1000",
-         "--seed", "42", "--rollouts", str(rollouts)] + SEARCH_FLAGS + DECODE_FLAGS, manifest)
+    outputs["search --seed 42"] = _search(ckpt, rollouts, manifest)
     outputs["search --rollouts"] = rollouts.read_bytes()
     # At stream version 1, 91 of the search's rollouts start from a dead prefix,
     # and 422 of its iterations reselect a terminal leaf.
@@ -91,3 +103,19 @@ def test_cli_outputs_keep_their_bytes(tmp_path, caplog):
         outputs[name] = _stdout(["eval", "--in", str(path), "--target", "parp1"])
     got = {name: hashlib.sha256(out).hexdigest() for name, out in outputs.items()}
     assert got == DIGESTS[STREAM_VERSION]
+
+
+def test_oracle_score_equals_score_mol_on_the_benchmark_rollouts(tmp_path):
+    # SurrogateOracle.score is the one path from a SMILES to its scores, which
+    # eval and search share; score_mol of the validated molecule defines them.
+    ckpt, _ = _train(tmp_path)
+    rollouts = tmp_path / "rollouts.jsonl"
+    _search(ckpt, rollouts)
+    oracle = SurrogateOracle(load_profile("parp1"))
+    distinct = dict.fromkeys(json.loads(line)["smiles"]
+                             for line in rollouts.read_text().splitlines())
+    assert len(distinct) > 100
+    for smiles in distinct:
+        scored = oracle.score(smiles)
+        assert scored.smiles == smiles
+        assert scored.scores == oracle.score_mol(validate_smiles(smiles)), smiles

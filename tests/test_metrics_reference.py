@@ -25,8 +25,8 @@ from blockmol import metrics, parallel
 from blockmol.chem import (Fingerprint, WidthMismatch, descriptors, fingerprint, tanimoto,
                            try_parse)
 from blockmol.data import toy_candidates
-from blockmol.metrics import Scored, circles, diversity_score, mean_pairwise_tanimoto
-from blockmol.oracle import SurrogateOracle, load_profile
+from blockmol.metrics import circles, diversity_score, mean_pairwise_tanimoto
+from blockmol.oracle import Scored, SurrogateOracle, load_profile
 from conftest import counting_forks
 
 # --- reference: one tanimoto call per pair -----------------------------------

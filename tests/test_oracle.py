@@ -127,6 +127,13 @@ def test_profile_from_explicit_path(tmp_path):
     # Before, these loaded, and failed only when an oracle was built, naming no file.
     ({"fp_width": 1000}, "fp_width 1000: width must be a power of two >= 256"),
     ({"fp_width": 128}, "fp_width 128: width must be a power of two >= 256"),
+    # Before, a non-finite threshold loaded, and eval reported hit_ratio 0.0 with
+    # exit 0; 10**400 raised OverflowError only once a molecule was scored.
+    ({"threshold_ds": math.nan}, "threshold_ds must lie in (-inf, inf), got nan"),
+    ({"threshold_ds": math.inf}, "threshold_ds must lie in (-inf, inf), got inf"),
+    ({"threshold_ds": -math.inf}, "threshold_ds must lie in (-inf, inf), got -inf"),
+    ({"threshold_ds": 10**400}, f"threshold_ds must lie in (-inf, inf), got {10**400}"),
+    ({"size_optimum": 10**400}, f"size_optimum must lie in [0, 2**20], got {10**400}"),
 ])
 def test_malformed_profile_names_its_file_and_key(tmp_path, edit, message):
     record = json.loads((PROFILE_DIR / "parp1.json").read_text())
@@ -143,7 +150,7 @@ def test_profile_that_is_not_an_object_names_its_file(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError) as caught:
         load_profile(str(path))
-    assert str(caught.value) == f"{path}: a profile holds one JSON object"
+    assert str(caught.value) == f"{path}: must hold one JSON object"
 
 
 def test_profile_without_fp_width_takes_the_default(tmp_path):

@@ -258,9 +258,11 @@ class CountingOracle:
         self.profile = inner.profile
         self.calls = Counter()
 
-    def score_mol(self, mol, d=None):
+    score = SurrogateOracle.score  # which calls the score_mol below
+
+    def score_mol(self, mol, d=None, fp=None):
         self.calls[mol.smiles] += 1
-        return self.inner.score_mol(mol, d)
+        return self.inner.score_mol(mol, d, fp)
 
 
 def test_search_scores_each_distinct_molecule_once(search_setup, monkeypatch):
@@ -271,7 +273,7 @@ def test_search_scores_each_distinct_molecule_once(search_setup, monkeypatch):
         parsed[smiles] += 1
         return try_parse(smiles)
 
-    monkeypatch.setattr("blockmol.search.try_parse", counting_parse)
+    monkeypatch.setattr("blockmol.oracle.try_parse", counting_parse)
     counting = CountingOracle(oracle)
     out = run_search(SearchConfig(n_max=60, m=8, n_sim=4, decode=decode),
                      params, vocab, counting)

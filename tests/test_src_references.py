@@ -7,7 +7,8 @@ helper that loses its last caller fails here until it is deleted or
 exempted; a name that src reads off numpy or the standard library (such
 as ``np.zeros``) counts as no reference.  An exemption kept because the
 benchmark's tracer wraps it is checked against ``TRACED`` in
-perfbench/spans.py, read with ast.
+perfbench/spans.py, read with ast.  A second scan keeps JSON type checks in
+one function.
 """
 
 import ast
@@ -83,3 +84,23 @@ def test_each_tracer_reason_names_a_traced_function():
     traced = _traced()
     assert {name for name, why in EXEMPT.items() if TRACED_REASON in why} == \
         {name for name in EXEMPT if name in traced} != set()
+
+
+def _bool_checks(node, qualified):
+    """The qualified name of the definition around each ``isinstance(x, bool)``,
+    or ``isinstance(x, (..., bool))``, under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        name = f"{qualified}.{child.name}" if isinstance(child, _DEFINITIONS) else qualified
+        if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                and len(child.args) == 2 and any(
+                    getattr(n, "id", None) == "bool" for n in ast.walk(child.args[1]))):
+            yield name
+        yield from _bool_checks(child, name)
+
+
+def test_only_check_record_judges_json_types():
+    # A JSON true is a Python int, so a JSON type check tests for bool; such a
+    # test outside fragment.check_record is a second type checker.
+    found = {name for path in sorted(SRC.glob("*.py"))
+             for name in _bool_checks(ast.parse(path.read_text()), path.stem)}
+    assert found == {"fragment.check_record"}
