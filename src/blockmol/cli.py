@@ -311,16 +311,18 @@ def cmd_sample(args) -> int:
 
     def lines(lo: int, hi: int):
         """Rows lo..hi as JSON lines with the predictor rows and row-steps their
-        decoding took, or the BudgetExhausted that stopped them."""
+        decoding took, the rows judged invalid from their ids and the SMILES
+        parsed, or the BudgetExhausted that stopped them."""
         counts = decoder.predicted_rows, decoder.row_steps
         try:
             records = decoder.decode(hi - lo, prefix, first_lane=lo)
         except BudgetExhausted as err:
             return err
         out = io.StringIO()
-        write_jsonl(records, out, cfg["seed"])
+        parsed = write_jsonl(records, out, cfg["seed"])
         return (out.getvalue(), decoder.predicted_rows - counts[0],
-                decoder.row_steps - counts[1])
+                decoder.row_steps - counts[1], sum(rec.proven_invalid for rec in records),
+                parsed)
 
     # Rows draw with their own lanes, so the chunks join to the same bytes
     # whatever their count.
@@ -334,8 +336,10 @@ def cmd_sample(args) -> int:
         log.error("sample: decoding was aborted, so no molecule was written; "
                   "raise --steps (sample.T)")
         return 2
-    texts, rows, steps = zip(*chunks)
+    texts, rows, steps, judged, parsed = zip(*chunks)
     log.info("sample: %s predictor rows for %s row-steps", f"{sum(rows):,}", f"{sum(steps):,}")
+    log.info("sample: %s rows judged invalid from their ids, %s SMILES parsed",
+             f"{sum(judged):,}", f"{sum(parsed):,}")
     sys.stdout.write("".join(texts))
     _manifest(args.manifest, "sample", cfg, {"checkpoint": args.checkpoint, "n": args.n})
     return 0
@@ -361,6 +365,8 @@ def cmd_search(args) -> int:
     log.info("search: %d iterations, %d rollouts skipped from a dead prefix, "
              "%d terminal reselections", outcome.iterations, outcome.dead_rollouts,
              outcome.terminal_reselections)
+    log.info("search: %d rollout rows judged invalid from their ids, %d SMILES parsed",
+             outcome.judged_rows, outcome.parsed)
     for result in outcome.results:
         sys.stdout.write(result.to_json_line() + "\n")
     sys.stdout.write(json.dumps(outcome.summary()) + "\n")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffusion
-from .chem import _FNV_PRIME, UnknownToken, Vocab, fnv1a64, try_parse
+from .chem import _FNV_PRIME, TokenKind, UnknownToken, Vocab, fnv1a64, tokenize, try_parse
 from .fragment import ConfigError, FragmentConfig, TooLong, check_fields, reassemble
 
 log = logging.getLogger(__name__)
@@ -140,31 +140,77 @@ def gcd_select(conf: np.ndarray, masked: np.ndarray) -> tuple[np.ndarray, np.nda
     return conf.argmax(axis=-1), conf.max(axis=-1)
 
 
-def _confidence(nucleus: diffusion.Nucleus, tokens: np.ndarray) -> np.ndarray:
+def _confidence(nucleus: diffusion.Nucleus) -> np.ndarray:
     """Each row's largest committable probability after truncation, read off its
-    cut: kept at or above the cut, dropped below it.  Only a row whose entries
-    equal to its cut straddle it is truncated in full, as the tie rule may drop
-    its top entry."""
-    probs, keep, cut, mass = nucleus
-    top = np.maximum.reduce(probs, axis=1, initial=0.0, where=tokens)
+    top entry and its cut: kept at or above the cut, dropped below it.  Only a
+    row whose top entry is its cut, with entries equal to the cut straddling it,
+    is truncated in full, as the tie rule may drop its top entry."""
+    probs, keep, cut, mass, top = nucleus
     conf = top / mass
     if (top <= cut).any():
         conf[top < cut] = 0.0
-        tied = ((top == cut) & ((probs >= cut[:, None]).sum(axis=1) > keep)).nonzero()[0]
+        at_cut = (top == cut).nonzero()[0]
+        tied = at_cut[(probs[at_cut] >= cut[at_cut, None]).sum(axis=1) > keep[at_cut]]
         if tied.size:
             truncated = diffusion.nucleus_expand(nucleus, tied)
-            conf[tied] = np.maximum.reduce(truncated, axis=1, initial=0.0, where=tokens)
+            truncated[:, Vocab.MASK_ID] = 0.0  # no entry is below 0
+            conf[tied] = truncated.max(axis=1)
     return conf
 
 
 def _groups(keys: np.ndarray):
-    """Each group's first index in the (n,) or (n, 1) ``keys`` and each key's
-    group, the equal keys forming one group; slices that keep every row its
-    own group when no two keys are equal, since groups only ever split."""
+    """Each group's first index in the (n,) ``keys`` or the (n, w) rows of ``keys``,
+    and each key's group, the equal keys forming one group; slices that keep
+    every key its own group when no two keys are equal, since groups only ever
+    split."""
+    if keys.ndim == 2:  # a row compares as one opaque key
+        keys = np.ascontiguousarray(keys)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
     _, first, group = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     if first.shape[0] == keys.shape[0]:
         return slice(None), slice(None)
     return first, group
+
+
+def _id_tables(vocab: Vocab):
+    """The tables ``_proven_invalid`` reads: each id's branch depth step, +1
+    for '(' and -1 for ')', with BOS stepping down further than any row can
+    open, and the bit of its ring number, as ``scan`` keys it, modulo 64.  None
+    unless each body token of ``vocab`` tokenizes to itself alone, as only then
+    do a row's texts, joined, tokenize back to its tokens."""
+    step = np.zeros(len(vocab), dtype=np.int64)
+    step[Vocab.BOS_ID] = -2**32
+    bit = np.zeros(len(vocab), dtype=np.uint64)
+    for i in range(Vocab.MASK_ID + 1, len(vocab)):
+        text = vocab.tokens[i]
+        try:  # tokenize gives back its text, so one token is the text itself
+            (token,) = tokenize(text)
+        except ValueError:  # a ChemError, or not one token
+            return None
+        if token.kind is TokenKind.BRANCH_OPEN:
+            step[i] = 1
+        elif token.kind is TokenKind.BRANCH_CLOSE:
+            step[i] = -1
+        elif token.kind is TokenKind.RING:
+            bit[i] = 1 << int(text.lstrip("%")) % 64
+    return step, bit
+
+
+def _proven_invalid(ids: np.ndarray, tables) -> np.ndarray:
+    """Which rows of (n, L) ``ids`` no parse can accept, read off the ids of each
+    row's body (its tokens after a leading BOS and before the first EOS, PAD
+    left out): a body that holds a BOS, closes a branch it never opened, leaves
+    one open, uses a ring number an odd number of times, or holds no token.
+    ``tables`` are ``_id_tables``'; with None, no row is marked.  Ring numbers
+    that share a bit can only hide an odd count, never make one."""
+    if tables is None:
+        return np.zeros(ids.shape[0], dtype=bool)
+    step, bit = tables
+    body = ~np.logical_or.accumulate(ids == Vocab.EOS_ID, axis=1) & (ids != Vocab.PAD_ID)
+    body[:, 0] &= ids[:, 0] != Vocab.BOS_ID
+    depth = (step[ids] * body).cumsum(axis=1)
+    odd = np.bitwise_xor.reduce(bit[ids] * body, axis=1)
+    return ~body.any(axis=1) | (depth.min(axis=1) < 0) | (depth[:, -1] != 0) | (odd != 0)
 
 
 @dataclass(frozen=True)
@@ -197,6 +243,7 @@ class GenRecord:
     smiles: str
     completed: bool
     block_count: int
+    proven_invalid: bool = False  # its ids already show that smiles does not parse
 
 
 class Decoder:
@@ -212,7 +259,7 @@ class Decoder:
         self.cfg = cfg
         self.vocab = vocab
         self._table = diffusion.visible_table(params)
-        self._tokens = np.arange(params.vocab_size) != Vocab.MASK_ID
+        self._id_tables = _id_tables(vocab)
         self._fragment = cfg.fragment
         # Predictor rows computed, and rows served by them, summed over steps.
         self.predicted_rows = self.row_steps = 0
@@ -277,8 +324,7 @@ class Decoder:
             u_draw[rows] = lane_uniforms(step_keys(keys[rows], b, steps), 0xD0)
         first = group = slice(None)  # each row its own group
         if rows.shape[0] >= GROUP_ROWS:
-            windows = np.ascontiguousarray(ids[rows, :hi])
-            first, group = _groups(windows.view(np.dtype((np.void, windows.itemsize * hi))))
+            first, group = _groups(ids[rows, :hi])
         gain = self._gain[:, :, cfg.length - hi:]
         for step in range(steps):
             if rows.shape[0] == 0:
@@ -292,7 +338,7 @@ class Decoder:
             nucleus = diffusion.predict(self.params, ids[reps, :hi], gain, self._table, masked,
                                         cfg.temperature, cfg.nucleus_p)
             conf = np.zeros(masked.shape)
-            conf[masked] = _confidence(nucleus, self._tokens)
+            conf[masked] = _confidence(nucleus)
             j, conf = gcd_select(conf, masked)
             pair = masked.cumsum() - 1  # each masked pair's row in the cut
             top = diffusion.nucleus_expand(nucleus, pair[np.arange(reps.shape[0]) * K + j])
@@ -362,31 +408,40 @@ class Decoder:
         return self.records(ids)
 
     def records(self, ids: np.ndarray) -> list[GenRecord]:
-        """One record per row; a row is completed when it holds an EOS, and its
-        block count then runs to the block of its first EOS, which is the block
-        where it finished: the prefix holds no control token."""
-        out = []
+        """One record per row, rows with equal ids sharing one; a row is
+        completed when it holds an EOS, and its block count then runs to the
+        block of its first EOS, which is the block where it finished: the
+        prefix holds no control token."""
         frag = self._fragment
+        first, group = _groups(ids)
+        ids = ids[first]
         eos = ids == Vocab.EOS_ID
         done = eos.any(axis=1)
         ends = np.argmax(eos, axis=1) // frag.block + 1
+        invalid = _proven_invalid(ids, self._id_tables)
+        out = []
         for n in range(ids.shape[0]):
             tokens = reassemble(ids[n], self.vocab)
             out.append(GenRecord(tuple(tokens), "".join(tokens), bool(done[n]),
-                                 int(ends[n]) if done[n] else frag.num_blocks))
-        return out
+                                 int(ends[n]) if done[n] else frag.num_blocks,
+                                 bool(invalid[n])))
+        return out if isinstance(group, slice) else [out[k] for k in group.tolist()]
 
 
 def log_abort(err: BudgetExhausted):
     log.warning("decode aborted: %s", err)
 
 
-def write_jsonl(records: list[GenRecord], fh, seed: int):
-    """One JSON object per molecule: smiles, validity, completed, block count, seed."""
-    valid: dict[str, bool] = {}  # one parse per distinct SMILES
+def write_jsonl(records: list[GenRecord], fh, seed: int) -> int:
+    """One JSON object per molecule: smiles, validity, completed, block count,
+    seed.  Returns how many SMILES it parsed: at most one parse per distinct
+    SMILES, and none for a record whose ids prove it invalid."""
+    valid: dict[str, bool] = {}
+    parsed = 0
     for rec in records:
         if rec.smiles not in valid:
-            valid[rec.smiles] = try_parse(rec.smiles)[1] is None
+            parsed += not rec.proven_invalid
+            valid[rec.smiles] = not rec.proven_invalid and try_parse(rec.smiles)[1] is None
         fh.write(json.dumps({
             "smiles": rec.smiles,
             "valid": valid[rec.smiles],
@@ -394,3 +449,4 @@ def write_jsonl(records: list[GenRecord], fh, seed: int):
             "block_count": rec.block_count,
             "seed": seed,
         }) + "\n")
+    return parsed

@@ -200,11 +200,13 @@ def _softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 class Nucleus(NamedTuple):
     """The nucleus cut of (M, V) rows ``probs``: each keeps ``keep`` entries, the
-    smallest ``cut`` (equal ones may straddle it), renormalized by their sum ``mass``."""
+    smallest ``cut`` (equal ones may straddle it), renormalized by their sum ``mass``.
+    ``top`` is each row's largest entry outside MASK's column, before the cut."""
     probs: np.ndarray
     keep: np.ndarray
     cut: np.ndarray
     mass: np.ndarray
+    top: np.ndarray
 
 
 def nucleus_cut(probs: np.ndarray, p: float) -> Nucleus:
@@ -212,10 +214,17 @@ def nucleus_cut(probs: np.ndarray, p: float) -> Nucleus:
     At p = 1 every entry is kept with mass 1, so the rows expand to themselves."""
     check_interval("nucleus p", p, "(0, 1]")
     n, width = probs.shape
-    if p == 1.0:
-        return Nucleus(probs, np.full(n, width), np.zeros(n), np.ones(n))
+    if p == 1.0:  # nothing is sorted, so the top entries take a pass of their own
+        top = np.maximum.reduce(probs, axis=1, initial=0.0,
+                                where=np.arange(width) != Vocab.MASK_ID)
+        return Nucleus(probs, np.full(n, width), np.zeros(n), np.ones(n), top)
     rows = np.arange(n)
     ranked = np.sort(probs, axis=1)[:, ::-1]  # tie order cannot change the values
+    # The largest entry outside MASK's column ranks first, or second where MASK's
+    # entry ranks first; an entry tied with MASK's ranks second with its value.
+    top = ranked[:, 0]
+    if width > Vocab.MASK_ID:
+        top = np.where(probs[:, Vocab.MASK_ID] == top, ranked[:, 1], top)
     csum = ranked.cumsum(axis=1)
     short = csum < p  # the sums never fall: the last kept one is the first to reach p
     short[:, -1] = False
@@ -227,7 +236,7 @@ def nucleus_cut(probs: np.ndarray, p: float) -> Nucleus:
     for k in set(keep[keep >= 8].tolist()):
         group = np.nonzero(keep == k)[0]
         mass[group] = ranked[group, :k].sum(axis=1)
-    return Nucleus(probs, keep, ranked[rows, last], mass)
+    return Nucleus(probs, keep, ranked[rows, last], mass, top)
 
 
 def nucleus_expand(nucleus: Nucleus, rows=slice(None)) -> np.ndarray:
@@ -259,8 +268,9 @@ def predict(params: PredictorParams, windows: np.ndarray, gain: np.ndarray,
     if temperature <= 0.0:
         raise OutOfRange(f"temperature {temperature} must be positive")
     # No name holds the pooled (N, J, d) states, so they are freed once projected,
-    logits = _pooled(windows, gain, table) @ params.out + params.bias
-    logits = logits[masked]  # and the (N, J, V) logits before the cut
+    # nor the (N, J, V) logits, freed once gathered.  The bias is added per entry,
+    # so adding it after the gather gives the same bits for fewer adds.
+    logits = (_pooled(windows, gain, table) @ params.out)[masked] + params.bias
     return nucleus_cut(_softmax(logits, temperature), nucleus_p)
 
 

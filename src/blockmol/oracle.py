@@ -67,9 +67,11 @@ class OracleProfile:
 
 
 # Each profile key, sorted, with its JSON type and interval; only fp_width may be left
-# out, and ``fingerprint`` judges it.  size_optimum's bound keeps ds's arithmetic finite.
-_PROFILE_FIELDS = {"fp_width": (int, None), "name": (str, None), "seed_smiles": (str, None),
-                   "size_optimum": (int, "[0, 2**20]"), "threshold_ds": (float, "(-inf, inf)")}
+# out, and ``fingerprint`` judges it below its ceiling, which keeps a fingerprint's bits
+# few enough to allocate.  size_optimum's bound keeps ds's arithmetic finite.
+_PROFILE_FIELDS = {"fp_width": (int, "[1, 2**16]"), "name": (str, None),
+                   "seed_smiles": (str, None), "size_optimum": (int, "[0, 2**20]"),
+                   "threshold_ds": (float, "(-inf, inf)")}
 
 
 def load_profile(name: str) -> OracleProfile:

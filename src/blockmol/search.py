@@ -169,6 +169,8 @@ class SearchOutcome:
     root: SearchNode
     dead_rollouts: int  # open children whose rollouts were skipped: see dead()
     terminal_reselections: int  # iterations that only backed up a terminal leaf's reward
+    judged_rows: int  # rows simulate judged invalid from their ids, parsing none
+    parsed: int  # distinct SMILES that simulate parsed and scored
 
     def summary(self) -> dict:
         return {
@@ -189,7 +191,7 @@ class TreeSearch:
         self._frag = cfg.decode.fragment
         self._last_block = min(self._frag.num_blocks, cfg.d_max)
         self._scores: dict[str, OracleScores | None] = {}  # _score's, by SMILES
-        self.dead_rollouts = self.terminal_reselections = 0
+        self.dead_rollouts = self.terminal_reselections = self.judged_rows = 0
 
     def make_root(self) -> SearchNode:
         return SearchNode(partial=self._decoder.frame(1)[0], depth=0, cap=self.cfg.c_init)
@@ -295,7 +297,8 @@ class TreeSearch:
         cfg = self.cfg
         best, results = cfg.gate.r_pen, []
         for rec in self._decoder.records(ids):
-            scores = self._score(rec.smiles)
+            self.judged_rows += rec.proven_invalid
+            scores = None if rec.proven_invalid else self._score(rec.smiles)
             if scores is None:  # an invalid molecule earns the penalty
                 continue
             reward = -scores.ds if cfg.gate.passes(scores) else cfg.gate.r_pen
@@ -358,6 +361,8 @@ class TreeSearch:
             root=root,
             dead_rollouts=self.dead_rollouts,
             terminal_reselections=self.terminal_reselections,
+            judged_rows=self.judged_rows,
+            parsed=len(self._scores),
         )
 
 

@@ -147,18 +147,18 @@ def distinct_prefixes(toy500):
 
 @pytest.fixture(scope="session")
 def blockmol_cli():
-    """Factory: blockmol_cli(args, hashseed=0, returncode=0) -> the finished
-    ``python -m blockmol *args`` child process.
+    """Factory: blockmol_cli(args, hashseed=0, returncode=0, flags=()) -> the
+    finished ``python *flags -m blockmol *args`` child process.
 
     The child imports the package from this repository's ``src`` whatever the
     current directory, so no install is needed, and runs under the explicit
     ``PYTHONHASHSEED`` given.  Fails unless the exit code is ``returncode``.
     """
-    def run(args, hashseed=0, returncode=0):
+    def run(args, hashseed=0, returncode=0, flags=()):
         env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "blockmol", *args],
+        proc = subprocess.run([sys.executable, *flags, "-m", "blockmol", *args],
                               capture_output=True, timeout=300, env=env)
         assert proc.returncode == returncode, proc.stderr.decode()
         return proc

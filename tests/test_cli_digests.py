@@ -97,12 +97,24 @@ def test_cli_outputs_keep_their_bytes(tmp_path, caplog):
             record["terminal_reselections"]) == (1000, 91, 422)
     assert ("search: 1000 iterations, 91 rollouts skipped from a dead prefix, "
             "422 terminal reselections") in caplog.messages
+    # 1,676 of its 3,187 rollout rows are judged invalid from their ids alone.
+    assert ("search: 1676 rollout rows judged invalid from their ids, "
+            "575 SMILES parsed") in caplog.messages
     sampled = tmp_path / "sample.jsonl"
     sampled.write_bytes(outputs["sample --mode sample --seed 51000"])
     for name, path in (("eval of the sample", sampled), ("eval of the rollouts", rollouts)):
         outputs[name] = _stdout(["eval", "--in", str(path), "--target", "parp1"])
     got = {name: hashlib.sha256(out).hexdigest() for name, out in outputs.items()}
     assert got == DIGESTS[STREAM_VERSION]
+
+
+def test_benchmark_sample_keeps_its_bytes_under_python_O(tmp_path, blockmol_cli):
+    # -O strips every assert, so no decoding or verdict may rest on one.
+    ckpt, _ = _train(tmp_path)
+    proc = blockmol_cli(["sample", "--checkpoint", str(ckpt), "--n", "2000", "--mode", "sample",
+                         "--seed", "51000"] + DECODE_FLAGS, flags=["-O"])
+    assert (hashlib.sha256(proc.stdout).hexdigest()
+            == DIGESTS[STREAM_VERSION]["sample --mode sample --seed 51000"])
 
 
 def test_oracle_score_equals_score_mol_on_the_benchmark_rollouts(tmp_path):

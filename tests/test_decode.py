@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from blockmol import decode, diffusion
-from blockmol.chem import Vocab, try_parse
+from blockmol import data, decode, diffusion
+from blockmol.chem import CONTROL_TOKENS, ChemError, Vocab, tokenize, try_parse
 from blockmol.decode import (
     BudgetExhausted,
     DecodeConfig,
@@ -31,7 +31,7 @@ from blockmol.decode import (
     write_jsonl,
 )
 from blockmol.diffusion import OutOfRange, PredictorParams
-from blockmol.fragment import ConfigError
+from blockmol.fragment import ConfigError, reassemble
 
 
 def test_key_uniform_is_deterministic_and_keyed():
@@ -333,7 +333,6 @@ def tied_rows(draw):
 @example((np.array([[0.4, 0.2, 0.0, 0.2, 0.2], [0.5, 0.0, 0.0, 0.25, 0.25]]), 0.7))
 def test_confidence_read_off_the_cut_is_the_truncated_rows_max(problem):
     probs, p = problem
-    tokens = np.arange(probs.shape[1]) != Vocab.MASK_ID
     nucleus = diffusion.nucleus_cut(probs, p)
     truncated = diffusion.nucleus_expand(nucleus)
     # The decoder expands each row it chooses alone.
@@ -341,7 +340,7 @@ def test_confidence_read_off_the_cut_is_the_truncated_rows_max(problem):
         chosen = diffusion.nucleus_expand(nucleus, np.array([row]))
         assert chosen.tobytes() == truncated[row].tobytes()
     truncated[:, Vocab.MASK_ID] = 0.0  # the decoder never commits MASK
-    assert _confidence(nucleus, tokens).tobytes() == truncated.max(axis=1).tobytes()
+    assert _confidence(nucleus).tobytes() == truncated.max(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["confidence", "sample"])
@@ -378,3 +377,209 @@ def test_vocab_size_guard(vocab):
     params = PredictorParams.zeros(len(vocab) + 1, dim=4, window=2)
     with pytest.raises(diffusion.VocabMismatch):
         Decoder(params, DecodeConfig(block=8, length=48), vocab)
+
+
+# --- confidence read off the sort
+
+
+def _confidence_by_reduce(nucleus, tokens):
+    """The confidence as it was computed before ``Nucleus.top``: a reduce over
+    every entry outside MASK's column, then the same reading of the cut."""
+    probs, keep, cut, mass, _ = nucleus
+    top = np.maximum.reduce(probs, axis=1, initial=0.0, where=tokens)
+    conf = top / mass
+    conf[top < cut] = 0.0
+    tied = ((top == cut) & ((probs >= cut[:, None]).sum(axis=1) > keep)).nonzero()[0]
+    if tied.size:
+        truncated = diffusion.nucleus_expand(nucleus, tied)
+        conf[tied] = np.maximum.reduce(truncated, axis=1, initial=0.0, where=tokens)
+    return conf
+
+
+@st.composite
+def softmax_rows(draw):
+    """Rows of a softmax, as ``predict`` gives them, with MASK's logit often the
+    largest, tied with another's, or far below every other, and a p that is
+    often 1."""
+    rows, width = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    logits = np.array(draw(st.lists(st.floats(-30.0, 30.0), min_size=rows * width,
+                                    max_size=rows * width))).reshape(rows, width)
+    if width > Vocab.MASK_ID:
+        for row in range(rows):
+            other = draw(st.integers(0, width - 1))
+            logits[row, Vocab.MASK_ID] = draw(st.sampled_from(
+                [logits[row].max() + 1.0, logits[row, other], -50.0]))
+    p = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    return diffusion._softmax(logits), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(softmax_rows(), tied_rows()))
+@example((np.array([[0.1, 0.1, 0.1, 0.5, 0.2]]), 0.9))  # MASK holds the maximum
+@example((np.array([[0.1, 0.0, 0.1, 0.4, 0.4]]), 0.9))  # MASK ties another token
+@example((np.array([[0.1, 0.0, 0.1, 0.4, 0.4]]), 1.0))  # p = 1 sorts nothing
+@example((np.array([[0.1, 0.0, 0.1, 0.5, 0.3]]), 1.0))
+@example((np.array([[0.25, 0.75]]), 0.5))  # too narrow to hold a MASK column
+def test_confidence_from_the_sort_equals_the_reduce_bitwise(problem):
+    probs, p = problem
+    tokens = np.arange(probs.shape[1]) != Vocab.MASK_ID
+    nucleus = diffusion.nucleus_cut(probs, p)
+    want = np.maximum.reduce(probs, axis=1, initial=0.0, where=tokens)
+    assert nucleus.top.tobytes() == want.tobytes()
+    if probs.shape[1] > Vocab.MASK_ID:  # as every vocab's rows are
+        assert _confidence(nucleus).tobytes() == _confidence_by_reduce(nucleus, tokens).tobytes()
+
+
+# --- verdicts from ids
+
+BENCH_SMILES = data.toy_candidates(3)[::62]  # the benchmark predictor's corpus
+BENCH_VOCAB = Vocab.build(tokenize(s) for s in BENCH_SMILES)
+ROW_L = 48
+
+
+def _row(*texts):
+    """A row of ``ROW_L`` token texts: ``texts``, then PAD."""
+    return list(texts) + ["[PAD]"] * (ROW_L - len(texts))
+
+
+def _verdicts(vocab, rows):
+    """(records, write_jsonl's valid) of the id rows of token texts ``rows``."""
+    params = PredictorParams.zeros(len(vocab), 4, 2)
+    dec = Decoder(params, DecodeConfig(block=8, length=ROW_L), vocab)
+    records = dec.records(np.array([vocab.encode(row) for row in rows], dtype=np.int64))
+    out = io.StringIO()
+    write_jsonl(records, out, seed=0)
+    return records, [json.loads(line)["valid"] for line in out.getvalue().splitlines()]
+
+
+# Every kind of token, each of which tokenizes to itself, and fragments that
+# only join into tokens.
+_PIECES = ["C", "c", "N", "n", "O", "o", "S", "s", "P", "p", "B", "b", "F", "I", "Cl", "Br",
+           "[nH]", "[NH4+]", "[O-]", "[C@@H]", "[13CH3]", "-", "=", "#", ":", "/", "\\",
+           "0", "1", "7", "9", "%10", "%01", "%99", "(", ")", ".", "[", "]", "%", "l", "r", "H"]
+
+
+@st.composite
+def built_vocab_and_body(draw):
+    """A vocab that ``Vocab.build`` makes of tokenized texts, the benchmark's
+    among them, and a sequence of its body tokens, BOS included."""
+    if draw(st.booleans()):
+        vocab = BENCH_VOCAB
+    else:
+        texts = draw(st.lists(st.lists(st.sampled_from(_PIECES), max_size=12), min_size=1,
+                              max_size=4))
+        token_lists = []
+        for pieces in texts:
+            try:
+                token_lists.append(tokenize("".join(pieces)))
+            except ChemError:
+                pass
+        vocab = Vocab.build(token_lists)
+    body = ("[BOS]",) + vocab.tokens[Vocab.MASK_ID + 1:]
+    return vocab, draw(st.lists(st.sampled_from(body), max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_vocab_and_body())
+def test_joined_body_tokens_of_a_built_vocab_tokenize_back(problem):
+    # What makes a verdict from ids sound: the SMILES of a row, its texts
+    # joined, tokenizes back to the row's tokens, which the ids name.
+    vocab, body = problem
+    assert [tok.text for tok in tokenize("".join(body))] == body
+    assert decode._id_tables(vocab) is not None
+
+
+_TEXTS = [t for t in BENCH_VOCAB.tokens if t != "[MASK]"]
+
+
+@st.composite
+def edited_rows(draw):
+    """Framed benchmark molecules, each with a few tokens overwritten by any
+    token but MASK, BOS, EOS and PAD among them."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = _row("[BOS]", *(t.text for t in tokenize(draw(st.sampled_from(BENCH_SMILES)))),
+                   "[EOS]")
+        for _ in range(draw(st.integers(0, 3))):
+            row[draw(st.integers(0, ROW_L - 1))] = draw(st.sampled_from(_TEXTS))
+        rows.append(row)
+    return rows
+
+
+# One row for each rule that marks a row, and rows that no rule marks.
+MARKED = [
+    _row("[BOS]", "C", "[BOS]", "C", "[EOS]"),  # a BOS in the body
+    _row("[BOS]", "C", ")", "C", "[EOS]"),  # a ')' with no open '('
+    _row("[BOS]", "C", "(", "C", "[EOS]"),  # a '(' left open
+    _row("[BOS]", "C", "1", "C", "C", "1", "C", "1", "[EOS]"),  # ring 1 used three times
+    _row("[BOS]", "[PAD]", "[EOS]", "C"),  # no token before the first EOS
+    _row("[EOS]", "C", "C"),  # nor here
+]
+UNMARKED = [
+    _row("[BOS]", "C", "1", "C", "C", "1", "C", "1", "C", "C", "1", "[EOS]"),  # ring 1 reused
+    _row("C", "C", "(", "C", ")", "O", "[EOS]", ")", "[BOS]"),  # no leading BOS; after EOS
+    _row("[BOS]", "C", "[PAD]", "C"),  # PAD inside, and no EOS
+    _row("[BOS]", "c", "1", "c", "c", "c", "1", "[EOS]"),  # balanced, yet does not parse
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(edited_rows(), st.lists(st.lists(st.sampled_from(_TEXTS), min_size=ROW_L,
+                                                  max_size=ROW_L), min_size=1, max_size=4)))
+@example([MARKED[0]])
+@example([MARKED[1]])
+@example([MARKED[2]])
+@example([MARKED[3]])
+@example([MARKED[4]])
+@example([MARKED[5]])
+@example(UNMARKED)
+def test_no_row_its_ids_mark_parses_and_every_verdict_is_the_parse(rows):
+    records, valid = _verdicts(BENCH_VOCAB, rows)
+    for rec, verdict in zip(records, valid):
+        parses = try_parse(rec.smiles)[1] is None
+        assert not (rec.proven_invalid and parses), rec.smiles
+        assert verdict == parses, rec.smiles
+
+
+def test_each_rule_marks_its_row_and_only_those():
+    records, valid = _verdicts(BENCH_VOCAB, MARKED + UNMARKED)
+    assert [rec.proven_invalid for rec in records] == [True] * len(MARKED) + [False] * 4
+    assert valid == [False] * len(MARKED) + [True, True, True, False]
+
+
+def test_ring_numbers_are_keyed_by_their_value():
+    # '%01' closes the ring that '1' opens, as scan keys both as ring 1.  Ring
+    # 65 shares ring 1's bit, which hides the odd counts of both: that row is
+    # left to the parse.
+    vocab = Vocab.build([tokenize("C1CC%01"), tokenize("C%11CC1"), tokenize("C%65CC1")])
+    records, valid = _verdicts(vocab, [_row("[BOS]", "C", "1", "C", "C", "%01", "[EOS]"),
+                                       _row("[BOS]", "C", "%11", "C", "C", "1", "[EOS]"),
+                                       _row("[BOS]", "C", "%65", "C", "C", "1", "[EOS]")])
+    assert [(rec.proven_invalid, ok) for rec, ok in zip(records, valid)] == [
+        (False, True), (True, False), (False, False)]
+
+
+def test_verdicts_from_ids_are_off_for_a_token_that_is_not_itself():
+    # "C1" tokenizes to two tokens, so the ids of a row do not name the
+    # tokens of its SMILES: "C1" "C" "C" "1" is cyclopropane, whose ids show
+    # ring 1 used once.
+    vocab = Vocab(tuple(CONTROL_TOKENS) + ("1", "C", "C1"))
+    assert decode._id_tables(vocab) is None
+    records, valid = _verdicts(vocab, [_row("[BOS]", "C1", "C", "C", "1", "[EOS]"),
+                                       _row("[BOS]", "[EOS]")])
+    assert [rec.proven_invalid for rec in records] == [False, False]
+    assert valid == [True, False]
+
+
+def test_equal_rows_share_one_record_and_one_reassembly(trained42, vocab, monkeypatch):
+    calls = []
+
+    def counting(ids, vocab):
+        calls.append(ids)
+        return reassemble(ids, vocab)
+
+    monkeypatch.setattr(decode, "reassemble", counting)
+    dec = Decoder(trained42, DecodeConfig(block=8, length=48, nucleus_p=0.95), vocab)
+    records = dec.generate(1000)
+    assert len(records) == 1000 and len(calls) == 1
+    assert all(rec is records[0] for rec in records)

@@ -134,6 +134,9 @@ def test_profile_from_explicit_path(tmp_path):
     ({"threshold_ds": -math.inf}, "threshold_ds must lie in (-inf, inf), got -inf"),
     ({"threshold_ds": 10**400}, f"threshold_ds must lie in (-inf, inf), got {10**400}"),
     ({"size_optimum": 10**400}, f"size_optimum must lie in [0, 2**20], got {10**400}"),
+    # Before, these loaded, and eval then exited with a bare MemoryError.
+    ({"fp_width": 2**64}, f"fp_width must lie in [1, 2**16], got {2**64}"),
+    ({"fp_width": 2**4000}, f"fp_width must lie in [1, 2**16], got {2**4000}"),
 ])
 def test_malformed_profile_names_its_file_and_key(tmp_path, edit, message):
     record = json.loads((PROFILE_DIR / "parp1.json").read_text())
