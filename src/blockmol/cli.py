@@ -23,12 +23,13 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
 from . import STREAM_VERSION, chem, data, diffusion, metrics, parallel
 from .chem import Vocab, tokenize, try_parse
-from .curate import CurationConfig, curate_stream
+from .curate import curate_stream
 from .decode import BudgetExhausted, DecodeConfig, Decoder, log_abort, write_jsonl
 from .fragment import FragmentConfig, check_interval, check_record, pad_and_partition
 from .oracle import SurrogateOracle, list_profiles, load_profile
@@ -207,8 +208,7 @@ def cmd_validate(args) -> int:
 
 def cmd_curate(args) -> int:
     _check_writable(None if args.out == "-" else args.out, args.report)
-    cfg = CurationConfig()
-    accepted, report = curate_stream((line for _, line in _numbered_lines(args.infile)), cfg)
+    accepted, report = curate_stream(line for _, line in _numbered_lines(args.infile))
     if not report.input_count:  # all-rejected input still exits 0: its report says why
         raise ValueError(f"{args.infile}: no molecules to curate")
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
@@ -226,10 +226,14 @@ def cmd_curate(args) -> int:
     return 0
 
 
-def _tokenized_corpus(lines, frag: FragmentConfig, source: str):
+def _tokenized_corpus(numbered, frag: FragmentConfig, source: str):
+    """Token lists of ``source``'s (line number, SMILES) pairs that fit ``frag``."""
     token_lists, skipped = [], 0
-    for smiles in lines:
-        tokens = tokenize(smiles)
+    for number, smiles in numbered:
+        try:
+            tokens = tokenize(smiles)
+        except chem.ChemError as err:
+            raise ValueError(f"{source}:{number}: {err}") from None
         if len(tokens) > frag.length - 2:
             skipped += 1
             continue
@@ -245,11 +249,12 @@ def _tokenized_corpus(lines, frag: FragmentConfig, source: str):
 def cmd_train(args) -> int:
     _check_writable(args.out, args.manifest)
     cfg = resolve(args)
-    check_interval("--toy", args.toy, data.TOY_INTERVAL)
+    toy = 500 if args.toy is None else args.toy
+    check_interval("--toy", toy, data.TOY_INTERVAL)
     frag = FragmentConfig(cfg["train.L"], cfg["train.K"])
-    lines = data.toy_corpus(args.toy) if args.infile is None \
-        else [line for _, line in _numbered_lines(args.infile)]
-    token_lists = _tokenized_corpus(lines, frag, args.infile or "toy corpus")
+    numbered = enumerate(data.toy_corpus(toy), start=1) if args.infile is None \
+        else _numbered_lines(args.infile)
+    token_lists = _tokenized_corpus(numbered, frag, args.infile or "toy corpus")
     vocab = Vocab.build(token_lists)
     corpus = np.array([pad_and_partition(t, frag, vocab) for t in token_lists],
                       dtype=np.int64).reshape(len(token_lists), frag.length)
@@ -310,19 +315,16 @@ def cmd_sample(args) -> int:
     prefix = _sample_prefix(decoder, args.prefix)
 
     def lines(lo: int, hi: int):
-        """Rows lo..hi as JSON lines with the predictor rows and row-steps their
-        decoding took, the rows judged invalid from their ids and the SMILES
-        parsed, or the BudgetExhausted that stopped them."""
-        counts = decoder.predicted_rows, decoder.row_steps
+        """Rows lo..hi as JSON lines with the decoder's counts, the SMILES
+        parsed among them, or the BudgetExhausted that stopped them.  Each
+        process decodes one chunk, so the counts are the chunk's."""
         try:
             records = decoder.decode(hi - lo, prefix, first_lane=lo)
         except BudgetExhausted as err:
             return err
         out = io.StringIO()
-        parsed = write_jsonl(records, out, cfg["seed"])
-        return (out.getvalue(), decoder.predicted_rows - counts[0],
-                decoder.row_steps - counts[1], sum(rec.proven_invalid for rec in records),
-                parsed)
+        decoder.counts["parsed"] += write_jsonl(records, out, cfg["seed"])
+        return out.getvalue(), decoder.counts
 
     # Rows draw with their own lanes, so the chunks join to the same bytes
     # whatever their count.
@@ -336,11 +338,12 @@ def cmd_sample(args) -> int:
         log.error("sample: decoding was aborted, so no molecule was written; "
                   "raise --steps (sample.T)")
         return 2
-    texts, rows, steps, judged, parsed = zip(*chunks)
-    log.info("sample: %s predictor rows for %s row-steps", f"{sum(rows):,}", f"{sum(steps):,}")
+    counts = sum((chunk_counts for _, chunk_counts in chunks), Counter())
+    log.info("sample: %s predictor rows for %s row-steps", f"{counts['predicted_rows']:,}",
+             f"{counts['row_steps']:,}")
     log.info("sample: %s rows judged invalid from their ids, %s SMILES parsed",
-             f"{sum(judged):,}", f"{sum(parsed):,}")
-    sys.stdout.write("".join(texts))
+             f"{counts['judged_rows']:,}", f"{counts['parsed']:,}")
+    sys.stdout.write("".join(text for text, _ in chunks))
     _manifest(args.manifest, "sample", cfg, {"checkpoint": args.checkpoint, "n": args.n})
     return 0
 
@@ -362,11 +365,12 @@ def cmd_search(args) -> int:
         decode=_decode_config(cfg, "sample"),
         gate=GateConfig(cfg["gate.tau_qed"], cfg["gate.tau_sa"], cfg["gate.R_pen"]))
     outcome = run_search(search_cfg, params, vocab, SurrogateOracle(profile))
+    counts = outcome.counts  # by name: a count that never happened reads 0
     log.info("search: %d iterations, %d rollouts skipped from a dead prefix, "
-             "%d terminal reselections", outcome.iterations, outcome.dead_rollouts,
-             outcome.terminal_reselections)
+             "%d terminal reselections", outcome.iterations, counts["dead_rollouts"],
+             counts["terminal_reselections"])
     log.info("search: %d rollout rows judged invalid from their ids, %d SMILES parsed",
-             outcome.judged_rows, outcome.parsed)
+             counts["judged_rows"], counts["parsed"])
     for result in outcome.results:
         sys.stdout.write(result.to_json_line() + "\n")
     sys.stdout.write(json.dumps(outcome.summary()) + "\n")
@@ -380,8 +384,8 @@ def cmd_search(args) -> int:
     _manifest(args.manifest, "search", cfg,
               {"target": profile.name, "checkpoint": args.checkpoint,
                "iterations": outcome.iterations, "aborted": False,
-               "dead_rollouts": outcome.dead_rollouts,
-               "terminal_reselections": outcome.terminal_reselections})
+               "dead_rollouts": counts["dead_rollouts"],
+               "terminal_reselections": counts["terminal_reselections"]})
     return 0
 
 
@@ -427,10 +431,11 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("train", help="train the reference predictor")
-    p.add_argument("--in", dest="infile", default=None,
-                   help="SMILES file; omit to use the built-in toy corpus")
-    p.add_argument("--toy", type=int, default=500,
-                   help=f"toy corpus size when --in is omitted, in {data.TOY_INTERVAL}")
+    corpus = p.add_mutually_exclusive_group()
+    corpus.add_argument("--in", dest="infile", default=None,
+                        help="SMILES file; omit to use the built-in toy corpus")
+    corpus.add_argument("--toy", type=int, default=None,
+                        help=f"toy corpus size, default 500, in {data.TOY_INTERVAL}")
     p.add_argument("--out", required=True, help="checkpoint path")
     _add_settings(p, "train")
     p.set_defaults(func=cmd_train)

@@ -21,27 +21,23 @@ from .oracle import surrogate_qed, surrogate_sa
 
 STAGES = ("physchem", "structural", "lipinski", "diversity")
 
-# Substring motifs rejected outright (reactive/assay-interfering groups).
-DEFAULT_BANNED_PATTERNS = ("N=[N+]=[N-]", "N=Nc", "C(=S)S")
-
-
-@dataclass(frozen=True)
-class CurationConfig:
-    qed_min: float = 0.5  # reject when qed <= qed_min
-    sa_max: float = 5.0  # reject when sa >= sa_max
-    banned_elements: frozenset = frozenset(("Si", "Sn"))
-    bridgehead_max: int = 2
-    max_ring: int = 8
-    rot_max: int = 10
-    tpsa_max: float = 140.0
-    banned_patterns: tuple = DEFAULT_BANNED_PATTERNS
-    logp_max: float = 5.0
-    mw_range: tuple = (100.0, 500.0)
-    hbd_max: int = 5
-    hba_max: int = 10
-    tanimoto_max: float = 0.5
-    heavy_range: tuple = (4, 49)
-    fp_width: int = 2048
+# The rules' thresholds, in the order ``classify`` applies them: a molecule is
+# rejected at qed <= QED_MIN or sa >= SA_MAX, and above any other maximum.
+QED_MIN = 0.5
+SA_MAX = 5.0
+BANNED_ELEMENTS = frozenset(("Si", "Sn"))
+BRIDGEHEAD_MAX = 2
+MAX_RING = 8
+ROT_MAX = 10
+TPSA_MAX = 140.0
+BANNED_PATTERNS = ("N=[N+]=[N-]", "N=Nc", "C(=S)S")  # reactive/assay-interfering motifs
+LOGP_MAX = 5.0
+MW_RANGE = (100.0, 500.0)
+HBD_MAX = 5
+HBA_MAX = 10
+# Diversity: the heavy-atom counts bucketed, and the similarity of a duplicate.
+HEAVY_RANGE = (4, 49)
+TANIMOTO_MAX = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,38 +46,37 @@ class Reject:
     rule: str
 
 
-def classify(mol: ParsedMol, d: DescriptorSet, qed: float, sa: float,
-             cfg: CurationConfig) -> Reject | None:
+def classify(mol: ParsedMol, d: DescriptorSet, qed: float, sa: float) -> Reject | None:
     """First violated rule across the three per-molecule stages, else None.
 
     Diversity is corpus-level state and lives in curate_stream.
     """
-    if qed <= cfg.qed_min or sa >= cfg.sa_max:
-        return Reject("physchem", "qed" if qed <= cfg.qed_min else "sa")
-    if d.element_set & cfg.banned_elements:
+    if qed <= QED_MIN or sa >= SA_MAX:
+        return Reject("physchem", "qed" if qed <= QED_MIN else "sa")
+    if d.element_set & BANNED_ELEMENTS:
         return Reject("structural", "banned_element")
     if d.charge_total != 0:
         return Reject("structural", "net_charge")
-    if d.bridgehead_count > cfg.bridgehead_max:
+    if d.bridgehead_count > BRIDGEHEAD_MAX:
         return Reject("structural", "bridgeheads")
-    if d.max_ring_size > cfg.max_ring:
+    if d.max_ring_size > MAX_RING:
         return Reject("structural", "ring_size")
-    if d.rotatable_proxy > cfg.rot_max:
+    if d.rotatable_proxy > ROT_MAX:
         return Reject("structural", "rotatable")
-    if d.tpsa_proxy > cfg.tpsa_max:
+    if d.tpsa_proxy > TPSA_MAX:
         return Reject("structural", "tpsa")
-    for pattern in cfg.banned_patterns:
+    for pattern in BANNED_PATTERNS:
         if pattern in mol.smiles:
             return Reject("structural", "banned_pattern")
     if not _phosphorus_ok(mol):
         return Reject("structural", "phosphorus")
-    if d.logp_proxy > cfg.logp_max:
+    if d.logp_proxy > LOGP_MAX:
         return Reject("lipinski", "logp")
-    if not cfg.mw_range[0] <= d.approx_mw <= cfg.mw_range[1]:
+    if not MW_RANGE[0] <= d.approx_mw <= MW_RANGE[1]:
         return Reject("lipinski", "mw")
-    if d.hbd_proxy > cfg.hbd_max:
+    if d.hbd_proxy > HBD_MAX:
         return Reject("lipinski", "hbd")
-    if d.hba_proxy > cfg.hba_max:
+    if d.hba_proxy > HBA_MAX:
         return Reject("lipinski", "hba")
     return None
 
@@ -129,7 +124,7 @@ class CuratedMol:
     heavy_atoms: int
 
 
-def screen(smiles: str, cfg: CurationConfig):
+def screen(smiles: str):
     """One molecule's verdict before diversity admission: None when it does
     not parse, the Reject of the first rule it fails (a heavy-atom count
     outside the bucket range is the diversity stage's "size_bucket"), else
@@ -139,13 +134,12 @@ def screen(smiles: str, cfg: CurationConfig):
         return None
     d = descriptors(mol)
     qed, sa = surrogate_qed(d), surrogate_sa(d)
-    verdict = classify(mol, d, qed, sa, cfg)
+    verdict = classify(mol, d, qed, sa)
     if verdict is not None:
         return verdict
-    lo, hi = cfg.heavy_range
-    if not lo <= d.heavy_atoms <= hi:
+    if not HEAVY_RANGE[0] <= d.heavy_atoms <= HEAVY_RANGE[1]:
         return Reject("diversity", "size_bucket")
-    return qed, sa, d.heavy_atoms, fingerprint(mol, cfg.fp_width)
+    return qed, sa, d.heavy_atoms, fingerprint(mol)
 
 
 # Non-blank lines screened at a time, so a large input is never held whole:
@@ -158,7 +152,7 @@ WINDOW_LINES = 1 << 13
 MIN_CHUNK_ROWS = 48
 
 
-def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
+def curate_stream(lines):
     """Curate an iterable of SMILES lines.
 
     Returns (accepted list, CurationReport).  Diversity admission buckets
@@ -181,8 +175,7 @@ def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
     nonblank = (smiles for smiles in map(str.strip, lines) if smiles)
     while window := list(islice(nonblank, WINDOW_LINES)):
         report.input_count += len(window)
-        screened = parallel.map_rows(lambda smiles: screen(smiles, cfg), window,
-                                     MIN_CHUNK_ROWS, "curate", "rows")
+        screened = parallel.map_rows(screen, window, MIN_CHUNK_ROWS, "curate", "rows")
         for smiles, result in zip(window, screened):
             if result is None:
                 report.parse_failures += 1
@@ -192,7 +185,7 @@ def curate_stream(lines, cfg: CurationConfig = CurationConfig()):
                 continue
             qed, sa, heavy, fp = result
             bucket = buckets.setdefault(heavy, [])
-            if any(tanimoto(fp, other) >= cfg.tanimoto_max for other in bucket):
+            if any(tanimoto(fp, other) >= TANIMOTO_MAX for other in bucket):
                 charge("diversity", "similarity")
                 continue
             bucket.append(fp)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .curate import CurationConfig, curate_stream
+from .curate import curate_stream
 from .fragment import check_interval
 
 # Two-slot ring templates: {a} takes a small decoration, {b} the linker+tail.
@@ -58,7 +58,7 @@ def toy_candidates(stride: int = 3) -> tuple:
 
 @lru_cache(maxsize=None)
 def _curated(stride: int) -> tuple:
-    accepted, _ = curate_stream(toy_candidates(stride), CurationConfig())
+    accepted, _ = curate_stream(toy_candidates(stride))
     return tuple(m.smiles for m in accepted)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +262,9 @@ class Decoder:
         self._table = diffusion.visible_table(params)
         self._id_tables = _id_tables(vocab)
         self._fragment = cfg.fragment
-        # Predictor rows computed, and rows served by them, summed over steps.
-        self.predicted_rows = self.row_steps = 0
+        # The run's counts by name, 0 for one that never happened: predicted_rows
+        # and the row_steps they served, summed over steps, and judged_rows.
+        self.counts = Counter()
         positions = np.arange(cfg.length)
         # Block b's offset gains are the last (b + 1) * K columns of the last block's.
         self._gain = diffusion.offset_gains(params, positions, positions[-cfg.block:])
@@ -332,8 +334,8 @@ class Decoder:
             reps = rows[first]
             if reps.shape[0] == 1 < rows.shape[0]:  # one row alone would round otherwise
                 reps = np.repeat(reps, 2)
-            self.predicted_rows += reps.shape[0]
-            self.row_steps += rows.shape[0]
+            self.counts["predicted_rows"] += reps.shape[0]
+            self.counts["row_steps"] += rows.shape[0]
             masked = masked[reps]
             nucleus = diffusion.predict(self.params, ids[reps, :hi], gain, self._table, masked,
                                         cfg.temperature, cfg.nucleus_p)
@@ -411,7 +413,8 @@ class Decoder:
         """One record per row, rows with equal ids sharing one; a row is
         completed when it holds an EOS, and its block count then runs to the
         block of its first EOS, which is the block where it finished: the
-        prefix holds no control token."""
+        prefix holds no control token.  Counts the rows whose ids prove them
+        invalid as ``judged_rows``."""
         frag = self._fragment
         first, group = _groups(ids)
         ids = ids[first]
@@ -419,6 +422,7 @@ class Decoder:
         done = eos.any(axis=1)
         ends = np.argmax(eos, axis=1) // frag.block + 1
         invalid = _proven_invalid(ids, self._id_tables)
+        self.counts["judged_rows"] += int(np.count_nonzero(invalid[group]))
         out = []
         for n in range(ids.shape[0]):
             tokens = reassemble(ids[n], self.vocab)

@@ -30,15 +30,16 @@ decoded and each earns the penalty at once, as MCTS-Solver (Winands,
 Bjornsson and Saito 2008) stops simulating a node whose value is proven.  A
 dead child beside a live one keeps its rows in the call, since taking them
 out could move a live row's call into another size class, and so its floats.
-The outcome counts the skipped rollouts as ``dead_rollouts``, and the
-iterations that reselect a terminal leaf, which only back up its cached
-reward, as ``terminal_reselections``.
+The run's Counter, shared with its decoder, counts the skipped rollouts as
+``dead_rollouts``, and the iterations that reselect a terminal leaf, which
+only back up its cached reward, as ``terminal_reselections``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -167,10 +168,9 @@ class SearchOutcome:
     best: SearchResult | None
     iterations: int
     root: SearchNode
-    dead_rollouts: int  # open children whose rollouts were skipped: see dead()
-    terminal_reselections: int  # iterations that only backed up a terminal leaf's reward
-    judged_rows: int  # rows simulate judged invalid from their ids, parsing none
-    parsed: int  # distinct SMILES that simulate parsed and scored
+    # The decoder's counts, the search's dead_rollouts and terminal_reselections,
+    # and parsed, the distinct SMILES that simulate parsed and scored.
+    counts: Counter
 
     def summary(self) -> dict:
         return {
@@ -191,7 +191,7 @@ class TreeSearch:
         self._frag = cfg.decode.fragment
         self._last_block = min(self._frag.num_blocks, cfg.d_max)
         self._scores: dict[str, OracleScores | None] = {}  # _score's, by SMILES
-        self.dead_rollouts = self.terminal_reselections = self.judged_rows = 0
+        self.counts = self._decoder.counts  # one Counter for the whole run
 
     def make_root(self) -> SearchNode:
         return SearchNode(partial=self._decoder.frame(1)[0], depth=0, cap=self.cfg.c_init)
@@ -271,7 +271,7 @@ class TreeSearch:
         rows = [ch.partial[None, :] for ch in children]
         open_ = [k for k, ch in enumerate(children) if not ch.terminal]
         if open_ and all(self.dead(children[k]) for k in open_):
-            self.dead_rollouts += len(open_)
+            self.counts["dead_rollouts"] += len(open_)
             for k in open_:
                 rows[k] = rows[k][:0]
         elif open_:
@@ -297,7 +297,6 @@ class TreeSearch:
         cfg = self.cfg
         best, results = cfg.gate.r_pen, []
         for rec in self._decoder.records(ids):
-            self.judged_rows += rec.proven_invalid
             scores = None if rec.proven_invalid else self._score(rec.smiles)
             if scores is None:  # an invalid molecule earns the penalty
                 continue
@@ -328,7 +327,7 @@ class TreeSearch:
         """Run iterations that each select ``leaf`` by ``path``; returns how
         many ran, which is fewer when the leaf runs out of novel candidates."""
         if leaf.terminal:  # scored once, when expansion created it
-            self.terminal_reselections += 1
+            self.counts["terminal_reselections"] += 1
             backpropagate(path, leaf.cached_reward)
             return 1
         children = []
@@ -353,16 +352,14 @@ class TreeSearch:
             if kept is None or res.reward > kept.reward:
                 passing[res.smiles] = res
         ranked = sorted(passing.values(), key=lambda r: (-r.reward, r.smiles))
+        self.counts["parsed"] = len(self._scores)
         return SearchOutcome(
             results=ranked,
             rollouts=rollouts,
             best=ranked[0] if ranked else None,
             iterations=iterations,
             root=root,
-            dead_rollouts=self.dead_rollouts,
-            terminal_reselections=self.terminal_reselections,
-            judged_rows=self.judged_rows,
-            parsed=len(self._scores),
+            counts=self.counts,
         )
 
 

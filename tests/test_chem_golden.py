@@ -11,7 +11,7 @@ import dataclasses
 import hashlib
 
 from blockmol.chem import descriptors, fingerprint, try_parse
-from blockmol.curate import CurationConfig, curate_stream
+from blockmol.curate import curate_stream
 from blockmol.data import toy_candidates
 
 GOLDEN = "e08bfc2170c80db50c4d18ddd370f0a0a37abde8610d90e1b442e702e6bc4254"
@@ -42,7 +42,7 @@ def grid_digest() -> str:
         put([sorted(getattr(d, f.name)) if f.name == "element_set"
              else getattr(d, f.name) for f in dataclasses.fields(d)] + [False])
         put(fingerprint(mol).bits)
-    accepted, report = curate_stream(grid, CurationConfig())
+    accepted, report = curate_stream(grid)
     put(report.to_json())
     put([dataclasses.astuple(m) for m in accepted])
     return h.hexdigest()

@@ -456,6 +456,30 @@ def test_train_from_smiles_file(tmp_path, capsys):
     assert json.loads(out)["examples"] == 6
 
 
+@pytest.mark.parametrize("toy", ["5", "0"])
+def test_train_with_both_toy_and_in_is_a_usage_error(tmp_path, capsys, toy):
+    # Before, "--toy 5" with a 20-line file trained 20 examples and exited 0,
+    # and "--toy 0" exited 2 over a flag that was never read.
+    infile = tmp_path / "in.smi"
+    infile.write_text("".join(s + "\n" for s in toy_candidates(3)[:20]))
+    out = tmp_path / "t.npz"
+    code, stdout, err = run_cli(["train", "--in", str(infile), "--toy", toy,
+                                 "--out", str(out)], capsys)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.endswith("error: argument --toy: not allowed with argument --in\n")
+
+
+def test_train_names_the_file_and_line_that_does_not_tokenize(tmp_path, capsys, caplog):
+    # Before, the message named neither: "unknown character '$'".
+    infile = tmp_path / "in.smi"
+    infile.write_text("CCO\n\nCCN\nC$C\nCCCC\n")
+    out = tmp_path / "t.npz"
+    code, stdout, _ = run_cli(["train", "--in", str(infile), "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{infile}:4: unknown character '$'"]
+
+
 def test_sample_stream_shape(checkpoint, capsys):
     code, out, _ = run_cli(["sample", "--checkpoint", checkpoint, "--n", "4",
                             "--length", "48", "--seed", "7"], capsys)
@@ -960,20 +984,36 @@ def test_sample_logs_its_predictor_rows_against_its_row_steps(checkpoint, capsys
     assert code == 0
     caplog.set_level(logging.INFO, logger="blockmol")
     counts = {}
-    for count, group_rows in ((1, decode.GROUP_ROWS), (2, decode.GROUP_ROWS), (2, 201)):
+    for count, group_rows in ((1, decode.GROUP_ROWS), (2, decode.GROUP_ROWS),
+                              (3, decode.GROUP_ROWS), (2, 201)):
         force_processes(monkeypatch, count)
         monkeypatch.setattr(decode, "GROUP_ROWS", group_rows)
         caplog.clear()
         code, out, _ = run_cli(["-v"] + argv, capsys)
         assert code == 0 and out == want
-        [line] = [m for m in caplog.messages if "row-steps" in m]
-        rows, steps = re.fullmatch(r"sample: ([\d,]+) predictor rows for ([\d,]+) row-steps",
-                                   line).groups()
-        counts[count, group_rows] = int(rows.replace(",", "")), int(steps.replace(",", ""))
-    (one, _), (two, _), (each, steps) = counts.values()
-    # Chunks share no predictor rows, and every row-step is its own row's.
-    assert {counts[key][1] for key in counts} == {steps} and steps >= 1000
-    assert one < two < each == steps
+        logged = re.search(r"^sample: ([\d,]+) predictor rows for ([\d,]+) row-steps\n"
+                           r"sample: ([\d,]+) rows judged invalid from their ids, ",
+                           "\n".join(caplog.messages), re.MULTILINE)
+        counts[count, group_rows] = tuple(int(n.replace(",", "")) for n in logged.groups())
+    (one, steps, judged), (two, *_), (three, *_), (each, *_) = counts.values()
+    # Chunks share no predictor rows, and every row-step and judged row is its own row's.
+    assert {(s, j) for _, s, j in counts.values()} == {(steps, judged)}
+    assert steps >= 1000 and judged > 0
+    assert one < two <= three < each == steps
+
+
+def test_a_count_that_never_happened_reads_0(checkpoint, tmp_path, capsys, caplog):
+    # Criterion 12's search reselects no terminal leaf, yet its manifest and
+    # its -v line name that count, as 0.
+    caplog.set_level(logging.INFO, logger="blockmol")
+    manifest = tmp_path / "search.json"
+    code, out, _ = run_cli(["-v", "search", "--target", "parp1", "--checkpoint", checkpoint,
+                            "--budget", "25", "--m", "8", "--length", "32", "--steps", "64",
+                            "--seed", "3", "--manifest", str(manifest)], capsys)
+    assert code == 0 and out
+    assert json.loads(manifest.read_text())["terminal_reselections"] == 0
+    assert any(re.fullmatch(r"search: 25 iterations, \d+ rollouts skipped from a dead "
+                            r"prefix, 0 terminal reselections", m) for m in caplog.messages)
 
 
 def test_sample_below_the_minimum_chunk_forks_nothing(checkpoint, capsys, monkeypatch):

@@ -117,6 +117,23 @@ def test_benchmark_sample_keeps_its_bytes_under_python_O(tmp_path, blockmol_cli)
             == DIGESTS[STREAM_VERSION]["sample --mode sample --seed 51000"])
 
 
+def test_benchmark_search_keeps_its_bytes_and_counts_under_python_O(tmp_path, blockmol_cli):
+    # -O strips every assert, so no search invariant may rest on one; the
+    # counts cross into the manifest from a child of its own hash seed.
+    ckpt, _ = _train(tmp_path)
+    rollouts, manifest = tmp_path / "rollouts.jsonl", tmp_path / "search.json"
+    proc = blockmol_cli(["search", "--target", "parp1", "--checkpoint", str(ckpt), "--budget",
+                         "1000", "--seed", "42", "--rollouts", str(rollouts),
+                         "--manifest", str(manifest)] + SEARCH_FLAGS + DECODE_FLAGS,
+                        hashseed=1, flags=["-O"])
+    digests = DIGESTS[STREAM_VERSION]
+    assert hashlib.sha256(proc.stdout).hexdigest() == digests["search --seed 42"]
+    assert hashlib.sha256(rollouts.read_bytes()).hexdigest() == digests["search --rollouts"]
+    record = json.loads(manifest.read_text())
+    assert (record["iterations"], record["dead_rollouts"],
+            record["terminal_reselections"]) == (1000, 91, 422)
+
+
 def test_oracle_score_equals_score_mol_on_the_benchmark_rollouts(tmp_path):
     # SurrogateOracle.score is the one path from a SMILES to its scores, which
     # eval and search share; score_mol of the validated molecule defines them.

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from blockmol import curate
 from blockmol.chem import descriptors, fingerprint, tanimoto, validate_smiles
 from blockmol.curate import (
     STAGES,
-    CurationConfig,
     Reject,
     classify,
     curate_stream,
@@ -37,10 +37,10 @@ GOLDEN = [
 ]
 
 
-def run_classify(smiles, cfg=CurationConfig()):
+def run_classify(smiles):
     mol = validate_smiles(smiles)
     d = descriptors(mol)
-    return classify(mol, d, surrogate_qed(d), surrogate_sa(d), cfg)
+    return classify(mol, d, surrogate_qed(d), surrogate_sa(d))
 
 
 def test_golden_corpus_exact_trace():
@@ -74,23 +74,29 @@ def test_golden_per_molecule_verdicts():
 # Rules behind the physchem gate: a molecule violating any of these at the
 # default thresholds always fails qed/sa first, so they are exercised with
 # the earlier gates relaxed.
-RELAXED = dict(qed_min=0.0, sa_max=100.0)
+RELAXED = dict(QED_MIN=0.0, SA_MAX=100.0)
+
+
+def relax(monkeypatch, **thresholds):
+    """Set the named ``curate`` thresholds, RELAXED's first."""
+    for name, value in {**RELAXED, **thresholds}.items():
+        monkeypatch.setattr(curate, name, value)
 
 
 @pytest.mark.parametrize("smiles,stage,rule,overrides", [
     ("C1C2CC3CC1CC(C2)C3", "structural", "bridgeheads", {}),
     ("CCCCCCCCCCCCCC", "structural", "rotatable", {}),
-    ("NCCNCCNCCNCCNCCNCCN", "structural", "tpsa", {"rot_max": 100}),
+    ("NCCNCCNCCNCCNCCNCCN", "structural", "tpsa", {"ROT_MAX": 100}),
     ("NCCNCCNCCNCCNCCN", "lipinski", "hbd",
-     {"rot_max": 100, "tpsa_max": 1e9}),
+     {"ROT_MAX": 100, "TPSA_MAX": 1e9}),
     ("COCCOCCOCCOCCOCCOCCOCCOCCOCCOCCOC", "lipinski", "hba",
-     {"rot_max": 100, "tpsa_max": 1e9}),
-    ("CCCCCCCCCCCC", "lipinski", "logp", {"rot_max": 100}),
-    ("C" * 45, "lipinski", "mw", {"rot_max": 100, "logp_max": 1e9}),
+     {"ROT_MAX": 100, "TPSA_MAX": 1e9}),
+    ("CCCCCCCCCCCC", "lipinski", "logp", {"ROT_MAX": 100}),
+    ("C" * 45, "lipinski", "mw", {"ROT_MAX": 100, "LOGP_MAX": 1e9}),
 ])
-def test_gated_rules_fire_when_reachable(smiles, stage, rule, overrides):
-    cfg = CurationConfig(**{**RELAXED, **overrides})
-    assert run_classify(smiles, cfg) == Reject(stage, rule)
+def test_gated_rules_fire_when_reachable(monkeypatch, smiles, stage, rule, overrides):
+    relax(monkeypatch, **overrides)
+    assert run_classify(smiles) == Reject(stage, rule)
 
 
 def test_rule_order_physchem_shadows_structural():
@@ -99,15 +105,16 @@ def test_rule_order_physchem_shadows_structural():
     assert got == Reject("physchem", "qed")
 
 
-def test_phosphorus_with_double_bonded_oxygen_passes():
-    cfg = CurationConfig(**RELAXED)
-    assert run_classify("CCOP(=O)(OCC)OCc1ccccc1", cfg) is None
+def test_phosphorus_with_double_bonded_oxygen_passes(monkeypatch):
+    relax(monkeypatch)
+    assert run_classify("CCOP(=O)(OCC)OCc1ccccc1") is None
 
 
-def test_size_bucket_rejection():
+def test_size_bucket_rejection(monkeypatch):
     # a 3-heavy molecule can never clear the qed gate, so the bucket floor
     # is exercised with physchem relaxed; heavy halogens keep mw in range
-    accepted, report = curate_stream(["C(Br)Br"], CurationConfig(**RELAXED))
+    relax(monkeypatch)
+    accepted, report = curate_stream(["C(Br)Br"])
     assert accepted == []
     assert report.rule_counts == {"diversity.size_bucket": 1}
 
@@ -124,15 +131,14 @@ def test_survivor_buckets_stay_dissimilar(toy500):
     lines = ["".join(t.text for t in toks) for toks in toy500[:120]]
     accepted, report = curate_stream(lines)
     assert report.reconciles()
-    cfg = CurationConfig()
     by_bucket = {}
     for m in accepted:
-        fp = fingerprint(validate_smiles(m.smiles), cfg.fp_width)
+        fp = fingerprint(validate_smiles(m.smiles))
         by_bucket.setdefault(m.heavy_atoms, []).append(fp)
     for bucket in by_bucket.values():
         for i, a in enumerate(bucket):
             for b in bucket[i + 1:]:
-                assert tanimoto(a, b) < cfg.tanimoto_max
+                assert tanimoto(a, b) < curate.TANIMOTO_MAX
 
 
 def test_stage_names_frozen():

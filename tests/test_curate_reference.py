@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from blockmol import cli, curate, parallel
 from blockmol.chem import descriptors, fingerprint, tanimoto, try_parse
-from blockmol.curate import (CuratedMol, CurationConfig, CurationReport, classify,
-                             curate_stream)
+from blockmol.curate import CuratedMol, CurationReport, classify, curate_stream
 from blockmol.data import toy_candidates
 from blockmol.oracle import surrogate_qed, surrogate_sa
 from conftest import counting_forks
@@ -25,7 +24,7 @@ from conftest import counting_forks
 # --- reference: the one-process curation loop ----------------------------------
 
 
-def reference_curate(lines, cfg=CurationConfig()):
+def reference_curate(lines):
     report = CurationReport()
     accepted = []
     buckets = {}
@@ -46,17 +45,17 @@ def reference_curate(lines, cfg=CurationConfig()):
             continue
         d = descriptors(mol)
         qed, sa = surrogate_qed(d), surrogate_sa(d)
-        verdict = classify(mol, d, qed, sa, cfg)
+        verdict = classify(mol, d, qed, sa)
         if verdict is not None:
             charge(verdict.stage, verdict.rule)
             continue
-        lo, hi = cfg.heavy_range
+        lo, hi = curate.HEAVY_RANGE
         if not lo <= d.heavy_atoms <= hi:
             charge("diversity", "size_bucket")
             continue
-        fp = fingerprint(mol, cfg.fp_width)
+        fp = fingerprint(mol)
         bucket = buckets.setdefault(d.heavy_atoms, [])
-        if any(tanimoto(fp, other) >= cfg.tanimoto_max for other in bucket):
+        if any(tanimoto(fp, other) >= curate.TANIMOTO_MAX for other in bucket):
             charge("diversity", "similarity")
             continue
         bucket.append(fp)
@@ -158,10 +157,10 @@ def test_a_chunk_failing_in_a_child_exits_2_and_leaves_no_child(tmp_path, capsys
                                                                 monkeypatch):
     screen = curate.screen
 
-    def failing(smiles, cfg):
+    def failing(smiles):
         if smiles == "CCO":
             raise ValueError("no such molecule")
-        return screen(smiles, cfg)
+        return screen(smiles)
 
     force_processes(monkeypatch, 3)
     monkeypatch.setattr(curate, "screen", failing)

@@ -238,7 +238,7 @@ def test_a_call_serving_several_rows_hands_the_predictor_several(trained42, voca
     predict, calls = diffusion.predict, []
 
     def spy(params, windows, *args):
-        calls.append((windows.shape[0], dec.row_steps))
+        calls.append((windows.shape[0], dec.counts["row_steps"]))
         return predict(params, windows, *args)
 
     monkeypatch.setattr(diffusion, "predict", spy)
@@ -252,7 +252,8 @@ def test_a_call_serving_several_rows_hands_the_predictor_several(trained42, voca
         given = np.array([n for n, _ in calls])
         served = np.diff([0] + [steps for _, steps in calls])
         assert (given >= np.minimum(served, 2)).all() and (given <= served).all()
-        assert (dec.predicted_rows, dec.row_steps) == (given.sum(), served.sum())
+        counts = dec.counts
+        assert (counts["predicted_rows"], counts["row_steps"]) == (given.sum(), served.sum())
         runs[rows] = records, given, served
     (records, given, served), (want, given_each, served_each) = runs.values()
     assert records == want

@@ -377,8 +377,8 @@ def test_skipping_dead_rollouts_changes_nothing_but_the_work(search_setup, monke
     monkeypatch.setattr(TreeSearch, "dead", lambda self, node: False)
     decoded = run_search(cfg, params, vocab, oracle)
 
-    assert skipped.dead_rollouts == sum(len(w) for w in waves if w and all(w)) > 0
-    assert decoded.dead_rollouts == 0
+    assert skipped.counts["dead_rollouts"] == sum(len(w) for w in waves if w and all(w)) > 0
+    assert decoded.counts["dead_rollouts"] == 0
     if shape["c_init"] > 1:  # a root wave that mixed live and dead children
         assert any(len(w) > 1 and any(w) and not all(w) for w in waves)
     assert skipped.results == decoded.results
@@ -403,12 +403,12 @@ def test_a_dead_child_gets_no_rollout_rows_and_the_penalty(vocab, monkeypatch):
     assert decoded == [] and rows[0].shape == (0, cfg.decode.length)
     assert search.simulate(dead, 5, rows[0]) == (cfg.gate.r_pen, [])
     assert dead.cached_reward == cfg.gate.r_pen
-    assert search.dead_rollouts == 1
+    assert search.counts["dead_rollouts"] == 1
 
     # Beside a live child, the dead child's rows share the call.
     rows = search.rollout_rows([dead, live], range(6, 8))
     assert decoded == [2 * cfg.n_sim] and [r.shape[0] for r in rows] == [4, 4]
-    assert search.dead_rollouts == 1
+    assert search.counts["dead_rollouts"] == 1
 
 
 @pytest.fixture(scope="module")
