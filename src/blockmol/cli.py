@@ -31,16 +31,17 @@ from . import STREAM_VERSION, chem, data, diffusion, metrics, parallel
 from .chem import Vocab, tokenize, try_parse
 from .curate import curate_stream
 from .decode import BudgetExhausted, DecodeConfig, Decoder, log_abort, write_jsonl
-from .fragment import FragmentConfig, check_interval, check_record, pad_and_partition
+from .fragment import (ROWS_INTERVAL, FragmentConfig, check_interval, check_record,
+                       load_record, pad_and_partition)
 from .oracle import SurrogateOracle, list_profiles, load_profile
 from .search import GateConfig, SearchConfig, run_search
 
 log = logging.getLogger("blockmol")
 
 # config key -> (flag or None (config file only), type or choices, default, interval or None);
-# search.*, gate.* and sample.* intervals and search.* and gate.* defaults are the library's.
+# the seed and the search.*, gate.* and sample.* defaults and intervals are the library's.
 SETTINGS = {
-    "seed": ("--seed", int, 42, None),
+    "seed": ("--seed", int, DecodeConfig.seed, None),
     "search.N_max": ("--budget", int, SearchConfig.n_max, SearchConfig.INTERVALS["n_max"]),
     "search.C": ("--c", float, SearchConfig.c, SearchConfig.INTERVALS["c"]),
     "search.lambda": ("--lam", float, SearchConfig.lam, SearchConfig.INTERVALS["lam"]),
@@ -55,12 +56,14 @@ SETTINGS = {
     "gate.tau_qed": ("--qed", float, GateConfig.tau_qed, GateConfig.INTERVALS["tau_qed"]),
     "gate.tau_sa": ("--sa", float, GateConfig.tau_sa, GateConfig.INTERVALS["tau_sa"]),
     "gate.R_pen": (None, float, GateConfig.r_pen, GateConfig.INTERVALS["r_pen"]),
-    "sample.temperature": ("--temp", float, 1.1, DecodeConfig.INTERVALS["temperature"]),
-    "sample.nucleus": ("--nucleus", float, 1.0, DecodeConfig.INTERVALS["nucleus_p"]),
-    "sample.K": ("--k-sample", int, 8, FragmentConfig.INTERVALS["block"]),
-    "sample.L": ("--length", int, 512, FragmentConfig.INTERVALS["length"]),
-    "sample.T": ("--steps", int, 128, DecodeConfig.INTERVALS["budget"]),
-    "sample.mode": ("--mode", ("confidence", "sample"), "confidence", None),
+    "sample.temperature": ("--temp", float, DecodeConfig.temperature,
+                           DecodeConfig.INTERVALS["temperature"]),
+    "sample.nucleus": ("--nucleus", float, DecodeConfig.nucleus_p,
+                       DecodeConfig.INTERVALS["nucleus_p"]),
+    "sample.K": ("--k-sample", int, DecodeConfig.block, FragmentConfig.INTERVALS["block"]),
+    "sample.L": ("--length", int, DecodeConfig.length, FragmentConfig.INTERVALS["length"]),
+    "sample.T": ("--steps", int, DecodeConfig.budget, DecodeConfig.INTERVALS["budget"]),
+    "sample.mode": ("--mode", DecodeConfig.MODES, DecodeConfig.mode, None),
     # Training's (d, L, 2L) offset gains hold <= 2**60 bytes (FragmentConfig), its gains 2**36.
     "train.epochs": ("--epochs", int, 5, "[1, 2**63)"),
     "train.lr": ("--lr", float, 0.1, "(0, inf)"),
@@ -70,7 +73,6 @@ SETTINGS = {
     "train.L": ("--length", int, 48, FragmentConfig.INTERVALS["length"]),
 }
 DEFAULTS = {key: default for key, (_, _, default, _) in SETTINGS.items()}
-N_INTERVAL = "[1, 2**20]"  # of sample's --n, which is no config key (see FragmentConfig)
 
 # The keys each command reads; its setting flags, settings and manifest hold no other,
 # and search, which always draws, reads no sample.mode.
@@ -99,9 +101,7 @@ def resolve(args) -> dict:
     keys = COMMAND_KEYS[args.command]
     cfg = {key: DEFAULTS[key] for key in keys}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        check_record(loaded, {}, args.config)  # one JSON object, whose keys come next
+        loaded = load_record(args.config, {})  # one JSON object, whose keys come next
         unknown = sorted(set(loaded) - set(SETTINGS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -116,10 +116,19 @@ def resolve(args) -> dict:
 
 
 def _numbered_lines(path, blank: bool = False):
-    """(line number, stripped line) for each line of ``path``, blank ones if ``blank``."""
-    fh = sys.stdin if path == "-" else open(path)
+    """(line number, stripped line) for each line of ``path``, blank ones if ``blank``;
+    raises ValueError naming the path and line of a byte that is not UTF-8."""
+    # An undecodable byte reads as a lone surrogate, which no UTF-8 text holds.
+    fh = sys.stdin if path == "-" else open(path, encoding="utf-8", errors="surrogateescape")
     try:
         for number, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as err:
+                    byte = ord(line[err.start]) - 0xDC00
+                    raise ValueError(f"{path}:{number}: not UTF-8 (byte {byte:#04x} "
+                                     f"at column {err.start + 1})") from None
             line = line.strip()
             if line or blank:
                 yield number, line
@@ -305,7 +314,7 @@ def _sample_prefix(decoder: Decoder, text: str | None) -> list | None:
 
 def cmd_sample(args) -> int:
     cfg = resolve(args)
-    check_interval("--n", args.n, N_INTERVAL)
+    check_interval("--n", args.n, ROWS_INTERVAL)
     _check_writable(args.manifest)
     if cfg["sample.mode"] == "confidence" and args.seed is not None:
         log.warning("sample: --seed changes nothing in confidence mode, which "
@@ -442,7 +451,8 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("sample", help="generate molecules from a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n", type=int, default=1000, help=f"molecules to generate, in {N_INTERVAL}")
+    p.add_argument("--n", type=int, default=1000,
+                   help=f"molecules to generate, in {ROWS_INTERVAL}")
     p.add_argument("--prefix", default=None)
     _add_settings(p, "sample")
     p.set_defaults(func=cmd_sample)

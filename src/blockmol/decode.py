@@ -215,14 +215,15 @@ def _proven_invalid(ids: np.ndarray, tables) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DecodeConfig:
+class DecodeConfig:  # its defaults are the CLI's sample.* and seed defaults
     block: int = 8
-    length: int = 72
+    length: int = 512
     budget: int = 128  # predictor-call cap per sequence per block
-    temperature: float = 1.0
+    temperature: float = 1.1
     nucleus_p: float = 1.0
     mode: str = "confidence"  # or "sample": token drawn from the adjusted row
-    seed: int = 0
+    seed: int = 42
+    MODES = ("confidence", "sample")
     # Below the floor, logits / temperature may overflow to inf, and softmax
     # then returns NaN rows, which decode to garbage rather than fail.
     INTERVALS = {"budget": "[1, 2**63)", "temperature": "[2**-20, inf)", "nucleus_p": "(0, 1]"}
@@ -230,7 +231,7 @@ class DecodeConfig:
     def __post_init__(self):
         FragmentConfig(self.length, self.block)  # checks block, length and K | L
         check_fields(self)
-        if self.mode not in ("confidence", "sample"):
+        if self.mode not in self.MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
     @property
@@ -240,7 +241,6 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class GenRecord:
-    tokens: tuple
     smiles: str
     completed: bool
     block_count: int
@@ -425,8 +425,7 @@ class Decoder:
         self.counts["judged_rows"] += int(np.count_nonzero(invalid[group]))
         out = []
         for n in range(ids.shape[0]):
-            tokens = reassemble(ids[n], self.vocab)
-            out.append(GenRecord(tuple(tokens), "".join(tokens), bool(done[n]),
+            out.append(GenRecord("".join(reassemble(ids[n], self.vocab)), bool(done[n]),
                                  int(ends[n]) if done[n] else frag.num_blocks,
                                  bool(invalid[n])))
         return out if isinstance(group, slice) else [out[k] for k in group.tolist()]

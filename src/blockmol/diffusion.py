@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chem import Vocab
-from .fragment import ConfigError, FragmentConfig, check_interval, check_record
+from .fragment import ConfigError, FragmentConfig, check_interval, load_record
 
 T_CLIP = 1e-4
 
@@ -377,16 +377,15 @@ def loss_gradient(params: PredictorParams, ids: np.ndarray, ts: np.ndarray,
 GRAD_CLIP = 8.0
 
 
-def _apply_update(params: PredictorParams, grads: PredictorParams, count: int,
-                  lr: float, clip: float):
+def _apply_update(params: PredictorParams, grads: PredictorParams, count: int, lr: float):
     norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.tables())) / count
-    scale = (lr / count) * min(1.0, clip / norm) if norm > 0 else 0.0
+    scale = (lr / count) * min(1.0, GRAD_CLIP / norm) if norm > 0 else 0.0
     for table, g in zip(params.tables(), grads.tables()):
         table -= scale * g
 
 
 def train(params: PredictorParams, corpus: np.ndarray, block: int, epochs: int,
-          lr: float, seed: int, clip: float = GRAD_CLIP) -> tuple[PredictorParams, list[float]]:
+          lr: float, seed: int) -> tuple[PredictorParams, list[float]]:
     """SGD with constant step size over antithetic-pair NELBO gradients.
 
     ``corpus`` holds one framed (L,) example per row, split into blocks of
@@ -395,7 +394,7 @@ def train(params: PredictorParams, corpus: np.ndarray, block: int, epochs: int,
     update averages the gradient over one such pair, from one batched
     ``loss_gradient`` call, so the mirrored 1/t weights actually cancel.  An
     odd corpus ends each epoch with a one-example update.
-    The averaged gradient is rescaled to global norm <= clip before applying:
+    The averaged gradient is rescaled to global norm <= GRAD_CLIP before applying:
     the loss weight can still reach 1e4 near the clip floor, and one such
     draw at full step size is enough to blow up every table.  Both devices
     are stateless, so a fixed seed means bit-identical parameters.  Returns
@@ -420,7 +419,7 @@ def train(params: PredictorParams, corpus: np.ndarray, block: int, epochs: int,
                 total += report.nelbo
             if not math.isfinite(total):  # diverged: stop before the next step
                 return params, history + [total / len(corpus)]
-            _apply_update(params, grads, len(ids), lr, clip)
+            _apply_update(params, grads, len(ids), lr)
         history.append(total / len(corpus))
     return params, history
 
@@ -461,11 +460,10 @@ def save_checkpoint(path, params: PredictorParams, vocab: Vocab, seed: int):
 
 def load_checkpoint(path, vocab: Vocab | None = None):
     """Returns (params, vocab, seed); verifies the stored vocabulary hash and
-    raises ValueError on a non-finite table entry, or naming ``path`` and
-    the field for one that is missing, mistyped, out of range or misshapen."""
-    with open(path) as fh:
-        record = json.load(fh)
-    check_record(record, _CHECKPOINT_FIELDS, path)
+    raises ValueError on a non-finite table entry, or naming ``path`` for a
+    file that is not JSON or a field that is missing, mistyped, out of range
+    or misshapen."""
+    record = load_record(path, _CHECKPOINT_FIELDS)
     tokens = tuple(record["vocab"])
     if not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"{path}: field 'vocab' holds a token that is not a string")

@@ -8,6 +8,7 @@ same padded layout.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -67,10 +68,27 @@ def check_record(record, fields: dict, where: str):
             check_interval(f"{where}: {key}", value, interval)
 
 
+def load_record(path, fields: dict):
+    """The JSON object in the UTF-8 file ``path``, checked by ``check_record``; raises
+    ConfigError naming ``path`` when the file does not decode or parse."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            record = json.load(fh)
+        # Undecodable bytes, bad syntax, an int past 4300 digits, or nesting too deep.
+        except (ValueError, RecursionError) as err:
+            raise ConfigError(f"{path}: not a JSON file ({err})") from None
+    check_record(record, fields, str(path))
+    return record
+
+
 def check_fields(config):
     """``check_interval`` on each field that ``type(config).INTERVALS`` declares, in order."""
     for name, interval in type(config).INTERVALS.items():
         check_interval(name, getattr(config, name), interval)
+
+
+# The rows of one decode call: sample's --n, search.M and search.n_sim.
+ROWS_INTERVAL = "[1, 2**20]"
 
 
 @dataclass(frozen=True)
@@ -79,9 +97,9 @@ class FragmentConfig:
 
     length: int
     block: int
-    # A decode call holds rows x L x d and rows x K x V arrays of 8 bytes, rows
-    # <= 2**20 (--n, search.M, search.n_sim): <= 2**59 bytes for d <= 2**16
-    # (train.dim), and 2**39 x V.  Training's largest, d x L x 2L x 8, is 2**60.
+    # A decode call holds rows x L x d and rows x K x V arrays of 8 bytes, rows in
+    # ROWS_INTERVAL: <= 2**59 bytes for d <= 2**16 (train.dim), and 2**39 x V.
+    # Training's largest, d x L x 2L x 8, is 2**60.
     INTERVALS = {"length": "[2, 2**20]", "block": "[1, 2**16]"}
 
     def __post_init__(self):

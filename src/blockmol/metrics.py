@@ -113,7 +113,7 @@ def diversity_score(fps: list[Fingerprint]) -> float:
     return 1.0 - mean_pairwise_tanimoto(fps)
 
 
-def hit_metrics(samples, profile, oracle: SurrogateOracle | None = None):
+def hit_metrics(samples, profile):
     """(hit_ratio, novel_top_hit, hits) under the three-part hit gate.
 
     A hit is a unique valid molecule with ds below the profile threshold,
@@ -122,7 +122,7 @@ def hit_metrics(samples, profile, oracle: SurrogateOracle | None = None):
     """
     if not samples:
         raise EmptySet("no samples")
-    _, scored = _score_unique(samples, oracle or SurrogateOracle(profile))
+    _, scored = _score_unique(samples, SurrogateOracle(profile))
     return _select_hits(scored, profile)
 
 
@@ -140,15 +140,16 @@ def _select_hits(scored: list[Scored], profile):
     return ratio, top, hits
 
 
-def circles(fps: list[Fingerprint], threshold: float = CIRCLE_THRESHOLD) -> int:
-    """Greedy sphere-exclusion count in the given (ds-ascending) order."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0,1): {threshold}")
+def circles(fps: list[Fingerprint]) -> int:
+    """Greedy sphere-exclusion count in the given (ds-ascending) order: a
+    fingerprint is a new center unless its Tanimoto to one reaches
+    CIRCLE_THRESHOLD."""
     rows, counts = _pack(fps)
     centers = np.zeros(len(fps), dtype=bool)
     for i, row in enumerate(rows):
         inter = np.bitwise_count(rows[centers] & row).sum(axis=1, dtype=np.int64)
-        centers[i] = (_quotients(inter, counts[centers] + counts[i] - inter) < threshold).all()
+        centers[i] = (_quotients(inter, counts[centers] + counts[i] - inter)
+                      < CIRCLE_THRESHOLD).all()
     return int(centers.sum())
 
 
@@ -175,7 +176,7 @@ def standard_metrics(samples, oracle: SurrogateOracle) -> EvalReport:
         docking_filter=dock / n_unique if n_unique else 0.0,
         diversity=diversity_score([h.fp for h in scored]),
         hit_ratio=hit_ratio,
-        circles=circles([h.fp for h in hits], CIRCLE_THRESHOLD),
+        circles=circles([h.fp for h in hits]),
         novel_top_hit=novel_top,
     )
     if report.circles > len(hits):

@@ -6,14 +6,13 @@ that every optimum is known in closed form and tests can pin exact values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chem import (DescriptorSet, Fingerprint, ParsedMol, descriptors,
+from .chem import (DEFAULT_FP_WIDTH, DescriptorSet, Fingerprint, ParsedMol, descriptors,
                    fingerprint, tanimoto, try_parse, validate_smiles)
-from .fragment import check_record
+from .fragment import check_record, load_record
 
 PROFILE_DIR = Path(__file__).parent / "profiles"
 
@@ -60,7 +59,7 @@ class OracleProfile:
     threshold_ds: float
     seed_smiles: str
     size_optimum: int
-    fp_width: int = 2048
+    fp_width: int = DEFAULT_FP_WIDTH
 
     def target_fp(self) -> Fingerprint:
         return fingerprint(validate_smiles(self.seed_smiles), self.fp_width)
@@ -76,15 +75,14 @@ _PROFILE_FIELDS = {"fp_width": (int, "[1, 2**16]"), "name": (str, None),
 
 def load_profile(name: str) -> OracleProfile:
     """The bundled profile ``name``, or the one in the .json file ``name``.
-    Raises ValueError naming the file for an unknown, missing or mistyped
-    key, a value outside its interval, a seed that does not parse, or an
-    fp_width ``fingerprint`` rejects."""
+    Raises ValueError naming the file for a file that is not JSON, an
+    unknown, missing or mistyped key, a value outside its interval, a seed
+    that does not parse, or an fp_width ``fingerprint`` rejects."""
     path = Path(name) if name.endswith(".json") else PROFILE_DIR / f"{name}.json"
     if not path.exists():
         raise FileNotFoundError(f"no oracle profile {name!r}")
-    record = json.loads(path.read_text())
-    check_record(record, {}, str(path))  # one JSON object, whose keys come next
-    record.setdefault("fp_width", 2048)
+    record = load_record(path, {})  # one JSON object, whose keys come next
+    record.setdefault("fp_width", DEFAULT_FP_WIDTH)
     for key in sorted(record.keys() - _PROFILE_FIELDS.keys()):
         raise ValueError(f"{path}: unknown key {key!r}")
     check_record(record, _PROFILE_FIELDS, str(path))

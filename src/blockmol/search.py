@@ -46,7 +46,7 @@ import numpy as np
 
 from .chem import ChemError, Vocab, scan, tokenize
 from .decode import DecodeConfig, Decoder, key_uniform, lane_keys
-from .fragment import ConfigError, check_fields, reassemble
+from .fragment import ROWS_INTERVAL, ConfigError, check_fields, reassemble
 from .oracle import OracleScores
 
 # Rows decoded per call in the root phase's waves.  Larger waves raise the
@@ -90,11 +90,11 @@ class SearchConfig:
     decode: DecodeConfig = DecodeConfig()  # its seed keys every search draw
     gate: GateConfig = GateConfig()
     # A node of capacity 0 never gets a child.  A decode call takes at most
-    # max(ROOT_WAVE_ROWS, m or n_sim) rows, so rows <= 2**20 (FragmentConfig).
+    # max(ROOT_WAVE_ROWS, m or n_sim) rows, so its rows lie in ROWS_INTERVAL.
     INTERVALS = {"n_max": "[0, 2**63)", "c": "(-inf, inf)", "lam": "[0, 1]",
                  "beta": "(-inf, inf)", "c_init": "[1, 2**63)", "c_base": "[1, 2**63)",
-                 "c_min": "[1, 2**63)", "c_max": "[1, 2**63)", "m": "[1, 2**20]",
-                 "n_sim": "[1, 2**20]", "d_max": "[1, 2**63)"}
+                 "c_min": "[1, 2**63)", "c_max": "[1, 2**63)", "m": ROWS_INTERVAL,
+                 "n_sim": ROWS_INTERVAL, "d_max": "[1, 2**63)"}
 
     def __post_init__(self):
         check_fields(self)

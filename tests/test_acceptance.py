@@ -213,12 +213,12 @@ def test_criterion_05_budget_phase_transition(capsys, trained, vocab):
         # 7 calls cannot reveal the 8 masked slots of any block past the
         # first, so every lane aborts; 8 decodes them all
         starved = Decoder(params, DecodeConfig(block=8, length=48, budget=7,
-                                               mode="sample", seed=5), vocab)
+                                               temperature=1.0, mode="sample", seed=5), vocab)
         assert starved.generate(16) == []
         outputs = []
         for budget in (8, 100, 1000):
             dec = Decoder(params, DecodeConfig(block=8, length=48,
-                                               budget=budget, mode="sample",
+                                               budget=budget, temperature=1.0, mode="sample",
                                                seed=5), vocab)
             recs = dec.generate(16)
             assert len(recs) == 16, budget
@@ -247,10 +247,10 @@ def test_criterion_06_decoding_validity_trend(capsys, trained, vocab,
         for seed in (42, 43, 44):
             params, _ = trained(seed)
             guided = Decoder(params, DecodeConfig(block=8, length=48, budget=64,
-                                                  mode="confidence", seed=seed),
+                                                  temperature=1.0, mode="confidence", seed=seed),
                              vocab)
             blind = Decoder(filler, DecodeConfig(block=8, length=48, budget=64,
-                                                 mode="sample", seed=seed),
+                                                 temperature=1.0, mode="sample", seed=seed),
                             vocab)
             gap = validity(guided) - validity(blind)
             assert gap >= 0.30, (seed, gap)

@@ -16,7 +16,8 @@ import pytest
 from blockmol import cli, data, decode, fragment, metrics, parallel
 from blockmol.cli import DEFAULTS, SETTINGS, main
 from blockmol.data import toy_candidates
-from blockmol.decode import BudgetExhausted, Decoder
+from blockmol.decode import BudgetExhausted, DecodeConfig, Decoder
+from blockmol.fragment import FragmentConfig
 from blockmol.oracle import PROFILE_DIR, SurrogateOracle
 from blockmol.search import GateConfig, SearchConfig
 
@@ -216,20 +217,24 @@ def test_manifest_holds_the_settings_the_command_read(checkpoint, tmp_path, caps
 
 
 def test_cli_search_defaults_match_the_library():
-    # The CLI reads its search.* and gate.* defaults from SearchConfig and
-    # GateConfig; this pins each key to its field.  sample.* is left out on purpose:
-    # the CLI's L = 512 and temperature 1.1 differ from DecodeConfig's 72 and
-    # 1.0, and the golden digests depend on DecodeConfig's.
+    # The CLI reads its seed, search.*, gate.* and sample.* defaults and intervals
+    # from SearchConfig, GateConfig and DecodeConfig; this pins each key to its field.
+    libraries = {"search": SearchConfig(), "gate": GateConfig(), "sample": DecodeConfig()}
     checked = 0
     for key, (_, _, default, interval) in SETTINGS.items():
-        group, name = key.split(".") if "." in key else (None, key)
-        library = {"search": SearchConfig(), "gate": GateConfig()}.get(group)
+        group, name = key.split(".") if "." in key else ("sample", key)
+        library = libraries.get(group)
         if library is not None:
-            field = {"lambda": "lam"}.get(name, name.lower())
+            field = {"lambda": "lam", "nucleus": "nucleus_p", "K": "block", "L": "length",
+                     "T": "budget"}.get(name, name.lower())
             assert getattr(library, field) == default, key
-            assert interval == type(library).INTERVALS[field], key
+            intervals = type(library).INTERVALS
+            if group == "sample":  # the fragment's block and length, the decoder's own
+                intervals = FragmentConfig.INTERVALS | intervals
+            assert interval == intervals.get(field), key
             checked += 1
-    assert checked == 14
+    assert checked == 21
+    assert SETTINGS["sample.mode"][1] == DecodeConfig.MODES
 
 
 def test_unconstrained_search_with_a_gate_flag_is_usage_error(checkpoint, tmp_path, capsys):
@@ -279,6 +284,9 @@ def test_non_finite_checkpoint_fails_sample_and_search(checkpoint, tmp_path,
 @pytest.mark.parametrize("text, message", [
     ('{"version": 1}', "missing key 'vocab'"),
     ("[1, 2]", "must hold one JSON object"),
+    # A truncated checkpoint: before, the bare parser message, naming no file.
+    ('{"version": 1, "vocab": ["[PA',
+     "not a JSON file (Unterminated string starting at: line 1 column 26 (char 25))"),
 ])
 def test_malformed_checkpoint_fails_sample_and_search_naming_it(tmp_path, capsys, caplog,
                                                                 text, message):
@@ -291,6 +299,32 @@ def test_malformed_checkpoint_fails_sample_and_search_naming_it(tmp_path, capsys
         code, stdout, _ = run_cli(argv, capsys)
         assert code == 2 and stdout == "", argv[0]
         assert f"{broken}: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("kind, text", [
+    pytest.param("config", b"{\n", id="config"),
+    pytest.param("config", b"\xff\xfe{}", id="config-utf16"),  # UTF-16's byte order mark
+    pytest.param("config", b"[" * 10**5 + b"]" * 10**5, id="config-nested"),
+    pytest.param("profile", b'{"name": "x",\n}', id="profile"),
+])
+def test_a_config_or_profile_that_is_not_json_names_itself(checkpoint, tmp_path, capsys,
+                                                           caplog, kind, text):
+    # Before, each exited 2 with the parser's bare message, such as
+    # "Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"
+    # or "maximum recursion depth exceeded while decoding a JSON array ...", naming no file.
+    broken = tmp_path / "broken.json"
+    broken.write_bytes(text)
+    samples = tmp_path / "s.smi"
+    samples.write_text("CCO\n")
+    argv = {"config": _argv("sample", checkpoint, tmp_path) + ["--config", str(broken)],
+            "profile": ["eval", "--in", str(samples), "--target", str(broken)]}[kind]
+    try:
+        json.loads(broken.read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as err:
+        want = f"{broken}: not a JSON file ({err})"
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [want]
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -420,6 +454,24 @@ def test_validate_and_curate_fail_on_input_with_no_molecule(tmp_path, capsys, ca
     what = {"validate": "lines to validate", "curate": "molecules to curate",
             "eval": "samples to evaluate"}[command]
     assert f"{infile}: no {what}" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["validate", "curate", "train", "eval"])
+def test_an_input_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, caplog,
+                                                                command):
+    # Before, each exited 2 with "'utf-8' codec can't decode byte 0xe9 in
+    # position 6: invalid continuation byte", naming neither file nor line.
+    infile = tmp_path / "in.smi"
+    infile.write_bytes(b"CCO\nCC\xe9O\nCCN\n")  # a Latin-1 e-acute on line 2
+    out_path = tmp_path / "out"
+    argv = [command, "--in", str(infile)] + {
+        "validate": [], "curate": ["--out", str(out_path)], "eval": ["--target", "parp1"],
+        "train": ["--epochs", "1", "--dim", "8", "--window", "4", "--out", str(out_path)],
+    }[command]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 2 and not out_path.exists()
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        f"{infile}:2: not UTF-8 (byte 0xe9 at column 3)"]
 
 
 def test_curate_that_rejects_every_line_exits_0(tmp_path, capsys):
@@ -777,7 +829,7 @@ def test_a_value_at_or_just_inside_each_end_is_accepted(key, checkpoint, capsys,
             raise RuntimeError("checks passed")
 
         monkeypatch.setattr(cli.diffusion, "load_checkpoint", loaded)
-        for n in _around(cli.N_INTERVAL, int)[0]:
+        for n in _around(fragment.ROWS_INTERVAL, int)[0]:
             caplog.clear()
             assert run_cli(["sample", "--checkpoint", checkpoint, "--n", str(n)], capsys)[0] == 2
             assert "checks passed" in caplog.text
@@ -794,7 +846,7 @@ def test_every_default_lies_in_its_interval():
     for key in INTERVAL_KEYS:
         fragment.check_interval(key, DEFAULTS[key], SETTINGS[key][3])
     n = cli.build_parser().parse_args(["sample", "--checkpoint", "c"]).n
-    fragment.check_interval("--n", n, cli.N_INTERVAL)
+    fragment.check_interval("--n", n, fragment.ROWS_INTERVAL)
 
 
 def _outside_cases():
@@ -802,7 +854,7 @@ def _outside_cases():
         flag, kind, _, interval = SETTINGS[key]
         for value in _around(interval, kind)[1]:
             yield key, value
-    for value in _around(cli.N_INTERVAL, int)[1]:
+    for value in _around(fragment.ROWS_INTERVAL, int)[1]:
         yield "--n", value
     # numpy's bare "array is too big" before, and "Unable to allocate 384. TiB"
     yield from (("search.M", 2**62), ("sample.L", 2**62), ("--n", 2**62),
@@ -813,7 +865,7 @@ def _outside_cases():
 @pytest.mark.parametrize("key,value", list(_outside_cases()))
 def test_a_value_outside_its_interval_exits_2_naming_the_key(
         key, value, checkpoint, tmp_path, capsys, caplog):
-    flag, kind, _, interval = SETTINGS.get(key, ("--n", int, None, cli.N_INTERVAL))
+    flag, kind, _, interval = SETTINGS.get(key, ("--n", int, None, fragment.ROWS_INTERVAL))
     command = "sample" if key == "--n" else next(
         c for c, keys in cli.COMMAND_KEYS.items() if key in keys)
     manifest, cfg = tmp_path / "m.json", tmp_path / "cfg.json"

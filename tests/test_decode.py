@@ -136,12 +136,12 @@ def test_budget_phase_transition(trained42, vocab):
     # block 0 holds BOS, so 7 calls suffice there, but every later block
     # needs the full K=8; budget 7 must abort, 8 must finish.
     short = Decoder(trained42, DecodeConfig(block=8, length=48, budget=7,
-                                            mode="sample", seed=5), vocab)
+                                            temperature=1.0, mode="sample", seed=5), vocab)
     assert short.generate(4) == []
     outputs = []
     for budget in (8, 100, 1000):
         dec = Decoder(trained42, DecodeConfig(block=8, length=48, budget=budget,
-                                              mode="sample", seed=5), vocab)
+                                              temperature=1.0, mode="sample", seed=5), vocab)
         recs = dec.generate(4)
         assert len(recs) == 4
         outputs.append([(r.smiles, r.completed, r.block_count) for r in recs])
@@ -150,7 +150,7 @@ def test_budget_phase_transition(trained42, vocab):
 
 def test_chunks_from_their_first_lane_join_to_the_whole_batch(trained42, vocab):
     dec = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64,
-                                          mode="sample", seed=9), vocab)
+                                          temperature=1.0, mode="sample", seed=9), vocab)
     for prefix in (None, ["C", "C", "("]):
         whole = dec.generate(7, prefix)
         assert len({r.smiles for r in whole}) > 1
@@ -166,7 +166,7 @@ def test_budget_abort_is_picklable():
 
 def test_gcd_batch_lanes_identical(trained42, vocab):
     dec = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64,
-                                          mode="confidence", seed=1), vocab)
+                                          temperature=1.0, mode="confidence", seed=1), vocab)
     recs = dec.generate(5)
     assert len({r.smiles for r in recs}) == 1
     assert recs[0].smiles == dec.generate(1)[0].smiles
@@ -174,8 +174,8 @@ def test_gcd_batch_lanes_identical(trained42, vocab):
 
 @pytest.mark.parametrize("mode", ["confidence", "sample"])
 def test_only_sample_mode_builds_lane_keys(trained42, vocab, monkeypatch, mode):
-    dec = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64, mode=mode, seed=3),
-                  vocab)
+    dec = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64, temperature=1.0,
+                                          mode=mode, seed=3), vocab)
     want = [dec.decode(20), dec.decode(4, ["C", "C", "("], first_lane=7)]
     built = []
 
@@ -189,11 +189,11 @@ def test_only_sample_mode_builds_lane_keys(trained42, vocab, monkeypatch, mode):
 
 
 def test_sample_mode_rerun_identity(trained42, vocab):
-    cfg = DecodeConfig(block=8, length=48, budget=64, mode="sample", seed=77)
+    cfg = DecodeConfig(block=8, length=48, budget=64, temperature=1.0, mode="sample", seed=77)
     a = Decoder(trained42, cfg, vocab).generate(6)
     b = Decoder(trained42, cfg, vocab).generate(6)
     assert [r.smiles for r in a] == [r.smiles for r in b]
-    c = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64,
+    c = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64, temperature=1.0,
                                         mode="sample", seed=78), vocab).generate(6)
     assert [r.smiles for r in a] != [r.smiles for r in c]
 
@@ -201,13 +201,13 @@ def test_sample_mode_rerun_identity(trained42, vocab):
 def test_prefix_preserved(trained42, vocab, toy500):
     prefix = [t.text for t in toy500[0][:9]]
     dec = Decoder(trained42, DecodeConfig(block=8, length=48, budget=64,
-                                          mode="sample", seed=3), vocab)
+                                          temperature=1.0, mode="sample", seed=3), vocab)
     for rec in dec.generate(4, prefix=prefix):
-        assert list(rec.tokens[: len(prefix)]) == prefix
+        assert [t.text for t in tokenize(rec.smiles)][: len(prefix)] == prefix
 
 
 def test_resolved_positions_never_remasked(trained42, vocab):
-    cfg = DecodeConfig(block=8, length=48, budget=64, mode="sample", seed=9)
+    cfg = DecodeConfig(block=8, length=48, budget=64, temperature=1.0, mode="sample", seed=9)
     dec = Decoder(trained42, cfg, vocab)
     ids, keys = dec.frame(3), lane_keys(cfg.seed, np.arange(3))
     resolved = {}
@@ -225,7 +225,7 @@ def test_sampling_block_size_decoupled_from_training(trained42, vocab):
     # the same padded layout re-partitions under any K dividing L
     for K in (4, 8, 12):
         dec = Decoder(trained42, DecodeConfig(block=K, length=48, budget=64,
-                                              mode="sample", seed=11), vocab)
+                                              temperature=1.0, mode="sample", seed=11), vocab)
         recs = dec.generate(2)
         assert len(recs) == 2 and all(r.smiles for r in recs)
 
@@ -242,7 +242,7 @@ def test_a_call_serving_several_rows_hands_the_predictor_several(trained42, voca
         return predict(params, windows, *args)
 
     monkeypatch.setattr(diffusion, "predict", spy)
-    cfg = DecodeConfig(block=8, length=48, budget=64, mode=mode, seed=5)
+    cfg = DecodeConfig(block=8, length=48, budget=64, temperature=1.0, mode=mode, seed=5)
     runs = {}
     for rows in (0, 10**6):  # every block grouped, and none
         monkeypatch.setattr(decode, "GROUP_ROWS", rows)
@@ -269,7 +269,7 @@ def test_row_whose_nucleus_keeps_only_mask_ends(vocab, mode):
     # keeps it alone and nothing is left once the decoder zeroes it.
     params = PredictorParams.init(len(vocab), 8, 4, seed=1)
     params.bias[Vocab.MASK_ID] = 8.0
-    dec = Decoder(params, DecodeConfig(block=8, length=16, nucleus_p=0.5,
+    dec = Decoder(params, DecodeConfig(block=8, length=16, temperature=1.0, nucleus_p=0.5,
                                        mode=mode, seed=3), vocab)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no 0/0 in the draw
@@ -281,7 +281,8 @@ def test_row_whose_nucleus_keeps_only_mask_ends(vocab, mode):
 def test_rows_that_never_commit_eos_are_written_incomplete(vocab, mode):
     params = PredictorParams.init(len(vocab), 8, 4, seed=1)
     params.bias[Vocab.EOS_ID] = -50.0
-    dec = Decoder(params, DecodeConfig(block=8, length=16, mode=mode, seed=3), vocab)
+    dec = Decoder(params, DecodeConfig(block=8, length=16, temperature=1.0, mode=mode, seed=3),
+                  vocab)
     out = io.StringIO()
     write_jsonl(dec.generate(4), out, seed=3)
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -299,7 +300,7 @@ def test_write_jsonl_parses_each_distinct_smiles_once(monkeypatch):
 
     monkeypatch.setattr(decode, "try_parse", counting)
     smiles = ["CCO", "C1CC", "CCO", "", "C1CC", "CCO", "c1ccccc1"]
-    records = [GenRecord((), s, bool(s), 1) for s in smiles]
+    records = [GenRecord(s, bool(s), 1) for s in smiles]
     out = io.StringIO()
     write_jsonl(records, out, seed=5)
     assert parsed == ["CCO", "C1CC", "", "c1ccccc1"]
@@ -348,7 +349,7 @@ def test_confidence_read_off_the_cut_is_the_truncated_rows_max(problem):
 def test_reused_decoder_matches_a_fresh_one(trained42, vocab, mode):
     # The decoder builds its predictor constants once; blocks decoded out of
     # order by one decoder must match a fresh decoder per block.
-    cfg = DecodeConfig(block=8, length=48, nucleus_p=0.95, mode=mode, seed=5)
+    cfg = DecodeConfig(block=8, length=48, temperature=1.0, nucleus_p=0.95, mode=mode, seed=5)
     reused = Decoder(trained42, cfg, vocab)
     keys = lane_keys(cfg.seed, np.arange(6))
     for b in (3, 0, 3):
@@ -361,7 +362,7 @@ def test_reused_decoder_matches_a_fresh_one(trained42, vocab, mode):
 
 
 def test_generate_empty_prefix_matches_none(trained42, vocab):
-    cfg = DecodeConfig(block=8, length=48, budget=64, mode="confidence", seed=2)
+    cfg = DecodeConfig(block=8, length=48, budget=64, temperature=1.0, mode="confidence", seed=2)
     dec = Decoder(trained42, cfg, vocab)
     assert dec.generate(1, prefix=[])[0].smiles == dec.generate(1)[0].smiles
 
@@ -580,7 +581,8 @@ def test_equal_rows_share_one_record_and_one_reassembly(trained42, vocab, monkey
         return reassemble(ids, vocab)
 
     monkeypatch.setattr(decode, "reassemble", counting)
-    dec = Decoder(trained42, DecodeConfig(block=8, length=48, nucleus_p=0.95), vocab)
+    dec = Decoder(trained42, DecodeConfig(block=8, length=48, temperature=1.0, nucleus_p=0.95),
+                  vocab)
     records = dec.generate(1000)
     assert len(records) == 1000 and len(calls) == 1
     assert all(rec is records[0] for rec in records)

@@ -50,7 +50,8 @@ def predictor():
 
 
 def decode_config(**kw) -> DecodeConfig:
-    return DecodeConfig(block=BLOCK, length=LENGTH, budget=BUDGET, **kw)
+    """At temperature 1.0 unless ``kw`` sets it: the GOLDENS were pinned at 1.0."""
+    return DecodeConfig(block=BLOCK, length=LENGTH, budget=BUDGET, **{"temperature": 1.0, **kw})
 
 
 def digest(lines) -> str:

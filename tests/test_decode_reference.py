@@ -175,7 +175,8 @@ def test_draws_at_the_top_of_the_unit_interval_match_the_reference(monkeypatch, 
     u = 1.0 - 2.0**-53
     monkeypatch.setattr(decode, "lane_uniforms", lambda keys, *parts: np.full(keys.shape, u))
     monkeypatch.setitem(globals(), "key_uniform", lambda *parts: u)
-    cfg = DecodeConfig(block=8, length=24, nucleus_p=nucleus_p, mode="sample", seed=1)
+    cfg = DecodeConfig(block=8, length=24, temperature=1.0, nucleus_p=nucleus_p, mode="sample",
+                       seed=1)
     for seed in range(4):
         params = PredictorParams.init(len(VOCAB), 6, 3, seed=seed, scale=1.0)
         test_decode_block_matches_per_row_reference.hypothesis.inner_test(dict(
@@ -247,7 +248,8 @@ def coarse_problems(draw):
         np.array([[-1, -1, -1, 1, -1, 1, 1, 0, 0, 0, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, -1]],
                  float),
         np.zeros(len(VOCAB))),
-        DecodeConfig(block=4, length=8, budget=4, nucleus_p=0.3, mode="sample", seed=5),
+        DecodeConfig(block=4, length=8, budget=4, temperature=1.0, nucleus_p=0.3, mode="sample",
+                     seed=5),
         VOCAB),
     prefix=[], lanes=list(range(6)), resume=None))
 def test_decode_block_matches_per_row_reference_on_coarse_tables(problem):
@@ -391,7 +393,8 @@ def tiled_problems(draw):
 
 
 ONE_GROUP = Decoder(PredictorParams.init(len(VOCAB), 6, 3, seed=7, scale=3.0),
-                    DecodeConfig(block=8, length=32, budget=8, nucleus_p=0.95), VOCAB)
+                    DecodeConfig(block=8, length=32, budget=8, temperature=1.0, nucleus_p=0.95),
+                    VOCAB)
 
 
 @settings(max_examples=150, deadline=None)

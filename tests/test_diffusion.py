@@ -263,7 +263,7 @@ def ref_loss_gradient(params, ids, ts, noised):
     return {"embeddings": g_emb, "gains": g_gain, "out": g_out, "bias": g_bias}
 
 
-def ref_train(params, corpus, block, epochs, lr, seed, clip=diffusion.GRAD_CLIP):
+def ref_train(params, corpus, block, epochs, lr, seed):
     """The training loop one example per step, each update summing the
     reference gradients of an antithetic pair, whose second member mirrors
     the first's times: the reference for train."""
@@ -295,7 +295,7 @@ def ref_train(params, corpus, block, epochs, lr, seed, clip=diffusion.GRAD_CLIP)
                     a += g
             count += 1
             if count == 2 or step == len(order) - 1:
-                diffusion._apply_update(params, PredictorParams(*acc), count, lr, clip)
+                diffusion._apply_update(params, PredictorParams(*acc), count, lr)
                 acc = None
                 count = 0
         history.append(total / len(corpus))

@@ -136,13 +136,6 @@ def test_circles_monotone_in_set_size():
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def test_circles_threshold_validation():
-    with pytest.raises(ValueError):
-        circles([], threshold=0.0)
-    with pytest.raises(ValueError):
-        circles([], threshold=1.0)
-
-
 def test_empty_sample_set_raises(oracle):
     with pytest.raises(EmptySet):
         standard_metrics([], oracle)
@@ -177,6 +170,6 @@ def test_circles_above_hit_count_is_a_runtime_error(oracle, monkeypatch):
     # The bound is checked by a raise, not an assert that python -O strips.
     from blockmol import metrics
 
-    monkeypatch.setattr(metrics, "circles", lambda fps, threshold: len(fps) + 1)
+    monkeypatch.setattr(metrics, "circles", lambda fps: len(fps) + 1)
     with pytest.raises(RuntimeError, match="circles"):
         standard_metrics(FOUR, oracle)

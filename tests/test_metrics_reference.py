@@ -16,6 +16,7 @@ must equal the reference's bit for bit for any process count.
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +47,13 @@ def ref_circles(fps, threshold):
         if all(tanimoto(fp, c) < threshold for c in centers):
             centers.append(fp)
     return len(centers)
+
+
+def circles_at(fps, threshold):
+    """``circles`` with ``metrics.CIRCLE_THRESHOLD`` set to ``threshold`` for the
+    call; hypothesis runs many examples in one function-scoped fixture's life."""
+    with mock.patch.object(metrics, "CIRCLE_THRESHOLD", threshold):
+        return circles(fps)
 
 
 # --- reference: the one-process scoring loop ---------------------------------
@@ -118,7 +126,7 @@ def test_mean_pairwise_equals_the_reference_bit_for_bit(fps, block_bytes):
 @example(fps=[Fingerprint(0, 256)] * 3, threshold=0.5)
 @example(fps=[Fingerprint(0b1111, 256), Fingerprint(0b0111, 256)], threshold=0.75)
 def test_circles_equals_the_greedy_reference(fps, threshold):
-    assert circles(fps, threshold) == ref_circles(fps, threshold)
+    assert circles_at(fps, threshold) == ref_circles(fps, threshold)
 
 
 @pytest.mark.parametrize("width,n", [(256, 200), (2048, 90)])
@@ -130,7 +138,7 @@ def test_mean_pairwise_over_several_default_blocks(width, n):
     pool = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(n // 2)]
     fps = [Fingerprint(rng.choice(pool + [0]), width) for _ in range(n)]
     assert mean_pairwise_tanimoto(fps).hex() == ref_mean_pairwise(fps).hex()
-    assert circles(fps, 0.3) == ref_circles(fps, 0.3)
+    assert circles_at(fps, 0.3) == ref_circles(fps, 0.3)
 
 
 ORACLE = SurrogateOracle(load_profile("parp1"))
@@ -188,5 +196,5 @@ def test_bits_past_the_width_count_as_tanimoto_counts_them():
     fps = [Fingerprint(1 << 300, 256), Fingerprint((1 << 300) | 1, 256), Fingerprint(1, 256)]
     assert tanimoto(fps[0], fps[1]) == 0.5
     assert mean_pairwise_tanimoto(fps) == ref_mean_pairwise(fps) == 1.0 / 3.0
-    assert circles(fps, 0.4) == ref_circles(fps, 0.4) == 2
-    assert circles(fps, 0.6) == ref_circles(fps, 0.6) == 3
+    assert circles_at(fps, 0.4) == ref_circles(fps, 0.4) == 2
+    assert circles_at(fps, 0.6) == ref_circles(fps, 0.6) == 3

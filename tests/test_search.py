@@ -120,7 +120,7 @@ def test_search_config_validation():
 def stats_search(vocab, **cfg_kw):
     from blockmol.diffusion import PredictorParams
 
-    cfg = SearchConfig(decode=DecodeConfig(block=8, length=32, budget=64),
+    cfg = SearchConfig(decode=DecodeConfig(block=8, length=32, budget=64, temperature=1.0, seed=0),
                        **cfg_kw)
     params = PredictorParams.zeros(len(vocab), dim=4, window=2)
     return TreeSearch(cfg, params, vocab, oracle=None), cfg
@@ -419,7 +419,7 @@ def benchmark_search():
     from blockmol.diffusion import PredictorParams
 
     vocab = Vocab.build([tokenize(s) for s in data.toy_candidates(3)[::62]])
-    cfg = SearchConfig(decode=DecodeConfig(block=8, length=32, budget=64))
+    cfg = SearchConfig(decode=DecodeConfig(block=8, length=32, budget=64, temperature=1.0, seed=0))
     return TreeSearch(cfg, PredictorParams.zeros(len(vocab), dim=4, window=2), vocab, None)
 
 

@@ -7,8 +7,8 @@ helper that loses its last caller fails here until it is deleted or
 exempted; a name that src reads off numpy or the standard library (such
 as ``np.zeros``) counts as no reference.  An exemption kept because the
 benchmark's tracer wraps it is checked against ``TRACED`` in
-perfbench/spans.py, read with ast.  A second scan keeps JSON type checks in
-one function.
+perfbench/spans.py, read with ast.  Two more scans keep JSON type checks in
+one function and JSON file parsing in another.
 """
 
 import ast
@@ -86,21 +86,38 @@ def test_each_tracer_reason_names_a_traced_function():
         {name for name in EXEMPT if name in traced} != set()
 
 
-def _bool_checks(node, qualified):
-    """The qualified name of the definition around each ``isinstance(x, bool)``,
-    or ``isinstance(x, (..., bool))``, under ``node``."""
+def _sites(node, qualified, hit):
+    """The qualified name of the definition around each node under ``node``
+    for which ``hit`` holds (the module's name outside any definition)."""
     for child in ast.iter_child_nodes(node):
         name = f"{qualified}.{child.name}" if isinstance(child, _DEFINITIONS) else qualified
-        if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
-                and len(child.args) == 2 and any(
-                    getattr(n, "id", None) == "bool" for n in ast.walk(child.args[1]))):
+        if hit(child):
             yield name
-        yield from _bool_checks(child, name)
+        yield from _sites(child, name, hit)
+
+
+def _found(hit) -> set:
+    """``_sites`` of ``hit`` over every src module."""
+    return {name for path in sorted(SRC.glob("*.py"))
+            for name in _sites(ast.parse(path.read_text()), path.stem, hit)}
+
+
+def _is_bool_check(node) -> bool:
+    """``isinstance(x, bool)`` or ``isinstance(x, (..., bool))``."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1])))
 
 
 def test_only_check_record_judges_json_types():
     # A JSON true is a Python int, so a JSON type check tests for bool; such a
     # test outside fragment.check_record is a second type checker.
-    found = {name for path in sorted(SRC.glob("*.py"))
-             for name in _bool_checks(ast.parse(path.read_text()), path.stem)}
-    assert found == {"fragment.check_record"}
+    assert _found(_is_bool_check) == {"fragment.check_record"}
+
+
+def test_only_load_record_parses_a_json_file():
+    # Each file that is not JSON, and each JSON file of the wrong shape, is named
+    # by one reader: a second json.load would report a parse error without its file.
+    assert _found(lambda node: isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "load"
+                  and getattr(node.func.value, "id", None) == "json") == {"fragment.load_record"}
