@@ -198,8 +198,9 @@ def _manifest(path, command: str, cfg: dict, extra: dict):
 
 def cmd_validate(args) -> int:
     failures = total = 0
-    # One verdict per input line: a blank line is an EmptyMolecule.
-    for total, smiles in _numbered_lines(args.infile, blank=True):
+    # One verdict per input line (a blank line is an EmptyMolecule), and none
+    # before every line is read, so that a read error writes none.
+    for total, smiles in list(_numbered_lines(args.infile, blank=True)):
         _, err = try_parse(smiles)
         if err is not None:
             failures += 1

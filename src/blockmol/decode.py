@@ -15,9 +15,9 @@ Rows with equal windows get equal predictions, so a block that starts with at
 least ``GROUP_ROWS`` pending rows groups them by window and runs the predictor
 and the nucleus read-off once per group: every row starts from BOS, and rows
 that draw alike stay alike.  Each row still draws against its own uniform,
-and a group splits by the tokens its rows draw.  A call serving two or more
-rows hands the predictor at least two, since a row alone rounds differently
-from a row beside others.
+and a group splits by the tokens its rows draw.  A row's logits are sums of
+logit-table slices in a fixed order, with no BLAS call, so its tokens do not
+depend on the rows that share its call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ log = logging.getLogger(__name__)
 # The fewest pending rows a block groups by window.  Grouping costs two sorts a
 # step: on the benchmark predictor, one block at a 24-token window ran as fast
 # for 8 equal rows and 2% slower for 16 distinct ones, but 1.13x faster for 12
-# rows of 2 starts and 1.25x for 16 rows of one.
+# rows of 2 starts and 1.25x for 16 rows of one.  Never grouping, the benchmark
+# sample ran 15,130 lines/s against 19,080, and search 743 iterations/s against 778.
 GROUP_ROWS = 16
 
 
@@ -259,15 +260,30 @@ class Decoder:
         self.params = params
         self.cfg = cfg
         self.vocab = vocab
-        self._table = diffusion.visible_table(params)
         self._id_tables = _id_tables(vocab)
         self._fragment = cfg.fragment
         # The run's counts by name, 0 for one that never happened: predicted_rows
         # and the row_steps they served, summed over steps, and judged_rows.
         self.counts = Counter()
-        positions = np.arange(cfg.length)
-        # Block b's offset gains are the last (b + 1) * K columns of the last block's.
-        self._gain = diffusion.offset_gains(params, positions, positions[-cfg.block:])
+        # The table row of each offset (target minus token) -(K - 1) to L - 1, negatives last.
+        W, offsets = params.window, np.r_[0:cfg.length, 1 - cfg.block:0]
+        rows = np.clip(offsets, -W, W) + W
+        self._table = diffusion.logit_table(params, np.arange(rows.min(), rows.max() + 1))
+        self._reads = rows - rows.min()
+
+    def _prefix_logits(self, windows: np.ndarray, b: int, start: int) -> np.ndarray:
+        """The (n, K, V) logits at block b of (n, hi) ``windows`` that show their
+        tokens below ``start``.  A row adds its terms in one order: one
+        ``np.add.reduce`` of the tokens more than W before the block, which
+        every target reads at offset W; each nearer token by position; the bias."""
+        K, W = self.cfg.block, self.params.window
+        far = max(b * K - W, 0)
+        logits = np.zeros((windows.shape[0], K, self.params.vocab_size))
+        if far:
+            logits += np.add.reduce(self._table[windows[:, :far], self._reads[W]], axis=1)[:, None]
+        for k in range(far, start):
+            logits += self._table[windows[:, k, None], self._reads[b * K + np.arange(K) - k]]
+        return logits + self.params.bias
 
     # -- framing
 
@@ -327,18 +343,16 @@ class Decoder:
         first = group = slice(None)  # each row its own group
         if rows.shape[0] >= GROUP_ROWS:
             first, group = _groups(ids[rows, :hi])
-        gain = self._gain[:, :, cfg.length - hi:]
+        logits = np.empty(block.shape + (self.params.vocab_size,))
+        logits[rows] = self._prefix_logits(ids[rows[first], :hi], b, start)[group]
         for step in range(steps):
             if rows.shape[0] == 0:
                 break
             reps = rows[first]
-            if reps.shape[0] == 1 < rows.shape[0]:  # one row alone would round otherwise
-                reps = np.repeat(reps, 2)
             self.counts["predicted_rows"] += reps.shape[0]
             self.counts["row_steps"] += rows.shape[0]
             masked = masked[reps]
-            nucleus = diffusion.predict(self.params, ids[reps, :hi], gain, self._table, masked,
-                                        cfg.temperature, cfg.nucleus_p)
+            nucleus = diffusion.predict(logits[reps], masked, cfg.temperature, cfg.nucleus_p)
             conf = np.zeros(masked.shape)
             conf[masked] = _confidence(nucleus)
             j, conf = gcd_select(conf, masked)
@@ -361,6 +375,7 @@ class Decoder:
             # A row whose nucleus kept only MASK has nothing to commit: it ends.
             v[conf[group] == 0.0] = Vocab.EOS_ID
             block[rows, j[group]] = v
+            logits[rows] += self._table[v[:, None], self._reads[np.arange(K) - j[group, None]]]
             ended = rows[v == Vocab.EOS_ID]
             if ended.shape[0]:  # EOS from the first MASK or EOS on: one clean tail
                 tail = ids[ended]

@@ -156,14 +156,6 @@ class PredictorParams:
         return PredictorParams(*(table.copy() for table in self.tables()))
 
 
-def offset_gains(params: PredictorParams, positions: np.ndarray,
-                 targets: np.ndarray) -> np.ndarray:
-    """G[pos(targets[j]) - pos(k)], laid out (d, J, S) for ``_pooled``'s matmul."""
-    W = params.window
-    rel = np.clip(positions[targets][:, None] - positions[None, :], -W, W) + W  # (J, S)
-    return params.gains[rel].transpose(2, 0, 1)
-
-
 def visible_table(params: PredictorParams) -> np.ndarray:
     """The (V, d) embedding table with MASK's row zeroed: gathered at a window's
     tokens, it gives E[x[n, k]], zero where the token is MASK, the values that
@@ -176,16 +168,13 @@ def _pooled(windows: np.ndarray, gain: np.ndarray, table: np.ndarray) -> np.ndar
     """h[n, j] = sum_k visible(n, k) * E[x[n, k]] * G[pos(targets[j]) - pos(k)].
 
     ``windows``: (N, S) token ids; MASK positions contribute nothing.
-    ``gain`` and ``table`` are ``offset_gains`` and ``visible_table``.
+    ``gain`` holds G[pos(targets[j]) - pos(k)] as (d, J, S); ``table`` is ``visible_table``.
     """
     emb = table[windows]  # (N, S, d)
-    # The batched matmul that einsum("nsd,jsd->njd", optimize=True) plans,
-    # without the planning: same sums, same (d, J, N) memory layout, so the
-    # projection below rounds the same way too.
-    h = np.matmul(gain, emb.transpose(2, 1, 0)).transpose(2, 1, 0)
-    # With one window column there is nothing to sum and einsum multiplies
-    # into a C-ordered array instead.
-    return np.ascontiguousarray(h) if windows.shape[1] == 1 else h
+    # The batched matmul that einsum("nsd,jsd->njd", optimize=True) plans for
+    # S >= 2, without the planning: same sums, same (d, J, N) memory layout, so
+    # the projection below rounds the same way too.
+    return np.matmul(gain, emb.transpose(2, 1, 0)).transpose(2, 1, 0)
 
 
 def _softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -258,20 +247,22 @@ def nucleus_truncate(probs: np.ndarray, p: float) -> np.ndarray:
     return nucleus_expand(nucleus_cut(flat, p)).reshape(probs.shape)
 
 
-def predict(params: PredictorParams, windows: np.ndarray, gain: np.ndarray,
-            table: np.ndarray, masked: np.ndarray, temperature: float = 1.0,
+def logit_table(params: PredictorParams, rows: np.ndarray) -> np.ndarray:
+    """T[v, r] = (E_vis[v] * G[rows[r]]) @ out, as (V, len(rows), V): what token v
+    adds to the logits of a target at gain row ``rows[r]`` from it.  A target's
+    logits are the bias plus one slice per token of its window."""
+    return np.einsum("vd,rd,dw->vrw", visible_table(params), params.gains[rows], params.out,
+                     optimize=False)
+
+
+def predict(logits: np.ndarray, masked: np.ndarray, temperature: float = 1.0,
             nucleus_p: float = 1.0) -> Nucleus:
-    """The ``nucleus_cut`` of the token distributions at the (N, J) bool ``masked``
-    pairs of (N, S) ``windows``, given the window's ``offset_gains`` for its J
-    target columns and ``visible_table(params)``.  This reference model is
-    time-independent, so it takes no diffusion time."""
+    """The ``nucleus_cut`` of the token distributions at the (N, K) bool
+    ``masked`` pairs of (N, K, V) ``logits``, which it leaves as they are.
+    This reference model is time-independent, so it takes no diffusion time."""
     if temperature <= 0.0:
         raise OutOfRange(f"temperature {temperature} must be positive")
-    # No name holds the pooled (N, J, d) states, so they are freed once projected,
-    # nor the (N, J, V) logits, freed once gathered.  The bias is added per entry,
-    # so adding it after the gather gives the same bits for fewer adds.
-    logits = (_pooled(windows, gain, table) @ params.out)[masked] + params.bias
-    return nucleus_cut(_softmax(logits, temperature), nucleus_p)
+    return nucleus_cut(_softmax(logits[masked], temperature), nucleus_p)
 
 
 # --- NELBO --------------------------------------------------------------------

@@ -15,24 +15,18 @@ call for the wave's candidate blocks, the children picked in iteration order,
 one call for their rollouts, then scoring and backpropagation in iteration
 order.  Every later iteration is a wave of one.  So every child is visited in
 the wave that creates it, and selection only ever compares visited children.
-Every row draws with its own lane key, but the predictor rounds a row by the
-number N of rows in its call: measured with numpy 2.4.6 and OpenBLAS 0.3.31,
-a row's logits are bit-identical for every N >= 2 at windows of up to 24
-tokens and for every N in [2, 150] at 32 to 48, while N = 1 differs from all
-of them.  So a wave gives the bytes of its iterations run one at a time while
-every call of both holds at least 2 rows, and at most 150 at windows of 32 or
-more.
+Every row draws with its own lane key, and a row's tokens do not depend on
+the rows that share its decode call (``blockmol.decode``), so a wave gives
+the bytes of its iterations run one at a time.
 
 A non-terminal child whose prefix already fails ``chem.scan`` is dead: an
 error a prefix shows is the whole molecule's, so its rollouts can only earn
-the penalty.  When every open child of a wave is dead, their rollouts are not
-decoded and each earns the penalty at once, as MCTS-Solver (Winands,
-Bjornsson and Saito 2008) stops simulating a node whose value is proven.  A
-dead child beside a live one keeps its rows in the call, since taking them
-out could move a live row's call into another size class, and so its floats.
-The run's Counter, shared with its decoder, counts the skipped rollouts as
-``dead_rollouts``, and the iterations that reselect a terminal leaf, which
-only back up its cached reward, as ``terminal_reselections``.
+the penalty.  Its rollouts are not decoded and it earns the penalty at once,
+as MCTS-Solver (Winands, Bjornsson and Saito 2008) stops simulating a node
+whose value is proven.  The run's Counter, shared with its decoder, counts
+the skipped rollouts as ``dead_rollouts``, and the iterations that reselect a
+terminal leaf, which only back up its cached reward, as
+``terminal_reselections``.
 """
 
 from __future__ import annotations
@@ -263,24 +257,22 @@ class TreeSearch:
         """Each child's rows to score: a terminal child's own sequence, the
         others' n_sim completions, decoded in one call from a stream disjoint
         from expansion's, lane ``iteration * n_sim + j`` drawing completion j.
-        The children share one depth.  When every open child is dead, the
-        open children get no rows, as their completions could only earn
-        the penalty; one live child keeps every row in the call (see the
-        module docstring)."""
+        The children share one depth.  A dead child gets no rows, as its
+        completions could only earn the penalty."""
         cfg = self.cfg
         rows = [ch.partial[None, :] for ch in children]
         open_ = [k for k, ch in enumerate(children) if not ch.terminal]
-        if open_ and all(self.dead(children[k]) for k in open_):
-            self.counts["dead_rollouts"] += len(open_)
-            for k in open_:
-                rows[k] = rows[k][:0]
-        elif open_:
-            ids = np.repeat(np.stack([children[k].partial for k in open_]), cfg.n_sim, axis=0)
-            lanes = (np.array([iterations[k] for k in open_])[:, None] * cfg.n_sim
+        live = [k for k in open_ if not self.dead(children[k])]
+        self.counts["dead_rollouts"] += len(open_) - len(live)
+        for k in set(open_) - set(live):
+            rows[k] = rows[k][:0]
+        if live:
+            ids = np.repeat(np.stack([children[k].partial for k in live]), cfg.n_sim, axis=0)
+            lanes = (np.array([iterations[k] for k in live])[:, None] * cfg.n_sim
                      + np.arange(cfg.n_sim)).ravel()
-            self._decoder.run_blocks(ids, children[open_[0]].depth, self._last_block,
+            self._decoder.run_blocks(ids, children[live[0]].depth, self._last_block,
                                      lane_keys(cfg.decode.seed ^ 0x517C0DE, lanes))
-            for i, k in enumerate(open_):
+            for i, k in enumerate(live):
                 rows[k] = ids[i * cfg.n_sim:(i + 1) * cfg.n_sim]
         return rows
 

@@ -53,8 +53,11 @@ GOLDENS = {
 
 def pooled(params, windows, positions, targets):
     """``diffusion._pooled`` of (N, S) windows at these positions, for the
-    window columns ``targets``, with its constants built here."""
-    return diffusion._pooled(windows, diffusion.offset_gains(params, positions, targets),
+    window columns ``targets``, with its constants built here: the gains
+    G[pos(targets[j]) - pos(k)], laid out (d, J, S)."""
+    W = params.window
+    rel = np.clip(positions[targets][:, None] - positions[None, :], -W, W) + W  # (J, S)
+    return diffusion._pooled(windows, params.gains[rel].transpose(2, 0, 1),
                              diffusion.visible_table(params))
 
 

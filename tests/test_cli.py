@@ -460,7 +460,9 @@ def test_validate_and_curate_fail_on_input_with_no_molecule(tmp_path, capsys, ca
 def test_an_input_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, caplog,
                                                                 command):
     # Before, each exited 2 with "'utf-8' codec can't decode byte 0xe9 in
-    # position 6: invalid continuation byte", naming neither file nor line.
+    # position 6: invalid continuation byte", naming neither file nor line,
+    # and validate had already written line 1's verdict.  No command writes
+    # to stdout before its last line is read.
     infile = tmp_path / "in.smi"
     infile.write_bytes(b"CCO\nCC\xe9O\nCCN\n")  # a Latin-1 e-acute on line 2
     out_path = tmp_path / "out"
@@ -468,8 +470,8 @@ def test_an_input_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys
         "validate": [], "curate": ["--out", str(out_path)], "eval": ["--target", "parp1"],
         "train": ["--epochs", "1", "--dim", "8", "--window", "4", "--out", str(out_path)],
     }[command]
-    code, _, _ = run_cli(argv, capsys)
-    assert code == 2 and not out_path.exists()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2 and out == "" and not out_path.exists()
     assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
         f"{infile}:2: not UTF-8 (byte 0xe9 at column 3)"]
 

@@ -26,7 +26,6 @@ from blockmol.diffusion import (
     nelbo_weight,
     nucleus_expand,
     nucleus_truncate,
-    offset_gains,
     predict,
     save_checkpoint,
     train,
@@ -106,55 +105,37 @@ def test_predict_attends_whole_window():
 
 @st.composite
 def predict_problems(draw):
-    """Windows, masks and tables for ``predict``: some rows hold no masked
-    pair, the batch holds at least one, and coarse tables tie values at the cut."""
-    V, dim, window = draw(st.integers(5, 24)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    """Logits and masks for ``predict``: some rows hold no masked pair, the
+    batch holds at least one, and coarse logits tie values at the cut."""
+    n, k, V = draw(st.integers(1, 12)), draw(st.integers(1, 8)), draw(st.integers(5, 24))
     if draw(st.booleans()):
-        seed = draw(st.integers(0, 2**16))
-        params = PredictorParams.init(V, dim, window, seed,
-                                      scale=draw(st.sampled_from([0.1, 1.0, 3.0])))
-        params.bias[:] = np.random.default_rng(seed).normal(size=V)
+        logits = np.random.default_rng(draw(st.integers(0, 2**16))).normal(
+            0.0, draw(st.sampled_from([0.1, 1.0, 3.0])), (n, k, V))
     else:
-        def table(*shape):
-            size = int(np.prod(shape))
-            return np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
-                                          min_size=size, max_size=size))).reshape(shape)
-        params = PredictorParams(table(V, dim), table(2 * window + 1, dim), table(dim, V),
-                                 table(V))
-    n, s = draw(st.integers(1, 12)), draw(st.integers(1, 24))
-    j = draw(st.integers(1, min(s, 8)))
-    windows = np.array(draw(st.lists(st.integers(0, V - 1), min_size=n * s,
-                                     max_size=n * s))).reshape(n, s)
-    masked = np.array(draw(st.lists(st.booleans(), min_size=n * j,
-                                    max_size=n * j))).reshape(n, j)
-    masked[draw(st.integers(0, n - 1)), draw(st.integers(0, j - 1))] = True
-    windows[:, s - j:][masked] = Vocab.MASK_ID
-    return (params, windows, masked, draw(st.integers(0, 40)), draw(st.integers(0, 16)),
-            draw(st.sampled_from([0.7, 1.0, 1.1])), draw(st.sampled_from([0.3, 0.95, 1.0])))
+        logits = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n * k * V,
+                                        max_size=n * k * V))).reshape(n, k, V)
+    masked = np.array(draw(st.lists(st.booleans(), min_size=n * k,
+                                    max_size=n * k))).reshape(n, k)
+    masked[draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))] = True
+    return (logits, masked, draw(st.sampled_from([0.7, 1.0, 1.1])),
+            draw(st.sampled_from([0.3, 0.95, 1.0])))
 
 
 @settings(max_examples=300, deadline=None)
 @given(predict_problems())
 def test_predict_cuts_the_full_form_at_the_masked_pairs(problem):
-    params, windows, masked, first, extra, temperature, p = problem
-    s, j = windows.shape[1], masked.shape[1]
-    positions = np.arange(first, first + extra + s)
-    # As the decoder passes them: the last columns of gains built for a longer window.
-    gain = offset_gains(params, positions, np.arange(extra + s - j, extra + s))[:, :, extra:]
-    got = predict(params, windows, gain, diffusion.visible_table(params), masked,
-                  temperature, p)
-    want = full_predict(params, windows, positions[extra:], np.arange(s - j, s),
-                        temperature, p)
+    logits, masked, temperature, p = problem
+    given_logits = logits.copy()
+    got = predict(logits, masked, temperature, p)
+    assert np.array_equal(logits, given_logits)  # read, not softmaxed in place
+    want = nucleus_truncate(diffusion._softmax(logits.copy(), temperature), p)
     assert np.array_equal(nucleus_expand(got), want[masked])
 
 
 @pytest.mark.parametrize("temperature", [0.0, -1.0])
 def test_predict_rejects_a_temperature_that_is_not_positive(temperature):
-    params = PredictorParams.init(6, dim=2, window=1, seed=0)
-    positions = np.arange(3)
     with pytest.raises(OutOfRange, match="must be positive"):
-        predict(params, np.full((1, 3), 5), offset_gains(params, positions, positions),
-                diffusion.visible_table(params), np.ones((1, 3), bool), temperature)
+        predict(np.zeros((1, 3, 6)), np.ones((1, 3), bool), temperature)
 
 
 def test_loss_gradient_builds_the_visible_table_once(monkeypatch, corpus, vocab):

@@ -377,9 +377,9 @@ def test_skipping_dead_rollouts_changes_nothing_but_the_work(search_setup, monke
     monkeypatch.setattr(TreeSearch, "dead", lambda self, node: False)
     decoded = run_search(cfg, params, vocab, oracle)
 
-    assert skipped.counts["dead_rollouts"] == sum(len(w) for w in waves if w and all(w)) > 0
+    assert skipped.counts["dead_rollouts"] == sum(sum(w) for w in waves) > 0
     assert decoded.counts["dead_rollouts"] == 0
-    if shape["c_init"] > 1:  # a root wave that mixed live and dead children
+    if shape["c_init"] > 1:  # a root wave that mixed live and dead children, and skipped its dead
         assert any(len(w) > 1 and any(w) and not all(w) for w in waves)
     assert skipped.results == decoded.results
     assert skipped.rollouts == decoded.rollouts
@@ -405,10 +405,10 @@ def test_a_dead_child_gets_no_rollout_rows_and_the_penalty(vocab, monkeypatch):
     assert dead.cached_reward == cfg.gate.r_pen
     assert search.counts["dead_rollouts"] == 1
 
-    # Beside a live child, the dead child's rows share the call.
+    # Beside a live child too, only the live child's rows are decoded.
     rows = search.rollout_rows([dead, live], range(6, 8))
-    assert decoded == [2 * cfg.n_sim] and [r.shape[0] for r in rows] == [4, 4]
-    assert search.counts["dead_rollouts"] == 1
+    assert decoded == [cfg.n_sim] and [r.shape[0] for r in rows] == [0, 4]
+    assert search.counts["dead_rollouts"] == 2
 
 
 @pytest.fixture(scope="module")

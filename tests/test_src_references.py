@@ -121,3 +121,41 @@ def test_only_load_record_parses_a_json_file():
     assert _found(lambda node: isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute) and node.func.attr == "load"
                   and getattr(node.func.value, "id", None) == "json") == {"fragment.load_record"}
+
+
+def _is_blas(node) -> bool:
+    """An ``@``, a ``matmul``, ``dot`` or ``tensordot`` call, or an ``einsum``
+    call without ``optimize=False``, which may plan its sum as a BLAS call."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+    if name == "einsum":
+        return not any(kw.arg == "optimize" and getattr(kw.value, "value", None) is False
+                       for kw in node.keywords)
+    return name in ("matmul", "dot", "tensordot")
+
+
+def test_decoding_calls_no_blas():
+    # A BLAS call rounds a row by how many rows share it, and a decoded row's
+    # logits must not depend on the rows beside it.  So neither decode.py nor
+    # any diffusion function it reaches, through others or not, calls one.
+    decode, diffusion = (ast.parse((SRC / name).read_text())
+                         for name in ("decode.py", "diffusion.py"))
+    defined = {node.name: node for node in diffusion.body if isinstance(node, _DEFINITIONS)}
+    todo = [node.attr for node in ast.walk(decode) if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "diffusion"]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defined and name not in reached:
+            reached.add(name)
+            todo.extend(node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name))
+    assert {"predict", "nucleus_cut", "_softmax", "logit_table", "visible_table"} <= reached
+    hits = set(_sites(diffusion, "diffusion", _is_blas))
+    # The scan sees training's matmul and @, which decoding never reaches.
+    assert {"diffusion._pooled", "diffusion.loss_gradient"} <= hits
+    on_the_path = {site for site in hits  # a module-level site runs on import
+                   if "." not in site or site.split(".")[1] in reached}
+    assert on_the_path | set(_sites(decode, "decode", _is_blas)) == set()
